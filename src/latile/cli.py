@@ -5,8 +5,8 @@ artifacts are JSON with sorted keys, so identical inputs give byte-identical
 output; wall-clock timing lives in a separate "meta" block that golden-file
 comparisons should drop.  Verdicts are data -- a certificate concluding
 INCONCLUSIVE is still a successful run.  Exit codes are for pipeline
-control only: 0 success, 1 verification failure, 2 usage error, 3 internal
-error.
+control only: 0 success, 1 verification failure, 2 usage error (including
+a malformed map file or LATILE_THREADS), 3 internal error.
 """
 
 import argparse
@@ -36,23 +36,33 @@ def _emit(payload: dict, out_path) -> None:
         sys.stdout.write(text)
 
 
+class UsageError(ValueError):
+    """Bad input from the command line, a map file or the environment (exit 2)."""
+
+
 def _load_homomorphism(path: str) -> TilingHomomorphism:
-    if path == "-":
-        data = json.load(sys.stdin)
-    else:
-        with open(path) as fh:
-            data = json.load(fh)
-    return TilingHomomorphism.from_dict(data)
+    name = "standard input" if path == "-" else path
+    try:
+        if path == "-":
+            data = json.load(sys.stdin)
+        else:
+            with open(path) as fh:
+                data = json.load(fh)
+    except ValueError as exc:  # undecodable text or invalid JSON; OSError stays exit 3
+        raise UsageError(f"{name} is not valid JSON: {exc}") from None
+    try:
+        return TilingHomomorphism.from_dict(data)
+    except ValueError as exc:
+        raise UsageError(f"{name} is not a tiling map: {exc}") from None
 
 
 def _thread_count() -> int:
     env = os.environ.get("LATILE_THREADS")
-    if env:
-        count = int(env)
-        if count < 1:
-            raise ValueError(f"LATILE_THREADS must be >= 1, got {count}")
-        return count
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise UsageError(f"LATILE_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def _cmd_search(args) -> int:
@@ -201,6 +211,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"latile: error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:
         print(f"latile: error: {exc}", file=sys.stderr)
         return 3

@@ -7,17 +7,20 @@ and closure-under-negation conditions, leaving only the product identity to
 test, and shrinks the raw space from subsets of size 2n+1 to C(n^2, n) pair
 choices.
 
-The walk is a depth-first scan over pair combinations with an incremental
-difference table: adding a pair updates the coefficients of the partial
-product T*T, and any non-identity coefficient exceeding 3 can never recover
-(coefficients only grow as pairs are added), so the whole subtree is
-rejected at once.  Rejected subtrees are counted exactly via binomial
-completion counts, which is why candidates_tested always equals C(n^2, n)
-per group no matter how little work was actually done.
+For odd |G| the product identity T*T = 2G + T^(2) + (2n-2)e says exactly
+that every non-identity element is the sum of one unordered pair of
+distinct elements of T.  So the search is a perfect-packing scan over two
+big-int masks, bit r standing for the element of rank r: S, the chosen
+elements, and covered, the non-identity pair sums so far.  Adding the pair
+{x, -x} brings the sums S+x and S-x, each a translate of S.  The node is
+rejected when they overlap or either meets covered; sums are never
+removed, so the whole subtree goes at once, counted exactly by binomial
+completion counts (candidates_tested is always C(n^2, n) per group).
+Depth n without a rejection is a tiling: its C(2n+1, 2) - n = 2n^2
+distinct non-identity sums fill G minus e.
 
-Candidates that survive to a leaf and match the product identity are
-re-verified twice, by independent routes: the group-ring condition checker
-and the ball-image bijection verifier.  The two must agree; disagreement is
+Surviving leaves are re-verified by two independent routes, the group-ring
+condition checker and the ball-image bijection verifier; disagreement is
 an internal error, not a result.
 
 Optional symmetry reduction quotients by multiplier equivalence x -> t*x
@@ -26,13 +29,16 @@ reduction).  Reduction changes which solutions are reported -- one
 canonical representative per orbit, with its orbit size -- never how many
 candidates are counted.
 
-Parallel runs split each group's scan into contiguous chunks of first-pair
-indices; chunk results are merged in chunk order, so the output is
+The scan's unit of work is a prefix of pair indices.  A serial run scans
+the empty prefix; parallel runs cut the space into runs of prefixes with
+similar candidate counts and merge them in prefix order, so the output is
 identical to a serial run.
 """
 
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb, gcd
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -41,7 +47,6 @@ from .abelian import (
     GroupSpec,
     decode_rank,
     element_at,
-    encode_residues,
     enumerate_abelian_groups,
     identity,
     negate,
@@ -52,7 +57,7 @@ from .groupring import check_tiling_conditions, from_multiset
 from .tiling import TilingHomomorphism, verify_tiling
 
 DEFAULT_BUDGET = 10**9
-_VIOLATION_BOUND = 3  # max coefficient of a non-identity element in T*T
+_TASKS_PER_WORKER = 8  # parallel tasks per worker and group, for load balance
 
 
 class BudgetExceededError(RuntimeError):
@@ -197,141 +202,141 @@ def dual_verify_candidate(spec: GroupSpec, n: int, elements) -> bool:
     return conditions.passed
 
 
-def _addition_table(spec: GroupSpec) -> list[list[int]]:
+def _translations(spec: GroupSpec) -> list[tuple[tuple[int, int, int, int], ...]]:
+    """For each rank x, the masked shift pairs that translate a mask by x.
+
+    Bit r of a mask stands for the element of rank r.  In a coordinate of
+    factor d and stride s (the product of the later factors), adding v moves
+    the bits whose residue is below d - v up by v*s and wraps the rest down
+    by (d - v)*s: one (low mask, up, high mask, down) step per non-zero
+    coordinate of x, so a cyclic group takes one rotation.
+    """
     order = spec.order
-    factors = spec.invariant_factors
-    decoded = [decode_rank(spec, r) for r in range(order)]
-    table = []
-    for a in decoded:
-        row = [0] * order
-        for rb, b in enumerate(decoded):
-            row[rb] = encode_residues(
-                spec, tuple((x + y) % d for x, y, d in zip(a, b, factors))
-            )
-        table.append(row)
-    return table
+    full = (1 << order) - 1
+    by_coordinate = []
+    stride = order
+    for d in spec.invariant_factors:
+        stride //= d
+        steps = [None]
+        for v in range(1, d):
+            run = (1 << (d - v) * stride) - 1
+            low = sum(run << start for start in range(0, order, d * stride))
+            steps.append((low, v * stride, full ^ low, (d - v) * stride))
+        by_coordinate.append(steps)
+    return [
+        tuple(steps[v] for steps, v in zip(by_coordinate, decode_rank(spec, rank)) if v)
+        for rank in range(order)
+    ]
 
 
-def _scan_chunk(
-    spec: GroupSpec,
-    n: int,
-    reduce_orbits: bool,
-    first_lo: int,
-    first_hi: int,
+def _translate(mask: int, steps: tuple[tuple[int, int, int, int], ...]) -> int:
+    for low, up, high, down in steps:
+        mask = (mask & low) << up | (mask & high) >> down
+    return mask
+
+
+def scan_prefixes(
+    spec: GroupSpec, n: int, prefixes: Iterable[tuple[int, ...]], *, reduce_orbits: bool = True
 ) -> tuple[int, list[SearchSolution]]:
-    """Depth-first scan over candidates whose first pair index lies in
-    [first_lo, first_hi); returns the exact candidate count covered."""
-    order = spec.order
-    add = _addition_table(spec)
-    pairs = inverse_pairs(spec)
-    pair_ranks = [(rank_of(g), rank_of(h)) for g, h in pairs]
-    num_pairs = len(pair_ranks)
-    perms = pair_multiplier_permutations(spec) if reduce_orbits else None
+    """Scan every candidate that starts with one of the prefixes.
 
-    coeff = [0] * order
-    coeff[0] = 1  # identity alone: e*e
-    members = [0]
+    A prefix is an increasing tuple of at most n pair indices, placed by the
+    same packing step as the scan's own; the empty prefix is the whole
+    space.  Returns the candidates covered, C(P - 1 - last, n - k) for a
+    prefix of k pairs ending at `last` among P pairs, summed over the
+    prefixes, and the solutions in prefix order.
+    """
+    pairs = inverse_pairs(spec)
+    num_pairs = len(pairs)
+    shifts = _translations(spec)
+    plus = [shifts[rank_of(g)] for g, _ in pairs]
+    minus = [shifts[rank_of(h)] for _, h in pairs]
+    pair_bits = [1 << rank_of(g) | 1 << rank_of(h) for g, h in pairs]
+    perms = pair_multiplier_permutations(spec) if reduce_orbits else None
+    # subtree[r][i]: candidates below a node whose last pair is i, r pairs short
+    subtree = [[comb(num_pairs - 1 - i, r) for i in range(num_pairs)] for r in range(n)]
     chosen: list[int] = []
-    violations = 0
     tested = 0
     solutions: list[SearchSolution] = []
 
-    def bump(rank: int, delta: int) -> None:
-        nonlocal violations
-        old = coeff[rank]
-        new = old + delta
-        coeff[rank] = new
-        if rank != 0:
-            if old <= _VIOLATION_BOUND < new:
-                violations += 1
-            elif new <= _VIOLATION_BOUND < old:
-                violations -= 1
-
-    def add_pair(index: int) -> None:
-        for x in pair_ranks[index]:
-            row = add[x]
-            for s in members:
-                bump(row[s], 2)
-            bump(row[x], 1)
-            members.append(x)
-
-    def remove_pair(index: int) -> None:
-        for x in reversed(pair_ranks[index]):
-            members.pop()
-            row = add[x]
-            bump(row[x], -1)
-            for s in members:
-                bump(row[s], -2)
-
-    def leaf_matches() -> bool:
-        doubled = {add[x][x] for x in members}
-        for rank in range(order):
-            expected = 2 + (1 if rank in doubled else 0) + (2 * n - 2 if rank == 0 else 0)
-            if coeff[rank] != expected:
-                return False
-        return True
-
     def handle_leaf() -> None:
-        if violations != 0 or not leaf_matches():
-            return
         candidate = tuple(chosen)
-        orbit_size = 1
-        if perms is not None:
-            if not is_canonical(perms, candidate):
-                return
-            orbit_size = len(candidate_orbit(perms, candidate))
-        elements = [identity(spec)]
-        for i in candidate:
-            elements.append(pairs[i][0])
-            elements.append(pairs[i][1])
+        if perms is not None and not is_canonical(perms, candidate):
+            return
+        orbit_size = len(candidate_orbit(perms, candidate)) if perms is not None else 1
+        elements = [identity(spec)] + [g for i in candidate for g in pairs[i]]
         if dual_verify_candidate(spec, n, elements):
-            solutions.append(
-                SearchSolution(
-                    spec=spec,
-                    elements=tuple(sorted(elements, key=rank_of)),
-                    orbit_size=orbit_size,
-                )
-            )
+            elements.sort(key=rank_of)
+            solutions.append(SearchSolution(spec, tuple(elements), orbit_size))
 
-    def dfs(last_index: int, depth: int) -> None:
+    def extend(chosen_mask: int, covered: int, last_index: int, remaining: int) -> None:
+        # The new sums are chosen_mask + x and chosen_mask - x.  Neither holds
+        # the identity (x, -x are not chosen yet), so any overlap is a repeat.
+        # _translate is inlined here: the calls cost about a tenth of the scan.
         nonlocal tested
-        remaining = n - depth
-        if depth == 0:
-            index_range = range(max(first_lo, 0), min(first_hi, num_pairs - remaining + 1))
+        pruned = subtree[remaining - 1]
+        for index in range(last_index + 1, num_pairs - remaining + 1):
+            a = chosen_mask
+            for low, up, high, down in plus[index]:
+                a = (a & low) << up | (a & high) >> down
+            b = chosen_mask
+            for low, up, high, down in minus[index]:
+                b = (b & low) << up | (b & high) >> down
+            if a & b or (a | b) & covered:
+                tested += pruned[index]
+            elif remaining == 1:
+                tested += 1
+                chosen.append(index)
+                handle_leaf()
+                chosen.pop()
+            else:
+                chosen.append(index)
+                extend(chosen_mask | pair_bits[index], covered | a | b, index, remaining - 1)
+                chosen.pop()
+
+    for prefix in prefixes:
+        prefix = tuple(prefix)
+        if len(prefix) > n or list(prefix) != sorted(set(prefix) & set(range(num_pairs))):
+            raise ValueError(f"prefix {prefix}: need <= {n} increasing indices below {num_pairs}")
+        last_index = prefix[-1] if prefix else -1
+        remaining = n - len(prefix)
+        chosen_mask, covered = 1, 0  # the identity, and no pair sums yet
+        for index in prefix:
+            a = _translate(chosen_mask, plus[index])
+            b = _translate(chosen_mask, minus[index])
+            if a & b or (a | b) & covered:
+                tested += comb(num_pairs - 1 - last_index, remaining)
+                break
+            chosen_mask |= pair_bits[index]
+            covered |= a | b
         else:
-            index_range = range(last_index + 1, num_pairs - remaining + 1)
-        for index in index_range:
-            add_pair(index)
-            chosen.append(index)
-            if depth + 1 == n:
+            chosen[:] = prefix
+            if remaining == 0:
                 tested += 1
                 handle_leaf()
-            elif violations:
-                tested += comb(num_pairs - 1 - index, remaining - 1)
             else:
-                dfs(index, depth + 1)
-            chosen.pop()
-            remove_pair(index)
-
-    dfs(-1, 0)
+                extend(chosen_mask, covered, last_index, remaining)
     return tested, solutions
 
 
-def _chunk_worker(args) -> tuple[int, list[SearchSolution]]:
-    factors, n, reduce_orbits, lo, hi = args
-    return _scan_chunk(GroupSpec(factors), n, reduce_orbits, lo, hi)
+def _prefix_tasks(num_pairs: int, n: int, parts: int) -> list[list[tuple[int, ...]]]:
+    """All two-pair prefixes in scan order, cut into about `parts` runs of
+    similar candidate count (a prefix ending at j holds C(P - 1 - j, n - 2))."""
+    target = comb(num_pairs, n) / parts
+    tasks: list[list[tuple[int, ...]]] = [[]]
+    carried = 0
+    for prefix in combinations(range(num_pairs - n + 2), 2):
+        if carried >= target:
+            tasks.append([])
+            carried = 0
+        tasks[-1].append(prefix)
+        carried += comb(num_pairs - 1 - prefix[1], n - 2)
+    return tasks
 
 
-def _split_chunks(top: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, top))
-    step, extra = divmod(top, parts)
-    bounds = []
-    lo = 0
-    for i in range(parts):
-        hi = lo + step + (1 if i < extra else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
+def _prefix_worker(args) -> tuple[int, list[SearchSolution]]:
+    factors, n, reduce_orbits, prefixes = args
+    return scan_prefixes(GroupSpec(factors), n, prefixes, reduce_orbits=reduce_orbits)
 
 
 def search_tilings(
@@ -355,41 +360,34 @@ def search_tilings(
         raise ValueError(f"budget must be positive, got {budget}")
     order = 2 * n * n + 1
     groups = enumerate_abelian_groups(order)
-    per_group = comb(n * n, n)
-    total = per_group * len(groups)
+    total = comb(n * n, n) * len(groups)
     if total > budget and not force:
         raise BudgetExceededError(total, budget)
     started = time.perf_counter()
     num_pairs = (order - 1) // 2
-    top = num_pairs - n + 1
-    tested_by_group = [0] * len(groups)
-    solutions_by_group: list[list[SearchSolution]] = [[] for _ in groups]
-    if threads > 1:
-        import multiprocessing
-
-        tasks = []
-        owners = []
-        for gi, spec in enumerate(groups):
-            for lo, hi in _split_chunks(top, threads * 2):
-                tasks.append((spec.invariant_factors, n, reduce_orbits, lo, hi))
-                owners.append(gi)
-        with multiprocessing.get_context("fork").Pool(threads) as pool:
-            outcomes = pool.map(_chunk_worker, tasks)
-        for gi, (tested, found) in zip(owners, outcomes):
-            tested_by_group[gi] += tested
-            solutions_by_group[gi].extend(found)
-    else:
-        for gi, spec in enumerate(groups):
-            tested, found = _scan_chunk(spec, n, reduce_orbits, 0, top)
-            tested_by_group[gi] = tested
-            solutions_by_group[gi] = found
-            if progress is not None:
-                progress(
-                    f"{spec.describe()}: {tested} candidates, {len(found)} solutions"
-                )
+    runs = [[()]] if threads <= 1 else _prefix_tasks(num_pairs, n, threads * _TASKS_PER_WORKER)
+    tasks = [
+        (spec.invariant_factors, n, reduce_orbits, prefixes) for spec in groups for prefixes in runs
+    ]
+    tested_by_group = []
     solutions: list[SearchSolution] = []
-    for found in solutions_by_group:
-        solutions.extend(found)
+    with ExitStack() as stack:
+        outcomes = map(_prefix_worker, tasks)
+        if threads > 1:
+            import multiprocessing
+
+            pool = stack.enter_context(multiprocessing.get_context("fork").Pool(threads))
+            outcomes = pool.imap(_prefix_worker, tasks)
+        for spec in groups:
+            tested = found = 0
+            for _ in runs:
+                run_tested, run_solutions = next(outcomes)
+                tested += run_tested
+                found += len(run_solutions)
+                solutions.extend(run_solutions)
+            tested_by_group.append(tested)
+            if progress is not None:
+                progress(f"{spec.describe()}: {tested} candidates, {found} solutions")
     return SearchResult(
         n=n,
         groups_examined=tuple(groups),

@@ -53,9 +53,32 @@ class TilingHomomorphism:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TilingHomomorphism":
-        spec = GroupSpec.from_dict(data["group"])
-        images = tuple(GroupElement(spec, tuple(r)) for r in data["images"])
-        return cls(int(data["n"]), spec, images)
+        """Read the as_dict form; malformed data raises ValueError naming the fault."""
+        if not isinstance(data, dict):
+            raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+        missing = [key for key in ("n", "group", "images") if key not in data]
+        if missing:
+            raise ValueError(f"missing {', '.join(map(repr, missing))}")
+        n, group, images = data["n"], data["group"], data["images"]
+        if not _is_int(n):
+            raise ValueError(f"'n' must be an integer, got {n!r}")
+        factors = group.get("invariant_factors") if isinstance(group, dict) else None
+        if not _is_int_list(factors):
+            raise ValueError(
+                f"'group' must hold a list of integer 'invariant_factors', got {group!r}"
+            )
+        if not isinstance(images, (list, tuple)) or not all(map(_is_int_list, images)):
+            raise ValueError("'images' must be a list of integer lists")
+        spec = GroupSpec(tuple(factors))
+        return cls(n, spec, tuple(GroupElement(spec, tuple(r)) for r in images))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(map(_is_int, value))
 
 
 def apply_homomorphism(phi: TilingHomomorphism, vector) -> GroupElement:

@@ -165,6 +165,81 @@ class TestBallCommand:
         assert "latile: error" in stderr
 
 
+class TestBadInput:
+    GOLAY = {"n": 11, "group": {"invariant_factors": [3, 3, 3, 3, 3]}, "images": [[0] * 5] * 11}
+
+    def run_verify(self, capsys, tmp_path, text):
+        path = tmp_path / "map.json"
+        path.write_text(text)
+        return run(capsys, "verify", str(path))
+
+    def test_invalid_json_is_a_usage_error(self, capsys, tmp_path):
+        code, _, stderr = self.run_verify(capsys, tmp_path, '{"n": 11,')
+        assert code == 2
+        assert "not valid JSON" in stderr
+
+    def test_undecodable_bytes_are_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "map.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, _, stderr = run(capsys, "verify", str(path))
+        assert code == 2
+        assert "not valid JSON" in stderr
+
+    @pytest.mark.parametrize("key", ["group", "images", "n"])
+    def test_missing_key_is_named(self, capsys, tmp_path, key):
+        payload = dict(self.GOLAY)
+        del payload[key]
+        code, _, stderr = self.run_verify(capsys, tmp_path, json.dumps(payload))
+        assert code == 2
+        assert f"missing '{key}'" in stderr
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n", "eleven"),
+            ("n", 11.5),
+            ("n", True),
+            ("group", 5),
+            ("group", {"invariant_factors": "3,3"}),
+            ("images", "x"),
+            ("images", [[0, 0, 0, 0, "0"]]),
+        ],
+    )
+    def test_wrong_type_is_named(self, capsys, tmp_path, key, value):
+        payload = dict(self.GOLAY, **{key: value})
+        code, _, stderr = self.run_verify(capsys, tmp_path, json.dumps(payload))
+        assert code == 2
+        assert f"'{key}' must" in stderr
+
+    def test_not_an_object(self, capsys, tmp_path):
+        code, _, stderr = self.run_verify(capsys, tmp_path, "[1, 2]")
+        assert code == 2
+        assert "expected a JSON object" in stderr
+
+    def test_inconsistent_map_is_a_usage_error(self, capsys, tmp_path):
+        payload = dict(self.GOLAY, images=[[0, 0, 0]] * 11)
+        code, _, stderr = self.run_verify(capsys, tmp_path, json.dumps(payload))
+        assert code == 2
+        assert "residues" in stderr
+
+    def test_analyze_and_stdin_share_the_loader(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "map.json"
+        path.write_text("{}")
+        assert run(capsys, "analyze", str(path))[0] == 2
+        monkeypatch.setattr("sys.stdin", io.StringIO("not json"))
+        code, _, stderr = run(capsys, "verify", "-")
+        assert code == 2
+        assert "standard input is not valid JSON" in stderr
+
+    @pytest.mark.parametrize("value", ["x", "0", "-1", "1.5", "²"])
+    def test_bad_thread_count_is_a_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("LATILE_THREADS", value)
+        code, stdout, stderr = run(capsys, "search", "-n", "3")
+        assert code == 2
+        assert stdout == ""
+        assert "LATILE_THREADS must be a positive integer" in stderr
+
+
 class TestUsageErrors:
     def test_no_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

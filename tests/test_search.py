@@ -1,11 +1,17 @@
 """Tests for the exhaustive small-dimension tiling search."""
 
+import random
+import time
+from itertools import combinations
 from math import comb
 
 import pytest
 
-from latile.abelian import GroupElement, GroupSpec, negate, rank_of
+import latile.search
+from latile.abelian import GroupElement, GroupSpec, element_at, negate, rank_of
+from latile.ball import generate_ball
 from latile.construct import golay11_tiling
+from latile.groupring import check_tiling_conditions, from_multiset
 from latile.search import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -15,9 +21,22 @@ from latile.search import (
     is_canonical,
     multiplier_reduce,
     pair_multiplier_permutations,
+    scan_prefixes,
     search_tilings,
 )
-from latile.tiling import induced_code_set
+from latile.tiling import TilingHomomorphism, induced_code_set, verify_tiling
+
+
+def golay_pair_indices() -> list[int]:
+    """Sorted pair indices of the Golay code set in Z_3^5 (n = 11)."""
+    phi = golay11_tiling()
+    index = {rank_of(g): i for i, pair in enumerate(inverse_pairs(phi.spec)) for g in pair}
+    return sorted(index[rank_of(g)] for g in phi.images)
+
+
+def elements_of(spec: GroupSpec, prefix) -> list[GroupElement]:
+    pairs = inverse_pairs(spec)
+    return [element_at(spec, 0)] + [g for i in prefix for g in pairs[i]]
 
 
 class TestInversePairs:
@@ -151,8 +170,27 @@ class TestSearch:
         assert result.solutions == ()
 
     def test_threads_do_not_change_the_result(self):
-        serial = search_tilings(4, reduce_orbits=True, threads=1)
-        parallel = search_tilings(4, reduce_orbits=True, threads=2)
+        for n in (4, 5):
+            for reduce_orbits in (True, False):
+                serial = search_tilings(n, reduce_orbits=reduce_orbits, threads=1)
+                parallel = search_tilings(n, reduce_orbits=reduce_orbits, threads=2)
+                a = serial.as_dict()
+                b = parallel.as_dict()
+                a.pop("meta")
+                b.pop("meta")
+                assert a == b
+
+    def test_n7_is_exhausted_with_no_tiling(self):
+        # Settles n = 7, which the certificate route leaves open: both
+        # groups of order 99 (Z_3 x Z_33 and Z_99) hold no tiling.
+        started = time.perf_counter()
+        serial = search_tilings(7, threads=1)
+        parallel = search_tilings(7, threads=2)
+        assert time.perf_counter() - started < 60
+        for result in (serial, parallel):
+            assert result.groups_examined == (GroupSpec((3, 33)), GroupSpec((99,)))
+            assert result.candidates_tested == (comb(49, 7), comb(49, 7))
+            assert result.solutions == ()
         a = serial.as_dict()
         b = parallel.as_dict()
         a.pop("meta")
@@ -191,3 +229,86 @@ class TestSearch:
         assert d["solutions"] == []
         assert d["reduced"] is True
         assert "wall_time" in d["meta"]
+
+
+class TestPrefixScan:
+    @pytest.mark.parametrize("k", [6, 7, 8])
+    def test_planted_golay_prefix_is_found(self, k):
+        spec = GroupSpec((3, 3, 3, 3, 3))
+        golay = golay_pair_indices()
+        prefix = tuple(golay[:k])
+        tested, solutions = scan_prefixes(spec, 11, [prefix], reduce_orbits=False)
+        assert tested == comb(120 - prefix[-1], 11 - k)
+        golay_elements = tuple(sorted(elements_of(spec, golay), key=rank_of))
+        found = [sol.elements for sol in solutions]
+        assert golay_elements in found
+        # both verifiers accept the planted set on their own
+        assert check_tiling_conditions(from_multiset(spec, golay_elements), 11).passed
+        pairs = inverse_pairs(spec)
+        phi = TilingHomomorphism(11, spec, tuple(pairs[i][0] for i in golay))
+        assert verify_tiling(phi, generate_ball(11, 2, 1, 1)).bijective
+
+    def test_rejected_prefix_counts_its_whole_subtree(self):
+        spec = GroupSpec((19,))
+        # pairs {1, 18} and {2, 17}: 0 + 1 = 18 + 2 (mod 19), a repeated sum
+        assert scan_prefixes(spec, 3, [(0, 1)]) == (comb(9 - 1 - 1, 1), [])
+
+    def test_prefixes_partition_the_space(self):
+        spec = GroupSpec((19,))
+        tested, _ = scan_prefixes(spec, 3, [(i,) for i in range(7)])
+        assert tested == comb(9, 3)
+
+    @pytest.mark.parametrize("prefix", [(1, 0), (0, 0), (9,), (-1,), (0, 1, 2, 3)])
+    def test_malformed_prefix_rejected(self, prefix):
+        with pytest.raises(ValueError):
+            scan_prefixes(GroupSpec((19,)), 3, [prefix])
+
+    def assert_packing_matches_ring_checker(self, monkeypatch, spec, n, prefixes, leaves):
+        # With leaf re-verification stubbed out, a leaf is a solution exactly
+        # when the packing step accepts it.
+        monkeypatch.setattr(latile.search, "dual_verify_candidate", lambda *args: True)
+        tested, solutions = scan_prefixes(spec, n, prefixes, reduce_orbits=False)
+        assert tested == len(leaves)
+        accepted = [tuple(sorted(map(rank_of, sol.elements))) for sol in solutions]
+        passing = [
+            tuple(sorted(map(rank_of, elements_of(spec, leaf))))
+            for leaf in leaves
+            if check_tiling_conditions(elements_of(spec, leaf), n).passed
+        ]
+        assert accepted == passing
+        assert len(passing) == (1 if spec.order == 243 else 0)
+
+    @pytest.mark.parametrize(
+        "factors, n", [((19,), 3), ((99,), 7), ((3, 33), 7), ((3, 3, 3, 3, 3), 11)]
+    )
+    def test_packing_agrees_with_the_ring_checker(self, monkeypatch, factors, n):
+        # Full-length prefixes, one leaf each: every candidate of Z_19, and
+        # seeded random sets elsewhere, plus the Golay set and near-misses
+        # with one of its pairs swapped out.
+        spec = GroupSpec(factors)
+        num_pairs = (spec.order - 1) // 2
+        rng = random.Random(2023)
+        if spec.order == 19:
+            leaves = list(combinations(range(num_pairs), n))
+        else:
+            leaves = [tuple(sorted(rng.sample(range(num_pairs), n))) for _ in range(40)]
+        if spec.order == 243:
+            golay = golay_pair_indices()
+            leaves.append(tuple(golay))
+            for _ in range(40):
+                out = rng.choice(golay)
+                into = rng.choice([i for i in range(num_pairs) if i not in golay])
+                leaves.append(tuple(sorted(set(golay) - {out} | {into})))
+        leaves = sorted(set(leaves))
+        self.assert_packing_matches_ring_checker(monkeypatch, spec, n, leaves, leaves)
+
+    @pytest.mark.parametrize("factors, n, k", [((19,), 3, 0), ((33,), 4, 0), ((3,) * 5, 11, 10)])
+    def test_scan_accepts_exactly_what_the_ring_checker_passes(self, monkeypatch, factors, n, k):
+        # Every leaf below one prefix (empty, or the first k Golay pairs),
+        # reached through the scan's own extension steps.
+        spec = GroupSpec(factors)
+        num_pairs = (spec.order - 1) // 2
+        prefix = tuple(golay_pair_indices()[:k])
+        start = prefix[-1] + 1 if prefix else 0
+        leaves = [prefix + rest for rest in combinations(range(start, num_pairs), n - k)]
+        self.assert_packing_matches_ring_checker(monkeypatch, spec, n, [prefix], leaves)

@@ -126,6 +126,21 @@ class TestSerialization:
         again = TilingHomomorphism.from_dict(phi.as_dict())
         assert again == phi
 
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda d: d.pop("group"),
+            lambda d: d.update(n="11"),
+            lambda d: d.update(group={"invariant_factors": [3.0] * 5}),
+            lambda d: d.update(images=[[0, 0, 0, 0, None]] * 11),
+        ],
+    )
+    def test_malformed_dict_raises_value_error(self, mangle):
+        d = golay11_tiling().as_dict()
+        mangle(d)
+        with pytest.raises(ValueError):
+            TilingHomomorphism.from_dict(d)
+
     def test_dict_shape(self):
         d = golay11_tiling().as_dict()
         assert d["n"] == 11
