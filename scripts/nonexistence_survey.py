@@ -5,10 +5,13 @@ For each n the script factors 2n^2 + 1, lists the admissible primes, and
 prints the conclusion of the best certificate.  Useful for spotting which
 dimensions the modular criterion leaves open (INAPPLICABLE rows have no
 prime factor above 2n+1; INCONCLUSIVE rows have one that fails to decide).
+The summary line adds the open fraction, (INAPPLICABLE + INCONCLUSIVE) over
+all n in the range, and the run's seconds.
 """
 
 import argparse
 import sys
+import time
 
 from latile.certify import INFINITE, admissible_primes, certify_nonexistence
 
@@ -25,6 +28,7 @@ def main() -> int:
     print(header)
     print("-" * len(header))
     counts = {"NONEXISTENCE": 0, "INCONCLUSIVE": 0, "INAPPLICABLE": 0}
+    started = time.perf_counter()
     for n in range(args.start, args.stop + 1):
         order = 2 * n * n + 1
         primes = admissible_primes(n)
@@ -39,11 +43,15 @@ def main() -> int:
             f"{n:>5} {order:>10} {str(primes):>18} {cert.p:>6} {a_str:>9} {cert.b:>5}"
             f"  {cert.conclusion}"
         )
+    seconds = time.perf_counter() - started
+    open_fraction = (counts["INAPPLICABLE"] + counts["INCONCLUSIVE"]) / sum(counts.values())
     print("-" * len(header))
     print(
         f"NONEXISTENCE: {counts['NONEXISTENCE']}   "
         f"INCONCLUSIVE: {counts['INCONCLUSIVE']}   "
-        f"INAPPLICABLE: {counts['INAPPLICABLE']}"
+        f"INAPPLICABLE: {counts['INAPPLICABLE']}   "
+        f"open: {open_fraction:.4f}   "
+        f"seconds: {seconds:.2f}"
     )
     return 0
 

@@ -13,16 +13,19 @@ proved and the certificate records the full row table; if some ell works
 the certificate is INCONCLUSIVE (it proves nothing either way).  When
 2n^2+1 has no admissible prime at all the method is INAPPLICABLE.
 
-Certificates are meant to be re-checked from scratch: validate_certificate
-recomputes every field independently and returns a list of discrepancies.
+The builder finds (a, b) in O(sqrt(p)) steps: b by dividing p-1 by its
+prime factors (found by trial division) while 4 to the quotient is still
+1 mod p, and a by Shanks' baby-step giant-step with step ceil(sqrt(b)).
 
-Two deliberately conservative choices: the definition of a admits k = 0,
-but if a = 0 ever occurred the engine would also evaluate the k >= 1
-reading and refuse to claim NONEXISTENCE unless both agree (for admissible
-primes a = 0 is actually impossible: p | 4n+1 and p | 2n^2+1 force p | 18,
-excluded by p > 2n+1 >= 7 -- the guard costs nothing and removes the
-ambiguity).  And primality is established by deterministic trial division,
-never by a probabilistic test.
+a = 0 cannot occur for an admissible prime: it needs p | 4n+1 and
+p | 2n^2+1, so p | 18 and p = 3, below 2n+1 >= 7.  build_certificate raises
+ValueError if it ever sees a = 0.  Primality is established by
+deterministic trial division, never by a probabilistic test.
+
+Certificates are meant to be re-checked from scratch: validate_certificate
+shares no code with the builder's parameter search.  It re-derives b and a
+by an O(p) scan over the powers of 4 and every other field independently,
+and returns a list of discrepancies.
 """
 
 from dataclasses import dataclass
@@ -48,33 +51,38 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def _prime_factors(m: int) -> list[int]:
+    """Distinct prime factors of m >= 1, ascending, by trial division."""
+    factors = []
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            factors.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1 if d == 2 else 2
+    if m > 1:
+        factors.append(m)
+    return factors
+
+
 def admissible_primes(n: int) -> list[int]:
     """Prime divisors p of 2n^2+1 with p > 2n+1, ascending."""
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
-    order = 2 * n * n + 1
-    primes = []
-    m = order
-    d = 3  # 2n^2+1 is odd
-    while d * d <= m:
-        while m % d == 0:
-            if d > 2 * n + 1 and d not in primes:
-                primes.append(d)
-            m //= d
-        d += 2
-    if m > 1 and m > 2 * n + 1 and m not in primes:
-        primes.append(m)
-    return sorted(primes)
+    return [p for p in _prime_factors(2 * n * n + 1) if p > 2 * n + 1]
 
 
 def multiplicative_order(base: int, p: int) -> int:
-    value = base % p
-    order = 1
-    while value != 1:
-        value = value * base % p
-        order += 1
-        if order > p:
-            raise ArithmeticError(f"{base} is not invertible mod {p}")
+    """Order of base in the multiplicative group mod the prime p."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if base % p == 0:
+        raise ArithmeticError(f"{base} is not invertible mod {p}")
+    order = p - 1
+    for q in _prime_factors(p - 1):
+        while order % q == 0 and pow(base, order // q, p) == 1:
+            order //= q
     return order
 
 
@@ -82,18 +90,27 @@ def certificate_parameters(
     n: int, p: int, minimum_k: int = 0
 ) -> tuple[Union[int, float], int]:
     """(a, b) for the certificate: b = ord_p(4), a = least k >= minimum_k
-    with 4^k = 4n+2 (mod p) within one full period, else INFINITE."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    with 4^k = 4n+2 (mod p), else INFINITE."""
     if p == 2:
         raise ValueError("p must not divide 4")
     b = multiplicative_order(4, p)
     target = (4 * n + 2) % p
-    value = pow(4, minimum_k, p)
-    for k in range(minimum_k, minimum_k + b):
-        if value == target:
-            return k, b
+    # Baby-step giant-step: k = i*s + j with 0 <= j < s.  The giant steps
+    # visit i in increasing order, so the first hit is the least k >= 0.
+    s = isqrt(b - 1) + 1
+    baby: dict[int, int] = {}
+    value = 1
+    for j in range(s):
+        baby.setdefault(value, j)
         value = value * 4 % p
+    giant = pow(4, -s, p)
+    value = target
+    for i in range(-(-b // s)):
+        j = baby.get(value)
+        if j is not None:
+            a = i * s + j
+            return minimum_k + (a - minimum_k) % b, b  # least k >= minimum_k, k = a mod b
+        value = value * giant % p
     return INFINITE, b
 
 
@@ -175,6 +192,10 @@ def build_certificate(n: int, p: int) -> NonexistenceCertificate:
         raise ValueError(f"{p} does not divide 2*{n}^2+1 = {order}")
     m = order // p
     a, b = certificate_parameters(n, p)
+    if a == 0:
+        raise ValueError(
+            f"a = 0 means {p} divides 4n+1 and 2n^2+1, hence 18: p = {p} is not admissible"
+        )
     ell_max = _ell_bound(n, m)
     rows = []
     for ell in range(ell_max + 1):
@@ -182,12 +203,6 @@ def build_certificate(n: int, p: int) -> NonexistenceCertificate:
         ok, witness = representable(a, b, target)
         rows.append(CertificateRow(ell=ell, target=target, representable=ok, witness=witness))
     nonexistent = not any(row.representable for row in rows)
-    if nonexistent and a == 0:
-        # Conservative dual reading: re-evaluate with the least k >= 1.
-        a_strict, _ = certificate_parameters(n, p, minimum_k=1)
-        strict_rows = [representable(a_strict, b, n - ell)[0] for ell in range(ell_max + 1)]
-        if any(strict_rows):
-            nonexistent = False
     return NonexistenceCertificate(
         n=n,
         order=order,
@@ -287,10 +302,6 @@ def validate_certificate(cert: NonexistenceCertificate) -> list[str]:
         elif row.witness is not None:
             problems.append(f"row ell={row.ell}: witness given for unrepresentable target")
     expected_conclusion = INCONCLUSIVE if any_representable else NONEXISTENCE
-    if a == 0 and expected_conclusion == NONEXISTENCE:
-        a_strict = b  # least k >= 1 with 4^k = 1 (mod p) when 4n+2 = 1
-        if any(_exhaustive_representable(a_strict, b, row.target) for row in cert.rows):
-            expected_conclusion = INCONCLUSIVE
     if cert.conclusion != expected_conclusion:
         problems.append(
             f"conclusion {cert.conclusion} inconsistent with rows ({expected_conclusion})"

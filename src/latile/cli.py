@@ -6,7 +6,7 @@ output; wall-clock timing lives in a separate "meta" block that golden-file
 comparisons should drop.  Verdicts are data -- a certificate concluding
 INCONCLUSIVE is still a successful run.  Exit codes are for pipeline
 control only: 0 success, 1 verification failure, 2 usage error (including
-a malformed map file or LATILE_THREADS), 3 internal error.
+a malformed map file, --ball or LATILE_THREADS), 3 internal error.
 """
 
 import argparse
@@ -19,7 +19,7 @@ from .analysis import (
     cube_multiplicity_check,
     spectrum_identity_checks,
 )
-from .ball import generate_ball
+from .ball import ErrorBall, generate_ball
 from .certify import certify_nonexistence
 from .construct import check_pds, golay11_tiling, PdsParameters
 from .groupring import as_code_set, check_tiling_conditions, star
@@ -65,6 +65,22 @@ def _thread_count() -> int:
     return int(env)
 
 
+def _parse_ball(text: str, n: int) -> ErrorBall:
+    """The ball named by --ball n,t,k+,k-, for a map of dimension n."""
+    try:
+        parts = [int(part) for part in text.split(",")]
+    except ValueError:
+        parts = []
+    if len(parts) != 4:
+        raise UsageError(f"--ball expects four comma-separated integers n,t,k+,k-, got {text!r}")
+    if parts[0] != n:
+        raise UsageError(f"--ball dimension {parts[0]} != map dimension {n}")
+    try:
+        return generate_ball(*parts)
+    except ValueError as exc:
+        raise UsageError(f"--ball {text}: {exc}") from None
+
+
 def _cmd_search(args) -> int:
     result = search_tilings(
         args.n,
@@ -103,13 +119,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     phi = _load_homomorphism(args.map)
-    if args.ball:
-        parts = [int(x) for x in args.ball.split(",")]
-        if len(parts) != 4:
-            raise ValueError("--ball expects four comma-separated integers n,t,k+,k-")
-        ball = generate_ball(*parts)
-    else:
-        ball = generate_ball(phi.n, 2, 1, 1)
+    ball = _parse_ball(args.ball, phi.n) if args.ball else generate_ball(phi.n, 2, 1, 1)
     report = verify_tiling(phi, ball)
     _emit(report.as_dict(), None)
     return 0 if report.bijective else 1

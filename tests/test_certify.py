@@ -1,6 +1,7 @@
 """Tests for modular nonexistence certificates and their validator."""
 
 import dataclasses
+import time
 
 import pytest
 
@@ -9,6 +10,7 @@ from latile.certify import (
     INFINITE,
     NONEXISTENCE,
     CertificateRow,
+    NonexistenceCertificate,
     admissible_primes,
     build_certificate,
     certificate_parameters,
@@ -18,6 +20,30 @@ from latile.certify import (
     representable,
     validate_certificate,
 )
+
+
+def stepping_order(base, p):
+    """Reference: the order of base mod p by stepping through its powers."""
+    value = base % p
+    order = 1
+    while value != 1:
+        value = value * base % p
+        order += 1
+        if order > p:
+            raise ArithmeticError(f"{base} is not invertible mod {p}")
+    return order
+
+
+def scanned_parameters(n, p, minimum_k):
+    """Reference: (a, b) by the order above and a linear scan for a."""
+    b = stepping_order(4, p)
+    target = (4 * n + 2) % p
+    value = pow(4, minimum_k, p)
+    for k in range(minimum_k, minimum_k + b):
+        if value == target:
+            return k, b
+        value = value * 4 % p
+    return INFINITE, b
 
 
 class TestPrimes:
@@ -59,6 +85,19 @@ class TestPrimes:
         assert multiplicative_order(4, 17) == 4
         assert multiplicative_order(4, 7) == 3
 
+    def test_order_agrees_with_stepping(self):
+        for p in filter(is_prime, range(2000)):
+            for base in (2, 3, 4, 5, 10):
+                if base % p == 0:
+                    with pytest.raises(ArithmeticError):
+                        multiplicative_order(base, p)
+                else:
+                    assert multiplicative_order(base, p) == stepping_order(base, p), (base, p)
+
+    def test_order_needs_a_prime_modulus(self):
+        with pytest.raises(ValueError):
+            multiplicative_order(4, 9)
+
 
 class TestParameters:
     @pytest.mark.parametrize(
@@ -85,6 +124,32 @@ class TestParameters:
             certificate_parameters(3, 9)
         with pytest.raises(ValueError):
             certificate_parameters(3, 2)
+
+    def test_agrees_with_linear_scan(self):
+        for n in range(3, 151):
+            for p in admissible_primes(n):
+                _, b = scanned_parameters(n, p, 0)
+                for minimum_k in (0, 1, b + 3):
+                    assert certificate_parameters(n, p, minimum_k) == scanned_parameters(
+                        n, p, minimum_k
+                    ), (n, p, minimum_k)
+
+    @pytest.mark.parametrize(
+        "n,p,a,b",
+        [
+            (1893, 7166899, 896357, 1194483),
+            (1869, 6986323, 2822869, 3493161),
+            (1959, 7675363, INFINITE, 3837681),
+        ],
+    )
+    def test_large_primes(self, n, p, a, b):
+        assert certificate_parameters(n, p) == (a, b)
+        assert pow(4, b, p) == 1
+        if a == INFINITE:
+            assert pow(4 * n + 2, b, p) != 1
+        else:
+            assert pow(4, a, p) == (4 * n + 2) % p
+        assert build_certificate(n, p).conclusion == NONEXISTENCE
 
 
 class TestRepresentable:
@@ -145,6 +210,11 @@ class TestBuildCertificate:
     def test_rejects_non_divisor(self):
         with pytest.raises(ValueError):
             build_certificate(3, 23)
+
+    def test_a_zero_is_an_invariant_error(self):
+        # 4n+2 = 22 = 1 (mod 3) gives a = 0; 3 divides 51 but 3 <= 2n+1
+        with pytest.raises(ValueError, match="a = 0"):
+            build_certificate(5, 3)
 
     @pytest.mark.parametrize(
         "n,p,a,b",
@@ -240,6 +310,18 @@ class TestValidator:
         cert = dataclasses.replace(cert, rows=cert.rows[:1])
         assert validate_certificate(cert)
 
+    def test_rejects_prime_three(self):
+        # a = 0 for n = 5, p = 3: the bound p > 2n+1 is what rejects it
+        rows = tuple(
+            CertificateRow(ell=ell, target=5 - ell, representable=False, witness=None)
+            for ell in range(3)
+        )
+        cert = NonexistenceCertificate(
+            n=5, order=51, p=3, m=17, a=0, b=1, ell_max=2, rows=rows,
+            conclusion=NONEXISTENCE, p_exceeds_2n_plus_1=True,
+        )
+        assert "p = 3 <= 2n+1 = 11" in validate_certificate(cert)
+
 
 def test_survey_of_applicable_n_up_to_sixty():
     """Every n <= 60 with an admissible prime is settled negatively; the
@@ -253,3 +335,25 @@ def test_survey_of_applicable_n_up_to_sixty():
         else:
             assert cert.conclusion == NONEXISTENCE, n
     assert gaps == expected_gaps
+
+
+def test_survey_up_to_two_thousand():
+    """The verdicts for n = 3..2000, and the validator on every open one."""
+    started = time.perf_counter()
+    counts = {NONEXISTENCE: 0, INCONCLUSIVE: 0, "INAPPLICABLE": 0}
+    inconclusive = []
+    for n in range(3, 2001):
+        cert = certify_nonexistence(n)
+        if cert is None:
+            counts["INAPPLICABLE"] += 1
+            continue
+        counts[cert.conclusion] += 1
+        if cert.conclusion == INCONCLUSIVE:
+            inconclusive.append(cert)
+    assert counts == {NONEXISTENCE: 1492, INCONCLUSIVE: 11, "INAPPLICABLE": 495}
+    assert [cert.n for cert in inconclusive] == [
+        282, 312, 434, 442, 517, 684, 714, 1107, 1263, 1418, 1806
+    ]
+    for cert in inconclusive:
+        assert validate_certificate(cert) == [], cert.n
+    assert time.perf_counter() - started < 30

@@ -260,7 +260,27 @@ class TestUsageErrors:
         out = tmp_path / "map.json"
         run(capsys, "construct", "golay11", "-o", str(out))
         code, _, stderr = run(capsys, "verify", str(out), "--ball", "11,2,1")
-        assert code == 3
+        assert code == 2
+        assert "--ball expects four comma-separated integers" in stderr
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("11,2,1,1,1", "four comma-separated integers"),
+            ("11,two,1,1", "four comma-separated integers"),
+            ("11,2,1.5,1", "four comma-separated integers"),
+            ("11,12,1,1", "need n >= t >= 0"),
+            ("11,2,1,2", "need k_plus >= k_minus >= 0"),
+            ("3,2,1,1", "--ball dimension 3 != map dimension 11"),
+        ],
+    )
+    def test_ball_faults_are_named(self, capsys, tmp_path, spec, message):
+        out = tmp_path / "map.json"
+        run(capsys, "construct", "golay11", "-o", str(out))
+        code, stdout, stderr = run(capsys, "verify", str(out), "--ball", spec)
+        assert code == 2
+        assert stdout == ""
+        assert message in stderr
 
 
 def test_console_json_round_trips_through_schema(capsys, tmp_path):
