@@ -23,7 +23,7 @@ from .ball import ErrorBall, generate_ball
 from .certify import certify_nonexistence
 from .construct import check_pds, golay11_tiling, PdsParameters
 from .groupring import as_code_set, check_tiling_conditions, star
-from .search import DEFAULT_BUDGET, search_tilings
+from .search import DEFAULT_BUDGET, candidate_count, search_tilings
 from .tiling import TilingHomomorphism, induced_code_set, verify_tiling
 
 
@@ -56,10 +56,17 @@ def _load_homomorphism(path: str) -> TilingHomomorphism:
         raise UsageError(f"{name} is not a tiling map: {exc}") from None
 
 
-def _thread_count() -> int:
+# With LATILE_THREADS unset, a search space below this many candidates is
+# scanned serially, because forking workers costs more than it saves there:
+# n = 6 (1.9M candidates) takes 0.035 s serial and 0.06 s with 2 workers,
+# while n = 7 (172M) takes 1.3 s serial and 0.8 s with 2 (2-core x86-64).
+_SERIAL_CANDIDATES = 10**7
+
+
+def _thread_count(n: int) -> int:
     env = os.environ.get("LATILE_THREADS")
     if not env:
-        return os.cpu_count() or 1
+        return 1 if candidate_count(n) < _SERIAL_CANDIDATES else (os.cpu_count() or 1)
     if not env.strip().isdecimal() or int(env) < 1:
         raise UsageError(f"LATILE_THREADS must be a positive integer, got {env!r}")
     return int(env)
@@ -86,7 +93,7 @@ def _cmd_search(args) -> int:
         args.n,
         reduce_orbits=not args.no_reduce,
         budget=args.budget,
-        threads=_thread_count(),
+        threads=_thread_count(args.n),
         progress=lambda line: print(line, file=sys.stderr),
     )
     _emit(result.as_dict(), args.out)

@@ -12,16 +12,31 @@ that every non-identity element is the sum of one unordered pair of
 distinct elements of T.  So the search is a perfect-packing scan over two
 big-int masks, bit r standing for the element of rank r: S, the chosen
 elements, and covered, the non-identity pair sums so far.  Adding the pair
-{x, -x} brings the sums S+x and S-x, each a translate of S.  The node is
-rejected when they overlap or either meets covered; sums are never
-removed, so the whole subtree goes at once, counted exactly by binomial
-completion counts (candidates_tested is always C(n^2, n) per group).
-Depth n without a rejection is a tiling: its C(2n+1, 2) - n = 2n^2
-distinct non-identity sums fill G minus e.
+{x, -x} brings the sums S+x and S-x, and the node is rejected when they
+overlap or either meets covered.
+
+S and covered are both closed under negation, so S-x = -(S+x), and two
+simpler tests decide the node:
+
+- S-x meets covered exactly when S+x does;
+- S+x meets S-x exactly when s+x = t-x for some s, t in S, that is when
+  2x = t-s.  s = t would give 2x = 0 and t = -s would give x = t in S,
+  both impossible for odd |G| and an unchosen x, so every other case puts
+  2x in covered.
+
+A tested pair therefore costs a one-bit test (is 2x in covered?) and one
+translation (S+x against covered); S-x is translated only when the scan
+descends.  Sums are never removed, so a rejection drops the whole
+subtree at once, counted exactly by binomial completion counts
+(candidates_tested is always C(n^2, n) per group).  Depth n without a
+rejection is a tiling: its C(2n+1, 2) - n = 2n^2 distinct non-identity
+sums fill G minus e.
 
 Surviving leaves are re-verified by two independent routes, the group-ring
 condition checker and the ball-image bijection verifier; disagreement is
-an internal error, not a result.
+an internal error, not a result.  The ball and the multiplier permutations
+are made once per scan, at the first leaf that needs them, so a scan that
+meets no leaf never makes them.
 
 Optional symmetry reduction quotients by multiplier equivalence x -> t*x
 with gcd(t, |G|) = 1 (cyclic groups only; other groups fall back to no
@@ -47,12 +62,13 @@ from .abelian import (
     GroupSpec,
     decode_rank,
     element_at,
+    encode_residues,
     enumerate_abelian_groups,
     identity,
     negate,
     rank_of,
 )
-from .ball import generate_ball
+from .ball import ErrorBall, generate_ball
 from .groupring import check_tiling_conditions, from_multiset
 from .tiling import TilingHomomorphism, verify_tiling
 
@@ -71,21 +87,29 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
+def _scaled_ranks(spec: GroupSpec, t: int) -> list[int]:
+    """The rank of t*x for each rank x."""
+    factors = spec.invariant_factors
+    return [
+        encode_residues(spec, tuple(t * v % d for v, d in zip(decode_rank(spec, rank), factors)))
+        for rank in range(spec.order)
+    ]
+
+
+def _pair_ranks(spec: GroupSpec) -> list[tuple[int, int]]:
+    """The ranks of each negation pair {g, -g}, ordered by the rank of g."""
+    if spec.order % 2 == 0:
+        raise ValueError(f"group order {spec.order} is even; negation pairs undefined")
+    return [(rank, neg) for rank, neg in enumerate(_scaled_ranks(spec, -1)) if rank < neg]
+
+
 def inverse_pairs(spec: GroupSpec) -> list[tuple[GroupElement, GroupElement]]:
     """The (|G|-1)/2 unordered pairs {g, -g}, ordered by first rank.
 
     Odd order only: in even order some non-identity element equals its own
     negation and the pair decomposition breaks down.
     """
-    if spec.order % 2 == 0:
-        raise ValueError(f"group order {spec.order} is even; negation pairs undefined")
-    pairs = []
-    for rank in range(1, spec.order):
-        g = element_at(spec, rank)
-        neg = negate(g)
-        if rank < rank_of(neg):
-            pairs.append((g, neg))
-    return pairs
+    return [(element_at(spec, g), element_at(spec, h)) for g, h in _pair_ranks(spec)]
 
 
 def pair_multiplier_permutations(spec: GroupSpec) -> list[tuple[int, ...]]:
@@ -175,12 +199,15 @@ class SearchResult:
         }
 
 
-def dual_verify_candidate(spec: GroupSpec, n: int, elements) -> bool:
+def dual_verify_candidate(
+    spec: GroupSpec, n: int, elements, ball: Optional[ErrorBall] = None
+) -> bool:
     """Accept a candidate only if two independent criteria agree it tiles.
 
-    Runs the group-ring condition checker and the ball-bijection verifier;
-    they are mathematically equivalent, so disagreement means the engine
-    itself is broken and raises instead of returning.
+    Runs the group-ring condition checker and the ball-bijection verifier
+    (against `ball`, B(n,2,1,1), generated here when not given); they are
+    mathematically equivalent, so disagreement means the engine itself is
+    broken and raises instead of returning.
     """
     conditions = check_tiling_conditions(from_multiset(spec, elements), n)
     representatives = []
@@ -193,7 +220,7 @@ def dual_verify_candidate(spec: GroupSpec, n: int, elements) -> bool:
         seen.add(rank_of(negate(g)))
         representatives.append(g)
     phi = TilingHomomorphism(n, spec, tuple(representatives))
-    report = verify_tiling(phi, generate_ball(n, 2, 1, 1))
+    report = verify_tiling(phi, ball if ball is not None else generate_ball(n, 2, 1, 1))
     if conditions.passed != report.bijective:
         raise RuntimeError(
             "internal error: condition checker and ball verifier disagree "
@@ -246,43 +273,54 @@ def scan_prefixes(
     prefix of k pairs ending at `last` among P pairs, summed over the
     prefixes, and the solutions in prefix order.
     """
-    pairs = inverse_pairs(spec)
-    num_pairs = len(pairs)
+    pair_ranks = _pair_ranks(spec)
+    num_pairs = len(pair_ranks)
     shifts = _translations(spec)
-    plus = [shifts[rank_of(g)] for g, _ in pairs]
-    minus = [shifts[rank_of(h)] for _, h in pairs]
-    pair_bits = [1 << rank_of(g) | 1 << rank_of(h) for g, h in pairs]
-    perms = pair_multiplier_permutations(spec) if reduce_orbits else None
+    doubled = _scaled_ranks(spec, 2)
+    plus = [shifts[g] for g, _ in pair_ranks]
+    minus = [shifts[h] for _, h in pair_ranks]
+    pair_bits = [1 << g | 1 << h for g, h in pair_ranks]
+    double_bits = [1 << doubled[g] for g, _ in pair_ranks]
     # subtree[r][i]: candidates below a node whose last pair is i, r pairs short
     subtree = [[comb(num_pairs - 1 - i, r) for i in range(num_pairs)] for r in range(n)]
     chosen: list[int] = []
     tested = 0
     solutions: list[SearchSolution] = []
+    perms = ball = None  # made at the first leaf that needs them
 
     def handle_leaf() -> None:
+        nonlocal perms, ball
         candidate = tuple(chosen)
-        if perms is not None and not is_canonical(perms, candidate):
-            return
-        orbit_size = len(candidate_orbit(perms, candidate)) if perms is not None else 1
-        elements = [identity(spec)] + [g for i in candidate for g in pairs[i]]
-        if dual_verify_candidate(spec, n, elements):
+        orbit_size = 1
+        if reduce_orbits:
+            if perms is None:
+                perms = pair_multiplier_permutations(spec)
+            if not is_canonical(perms, candidate):
+                return
+            orbit_size = len(candidate_orbit(perms, candidate))
+        if ball is None:
+            ball = generate_ball(n, 2, 1, 1)
+        elements = [identity(spec)]
+        elements += [element_at(spec, r) for i in candidate for r in pair_ranks[i]]
+        if dual_verify_candidate(spec, n, elements, ball):
             elements.sort(key=rank_of)
             solutions.append(SearchSolution(spec, tuple(elements), orbit_size))
 
     def extend(chosen_mask: int, covered: int, last_index: int, remaining: int) -> None:
-        # The new sums are chosen_mask + x and chosen_mask - x.  Neither holds
-        # the identity (x, -x are not chosen yet), so any overlap is a repeat.
-        # _translate is inlined here: the calls cost about a tenth of the scan.
+        # a = S + x is tested against covered and S - x is made only to
+        # descend (see the module docstring); neither holds the identity, as
+        # x, -x are not chosen yet.  _translate is inlined here: the calls
+        # cost about a tenth of the scan.
         nonlocal tested
         pruned = subtree[remaining - 1]
         for index in range(last_index + 1, num_pairs - remaining + 1):
+            if double_bits[index] & covered:
+                tested += pruned[index]
+                continue
             a = chosen_mask
             for low, up, high, down in plus[index]:
                 a = (a & low) << up | (a & high) >> down
-            b = chosen_mask
-            for low, up, high, down in minus[index]:
-                b = (b & low) << up | (b & high) >> down
-            if a & b or (a | b) & covered:
+            if a & covered:
                 tested += pruned[index]
             elif remaining == 1:
                 tested += 1
@@ -290,6 +328,9 @@ def scan_prefixes(
                 handle_leaf()
                 chosen.pop()
             else:
+                b = chosen_mask
+                for low, up, high, down in minus[index]:
+                    b = (b & low) << up | (b & high) >> down
                 chosen.append(index)
                 extend(chosen_mask | pair_bits[index], covered | a | b, index, remaining - 1)
                 chosen.pop()
@@ -303,12 +344,11 @@ def scan_prefixes(
         chosen_mask, covered = 1, 0  # the identity, and no pair sums yet
         for index in prefix:
             a = _translate(chosen_mask, plus[index])
-            b = _translate(chosen_mask, minus[index])
-            if a & b or (a | b) & covered:
+            if double_bits[index] & covered or a & covered:
                 tested += comb(num_pairs - 1 - last_index, remaining)
                 break
+            covered |= a | _translate(chosen_mask, minus[index])
             chosen_mask |= pair_bits[index]
-            covered |= a | b
         else:
             chosen[:] = prefix
             if remaining == 0:
@@ -339,6 +379,14 @@ def _prefix_worker(args) -> tuple[int, list[SearchSolution]]:
     return scan_prefixes(GroupSpec(factors), n, prefixes, reduce_orbits=reduce_orbits)
 
 
+def candidate_count(n: int) -> int:
+    """The candidates a search of dimension n tests: C(n^2, n) for each
+    abelian group of order 2n^2+1."""
+    if n < 3:
+        raise ValueError(f"n must be >= 3, got {n}")
+    return comb(n * n, n) * len(enumerate_abelian_groups(2 * n * n + 1))
+
+
 def search_tilings(
     n: int,
     *,
@@ -354,17 +402,14 @@ def search_tilings(
     space exceeds the budget, unless force=True.  Zero solutions from a
     completed run is a nonexistence proof for the dimension.
     """
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
+    total = candidate_count(n)
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
-    order = 2 * n * n + 1
-    groups = enumerate_abelian_groups(order)
-    total = comb(n * n, n) * len(groups)
     if total > budget and not force:
         raise BudgetExceededError(total, budget)
+    groups = enumerate_abelian_groups(2 * n * n + 1)
     started = time.perf_counter()
-    num_pairs = (order - 1) // 2
+    num_pairs = n * n
     runs = [[()]] if threads <= 1 else _prefix_tasks(num_pairs, n, threads * _TASKS_PER_WORKER)
     tasks = [
         (spec.invariant_factors, n, reduce_orbits, prefixes) for spec in groups for prefixes in runs

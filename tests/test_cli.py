@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import latile.cli
 from latile.cli import main
 
 
@@ -99,6 +100,25 @@ class TestSearchCommand:
         code, stdout, _ = run(capsys, "search", "-n", "4")
         assert code == 0
         assert json.loads(stdout)["candidates_tested"] == [1820]
+
+    def test_default_workers_follow_the_candidate_count(self, capsys, monkeypatch):
+        # Unset LATILE_THREADS: serial below 10^7 candidates (n = 6 has 1.9M),
+        # every core above it (n = 7 has 172M); a set value always wins.
+        seen = []
+        real_search = latile.cli.search_tilings
+
+        def spy(n, **kwargs):
+            seen.append((n, kwargs["threads"]))
+            return real_search(3, **{**kwargs, "threads": 1})
+
+        monkeypatch.setattr(latile.cli, "search_tilings", spy)
+        monkeypatch.setattr(latile.cli.os, "cpu_count", lambda: 4)
+        monkeypatch.delenv("LATILE_THREADS", raising=False)
+        for n in ("3", "6", "7"):
+            assert run(capsys, "search", "-n", n)[0] == 0
+        monkeypatch.setenv("LATILE_THREADS", "2")
+        assert run(capsys, "search", "-n", "3")[0] == 0
+        assert seen == [(3, 1), (6, 1), (7, 4), (3, 2)]
 
 
 class TestCertifyCommand:

@@ -8,7 +8,7 @@ from math import comb
 import pytest
 
 import latile.search
-from latile.abelian import GroupElement, GroupSpec, element_at, negate, rank_of
+from latile.abelian import GroupElement, GroupSpec, add, element_at, identity, negate, rank_of
 from latile.ball import generate_ball
 from latile.construct import golay11_tiling
 from latile.groupring import check_tiling_conditions, from_multiset
@@ -37,6 +37,34 @@ def golay_pair_indices() -> list[int]:
 def elements_of(spec: GroupSpec, prefix) -> list[GroupElement]:
     pairs = inverse_pairs(spec)
     return [element_at(spec, 0)] + [g for i in prefix for g in pairs[i]]
+
+
+def pair_indices_of(spec: GroupSpec, solutions) -> list[tuple[int, ...]]:
+    index = {rank_of(g): i for i, pair in enumerate(inverse_pairs(spec)) for g in pair}
+    return [
+        tuple(sorted({index[rank_of(g)] for g in sol.elements if rank_of(g)}))
+        for sol in solutions
+    ]
+
+
+def two_translation_accepts(pairs, leaf) -> bool:
+    """The packing rule with both translations, written with element sets.
+
+    Adding the pair {x, -x} to the chosen set S brings the sums S + x and
+    S - x; the pair is rejected when they meet each other or the sums of
+    the pairs before it.
+    """
+    chosen = {identity(pairs[0][0].spec)}
+    sums = set()
+    for i in leaf:
+        x, neg_x = pairs[i]
+        a = {add(s, x) for s in chosen}
+        b = {add(s, neg_x) for s in chosen}
+        if a & b or (a | b) & sums:
+            return False
+        chosen |= {x, neg_x}
+        sums |= a | b
+    return True
 
 
 class TestInversePairs:
@@ -312,3 +340,78 @@ class TestPrefixScan:
         start = prefix[-1] + 1 if prefix else 0
         leaves = [prefix + rest for rest in combinations(range(start, num_pairs), n - k)]
         self.assert_packing_matches_ring_checker(monkeypatch, spec, n, [prefix], leaves)
+
+    @pytest.mark.parametrize(
+        "factors, k", [((51,), 3), ((99,), 4), ((3, 33), 4), ((3, 3, 3, 3, 3), 6)]
+    )
+    def test_node_rule_matches_the_two_translation_reference(self, monkeypatch, factors, k):
+        # Seeded increasing k-tuples, scanned with k as the scan depth so
+        # that some are packings.  Full-length prefixes are placed by the
+        # prefix step; prefixes one pair short are completed by `extend`.
+        monkeypatch.setattr(latile.search, "dual_verify_candidate", lambda *args: True)
+        spec = GroupSpec(factors)
+        pairs = inverse_pairs(spec)
+        num_pairs = len(pairs)
+        rng = random.Random(4)
+        tuples = sorted({tuple(sorted(rng.sample(range(num_pairs), k))) for _ in range(30)})
+        shorts = sorted({t[:-1] for t in tuples})
+        for prefixes, leaves in [
+            (tuples, tuples),
+            (shorts, [s + (j,) for s in shorts for j in range(s[-1] + 1, num_pairs)]),
+        ]:
+            tested, solutions = scan_prefixes(spec, k, prefixes, reduce_orbits=False)
+            assert tested == len(leaves)
+            expected = [leaf for leaf in leaves if two_translation_accepts(pairs, leaf)]
+            assert pair_indices_of(spec, solutions) == expected
+            assert 0 < len(expected) < len(leaves)
+
+    def test_orbit_filter_reports_one_canonical_leaf_per_orbit(self, monkeypatch):
+        # Three pairs of Z_51 are a partial packing often enough for the
+        # multiplier filter to meet many leaves.
+        monkeypatch.setattr(latile.search, "dual_verify_candidate", lambda *args: True)
+        spec = GroupSpec((51,))
+        full_tested, full = scan_prefixes(spec, 3, [()], reduce_orbits=False)
+        reduced_tested, reduced = scan_prefixes(spec, 3, [()], reduce_orbits=True)
+        assert full_tested == reduced_tested == comb(25, 3)
+        perms = pair_multiplier_permutations(spec)
+        leaves = set(pair_indices_of(spec, full))
+        covered = set()
+        for sol, candidate in zip(reduced, pair_indices_of(spec, reduced)):
+            orbit = candidate_orbit(perms, candidate)
+            assert is_canonical(perms, candidate)
+            assert sol.orbit_size == len(orbit)
+            covered |= orbit
+        assert covered == leaves
+        assert len(reduced) < len(full)
+
+    def test_leaf_tables_are_made_once_and_only_for_leaves(self, monkeypatch):
+        balls, perms = [], []
+        real_ball = latile.search.generate_ball
+        real_perms = latile.search.pair_multiplier_permutations
+        monkeypatch.setattr(
+            latile.search, "generate_ball", lambda *args: balls.append(args) or real_ball(*args)
+        )
+        monkeypatch.setattr(
+            latile.search,
+            "pair_multiplier_permutations",
+            lambda spec: perms.append(spec) or real_perms(spec),
+        )
+        search_tilings(5)
+        assert balls == perms == []
+        spec = GroupSpec((3, 3, 3, 3, 3))
+        _, solutions = scan_prefixes(spec, 11, [tuple(golay_pair_indices()[:6])])
+        assert len(solutions) > 1
+        assert balls == [(11, 2, 1, 1)]
+        assert perms == [spec]
+
+    def test_scan_below_five_golay_pairs_finds_its_162_tilings(self):
+        # Every leaf that survives the packing is re-verified by both
+        # verifiers; this scan has many, so it pins that per-leaf cost.
+        spec = GroupSpec((3, 3, 3, 3, 3))
+        golay = golay_pair_indices()
+        started = time.perf_counter()
+        tested, solutions = scan_prefixes(spec, 11, [tuple(golay[:5])], reduce_orbits=False)
+        assert time.perf_counter() - started < 10
+        assert tested == comb(120 - golay[4], 6)
+        assert len(solutions) == 162
+        assert tuple(golay) in pair_indices_of(spec, solutions)
