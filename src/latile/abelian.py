@@ -148,16 +148,18 @@ def elements(spec: GroupSpec):
         yield GroupElement(spec, decode_rank(spec, rank))
 
 
-def _factorize(m: int) -> dict[int, int]:
+def factorize(m: int) -> dict[int, int]:
+    """{prime: exponent} for m >= 1, primes ascending, by trial division
+    by 2 and then by odd d."""
     factors: dict[int, int] = {}
     d = 2
     while d * d <= m:
         while m % d == 0:
             factors[d] = factors.get(d, 0) + 1
             m //= d
-        d += 1
+        d += 1 if d == 2 else 2
     if m > 1:
-        factors[m] = factors.get(m, 0) + 1
+        factors[m] = 1
     return factors
 
 
@@ -186,7 +188,7 @@ def enumerate_abelian_groups(order: int) -> list[GroupSpec]:
         raise ValueError("order must be a positive integer")
     if order == 1:
         return [GroupSpec(())]
-    prime_powers = sorted(_factorize(order).items())
+    prime_powers = list(factorize(order).items())
     per_prime = [list(_partitions(e)) for _, e in prime_powers]
     specs = []
     for combo in cartesian_product(*per_prime):

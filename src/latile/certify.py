@@ -32,6 +32,8 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Optional, Union
 
+from .abelian import factorize
+
 INFINITE = float("inf")
 
 NONEXISTENCE = "NONEXISTENCE"
@@ -51,26 +53,11 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _prime_factors(m: int) -> list[int]:
-    """Distinct prime factors of m >= 1, ascending, by trial division."""
-    factors = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            factors.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        factors.append(m)
-    return factors
-
-
 def admissible_primes(n: int) -> list[int]:
     """Prime divisors p of 2n^2+1 with p > 2n+1, ascending."""
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
-    return [p for p in _prime_factors(2 * n * n + 1) if p > 2 * n + 1]
+    return [p for p in factorize(2 * n * n + 1) if p > 2 * n + 1]
 
 
 def multiplicative_order(base: int, p: int) -> int:
@@ -80,17 +67,15 @@ def multiplicative_order(base: int, p: int) -> int:
     if base % p == 0:
         raise ArithmeticError(f"{base} is not invertible mod {p}")
     order = p - 1
-    for q in _prime_factors(p - 1):
+    for q in factorize(p - 1):
         while order % q == 0 and pow(base, order // q, p) == 1:
             order //= q
     return order
 
 
-def certificate_parameters(
-    n: int, p: int, minimum_k: int = 0
-) -> tuple[Union[int, float], int]:
-    """(a, b) for the certificate: b = ord_p(4), a = least k >= minimum_k
-    with 4^k = 4n+2 (mod p), else INFINITE."""
+def certificate_parameters(n: int, p: int) -> tuple[Union[int, float], int]:
+    """(a, b) for the certificate: b = ord_p(4), a = least k >= 0 with
+    4^k = 4n+2 (mod p), else INFINITE."""
     if p == 2:
         raise ValueError("p must not divide 4")
     b = multiplicative_order(4, p)
@@ -108,8 +93,7 @@ def certificate_parameters(
     for i in range(-(-b // s)):
         j = baby.get(value)
         if j is not None:
-            a = i * s + j
-            return minimum_k + (a - minimum_k) % b, b  # least k >= minimum_k, k = a mod b
+            return i * s + j, b
         value = value * giant % p
     return INFINITE, b
 

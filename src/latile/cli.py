@@ -6,7 +6,8 @@ output; wall-clock timing lives in a separate "meta" block that golden-file
 comparisons should drop.  Verdicts are data -- a certificate concluding
 INCONCLUSIVE is still a successful run.  Exit codes are for pipeline
 control only: 0 success, 1 verification failure, 2 usage error (including
-a malformed map file, --ball or LATILE_THREADS), 3 internal error.
+an -n below 3 or a --budget below 1 for search and certify, a malformed map
+file, --ball or LATILE_THREADS), 3 internal error.
 """
 
 import argparse
@@ -70,6 +71,21 @@ def _thread_count(n: int) -> int:
     if not env.strip().isdecimal() or int(env) < 1:
         raise UsageError(f"LATILE_THREADS must be a positive integer, got {env!r}")
     return int(env)
+
+
+def _int_at_least(minimum: int):
+    """argparse type: an integer >= minimum; anything else exits 2 naming the flag."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return value
+
+    return convert
 
 
 def _parse_ball(text: str, n: int) -> ErrorBall:
@@ -175,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_search = sub.add_parser("search", help="exhaustive tiling search for a dimension")
-    p_search.add_argument("-n", type=int, required=True, help="dimension (n >= 3)")
+    p_search.add_argument("-n", type=_int_at_least(3), required=True, help="dimension (n >= 3)")
     p_search.add_argument(
         "--no-reduce",
         action="store_true",
@@ -183,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_search.add_argument(
         "--budget",
-        type=int,
+        type=_int_at_least(1),
         default=DEFAULT_BUDGET,
         help="refuse candidate spaces larger than this (default %(default)s)",
     )
@@ -191,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.set_defaults(func=_cmd_search)
 
     p_certify = sub.add_parser("certify", help="modular nonexistence certificate")
-    p_certify.add_argument("-n", type=int, required=True, help="dimension (n >= 3)")
+    p_certify.add_argument("-n", type=_int_at_least(3), required=True, help="dimension (n >= 3)")
     p_certify.add_argument("-o", "--out", help="write JSON here instead of stdout")
     p_certify.set_defaults(func=_cmd_certify)
 

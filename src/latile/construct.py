@@ -42,14 +42,6 @@ GOLAY11_CHECK_MATRIX: tuple[tuple[int, ...], ...] = (
 )
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % 3
-    return out
-
-
 def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     num = [c % 3 for c in num]
     den = [c % 3 for c in den]

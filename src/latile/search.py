@@ -392,20 +392,19 @@ def search_tilings(
     *,
     reduce_orbits: bool = True,
     budget: int = DEFAULT_BUDGET,
-    force: bool = False,
     threads: int = 1,
     progress: Optional[Callable[[str], None]] = None,
 ) -> SearchResult:
     """Exhaust the candidate space for every abelian group of order 2n^2+1.
 
     Raises BudgetExceededError (carrying the exact refused count) when the
-    space exceeds the budget, unless force=True.  Zero solutions from a
-    completed run is a nonexistence proof for the dimension.
+    space exceeds the budget.  Zero solutions from a completed run is a
+    nonexistence proof for the dimension.
     """
     total = candidate_count(n)
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
-    if total > budget and not force:
+    if total > budget:
         raise BudgetExceededError(total, budget)
     groups = enumerate_abelian_groups(2 * n * n + 1)
     started = time.perf_counter()

@@ -5,9 +5,12 @@ a_1, ..., a_n of the standard basis vectors.  The ball B(n,2,1,1) tiles Z^n
 by the kernel lattice of phi exactly when phi restricted to the ball is a
 bijection onto G, which is what verify_tiling checks by direct counting.
 
-kernel_basis exports the lattice ker(phi) as an integer row basis in a
-canonical lower-triangular normal form, so the output is suitable for
-golden-file comparison.
+kernel_basis exports the lattice ker(phi) as an integer row basis in its
+Hermite normal form, which is unique, so the output is suitable for
+golden-file comparison.  It is found by one row elimination: Euclid's
+algorithm down the group columns of the rows (a_i | e_i) and (d_j e_j | 0)
+leaves a basis of the kernel, and the same step down the x columns, last
+to first, makes it triangular.
 """
 
 from dataclasses import dataclass
@@ -177,112 +180,56 @@ def verify_tiling(phi: TilingHomomorphism, ball: ErrorBall) -> VerificationRepor
     )
 
 
-def _integer_kernel(matrix: list[list[int]], num_cols: int) -> list[list[int]]:
-    """Basis of the integer kernel of a matrix, as column vectors of length num_cols.
-
-    Column-style elimination over Z with a unimodular transform accumulator:
-    after processing, the transform columns matching eliminated-away columns
-    of the work matrix span the kernel.
-    """
-    work = [list(row) for row in matrix]
-    num_rows = len(work)
-    transform = [[1 if i == j else 0 for j in range(num_cols)] for i in range(num_cols)]
-
-    def combine_columns(dst, src, q):
-        # column dst -= q * column src
-        for row in work:
-            row[dst] -= q * row[src]
-        for row in transform:
-            row[dst] -= q * row[src]
-
-    def swap_columns(c1, c2):
-        for row in work:
-            row[c1], row[c2] = row[c2], row[c1]
-        for row in transform:
-            row[c1], row[c2] = row[c2], row[c1]
-
-    pivot_col = 0
-    for r in range(num_rows):
-        while True:
-            nonzero = [c for c in range(pivot_col, num_cols) if work[r][c] != 0]
-            if not nonzero:
-                break
-            if len(nonzero) == 1:
-                if nonzero[0] != pivot_col:
-                    swap_columns(nonzero[0], pivot_col)
-                pivot_col += 1
-                break
-            smallest = min(nonzero, key=lambda c: abs(work[r][c]))
-            for c in nonzero:
-                if c != smallest:
-                    combine_columns(c, smallest, work[r][c] // work[r][smallest])
-    kernel = []
-    for c in range(pivot_col, num_cols):
-        kernel.append([transform[i][c] for i in range(num_cols)])
-    return kernel
-
-
-def _lower_triangular_normal_form(rows: list[list[int]]) -> list[list[int]]:
-    """Canonical lattice basis: lower-triangular, positive diagonal,
-    below-diagonal entries reduced into [0, pivot)."""
-    n = len(rows)
-    active = [list(r) for r in rows]
-    placed: list[Optional[list[int]]] = [None] * n
-    for col in range(n - 1, -1, -1):
-        while True:
-            nonzero = [r for r in active if r[col] != 0]
-            if len(nonzero) <= 1:
-                break
-            nonzero.sort(key=lambda r: abs(r[col]))
-            base = nonzero[0]
-            for r in nonzero[1:]:
-                q = r[col] // base[col]
-                for j in range(n):
-                    r[j] -= q * base[j]
-        pivot_rows = [r for r in active if r[col] != 0]
-        if not pivot_rows:
-            raise ValueError("kernel lattice does not have full rank")
-        pivot = pivot_rows[0]
-        active.remove(pivot)
-        if pivot[col] < 0:
-            pivot = [-x for x in pivot]
-        placed[col] = pivot
-    result = [list(placed[i]) for i in range(n)]
-    # reduce below-diagonal entries against earlier pivots, rightmost first
-    for i in range(n):
-        for j in range(i - 1, -1, -1):
-            q = result[i][j] // result[j][j]
-            if q:
-                for col in range(j + 1):
-                    result[i][col] -= q * result[j][col]
-    return result
+def _reduce_column(active: list[list[int]], col: int) -> list[int]:
+    """Euclid down one column: subtract multiples of the row with the least
+    non-zero |entry| in col until one row is non-zero there; remove that row
+    from active and return it."""
+    while True:
+        nonzero = [row for row in active if row[col]]
+        if len(nonzero) <= 1:
+            break
+        nonzero.sort(key=lambda row: abs(row[col]))
+        base = nonzero[0]
+        for row in nonzero[1:]:
+            q = row[col] // base[col]
+            for j, b in enumerate(base):
+                row[j] -= q * b
+    pivot = nonzero[0]
+    active.remove(pivot)
+    return pivot
 
 
 def kernel_basis(phi: TilingHomomorphism) -> list[list[int]]:
-    """Integer row basis of ker(phi) = {x in Z^n : sum x_i * a_i = e}.
+    """Integer row basis of ker(phi) = {x in Z^n : sum x_i * a_i = e} in its
+    unique Hermite normal form: lower-triangular, positive diagonal, entries
+    below the diagonal in [0, pivot).  The absolute determinant equals the
+    size of the image subgroup, so it is |G| exactly when phi is surjective.
 
-    The absolute determinant (product of the diagonal) equals the index of
-    the kernel in Z^n, i.e. the size of the image subgroup; it equals |G|
-    exactly when phi is surjective.
+    The rows (a_i | e_i) and (d_j e_j | 0) span {(A x + D y | x)}; clearing
+    the k group columns leaves n rows (0 | x) spanning ker(phi), and
+    clearing the x columns from last to first makes them triangular.
     """
     n = phi.n
     factors = phi.spec.invariant_factors
     k = len(factors)
-    if k == 0:
-        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    # x in ker(phi) iff exists y with A x + D y = 0, A = column matrix of
-    # images, D = diag(invariant factors); project the kernel of [A | D]
-    # onto the x block (injective because D is nonsingular).
-    augmented = []
-    for i in range(k):
-        row = [g.residues[i] for g in phi.images]
-        row.extend(factors[i] if j == i else 0 for j in range(k))
-        augmented.append(row)
-    kernel_columns = _integer_kernel(augmented, n + k)
-    projected = [col[:n] for col in kernel_columns]
-    if len(projected) != n:
-        raise AssertionError("integer kernel has unexpected rank")
-    return _lower_triangular_normal_form(projected)
+    active = [list(g.residues) + [int(i == j) for j in range(n)] for i, g in enumerate(phi.images)]
+    active += [[d * (i == j) for j in range(k + n)] for i, d in enumerate(factors)]
+    for col in range(k):
+        _reduce_column(active, col)
+    active = [row[k:] for row in active]
+    # every column has a pivot: ker(phi) contains d_k * Z^n, so it has full rank
+    basis: list[Optional[list[int]]] = [None] * n
+    for col in range(n - 1, -1, -1):
+        pivot = _reduce_column(active, col)
+        basis[col] = pivot if pivot[col] > 0 else [-x for x in pivot]
+    # reduce below-diagonal entries against earlier pivots, rightmost first
+    for i in range(n):
+        for j in range(i - 1, -1, -1):
+            q = basis[i][j] // basis[j][j]
+            if q:
+                for col in range(j + 1):
+                    basis[i][col] -= q * basis[j][col]
+    return basis
 
 
 def kernel_determinant(basis: list[list[int]]) -> int:

@@ -34,12 +34,12 @@ def stepping_order(base, p):
     return order
 
 
-def scanned_parameters(n, p, minimum_k):
+def scanned_parameters(n, p):
     """Reference: (a, b) by the order above and a linear scan for a."""
     b = stepping_order(4, p)
     target = (4 * n + 2) % p
-    value = pow(4, minimum_k, p)
-    for k in range(minimum_k, minimum_k + b):
+    value = 1
+    for k in range(b):
         if value == target:
             return k, b
         value = value * 4 % p
@@ -113,11 +113,8 @@ class TestParameters:
         a, b = certificate_parameters(9, 163)
         assert (a, b) == (63, 81)
         assert pow(4, 63, 163) == (4 * 9 + 2) % 163
-
-    def test_minimum_k_shifts_the_scan_window(self):
-        # 4n+2 = 22 = 1 (mod 7), so k=0 works; the strict scan finds k=3
+        # 4n+2 = 22 = 1 (mod 7): the first baby step is the hit, a = 0
         assert certificate_parameters(5, 7) == (0, 3)
-        assert certificate_parameters(5, 7, minimum_k=1) == (3, 3)
 
     def test_rejects_nonprime_modulus(self):
         with pytest.raises(ValueError):
@@ -128,11 +125,7 @@ class TestParameters:
     def test_agrees_with_linear_scan(self):
         for n in range(3, 151):
             for p in admissible_primes(n):
-                _, b = scanned_parameters(n, p, 0)
-                for minimum_k in (0, 1, b + 3):
-                    assert certificate_parameters(n, p, minimum_k) == scanned_parameters(
-                        n, p, minimum_k
-                    ), (n, p, minimum_k)
+                assert certificate_parameters(n, p) == scanned_parameters(n, p), (n, p)
 
     @pytest.mark.parametrize(
         "n,p,a,b",

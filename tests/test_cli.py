@@ -260,6 +260,24 @@ class TestBadInput:
         assert "LATILE_THREADS must be a positive integer" in stderr
 
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["search", "-n", "2"], "argument -n: expected an integer >= 3, got '2'"),
+            (["certify", "-n", "2"], "argument -n: expected an integer >= 3, got '2'"),
+            (["search", "-n", "x"], "argument -n: expected an integer >= 3, got 'x'"),
+            (["search", "-n", "3", "--budget", "0"], "argument --budget: expected an integer >= 1"),
+        ],
+    )
+    def test_out_of_range_flags_are_usage_errors(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
 class TestUsageErrors:
     def test_no_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -239,9 +239,12 @@ class TestSearch:
         assert exc.value.candidate_count == 8937249755185752
         assert exc.value.budget == DEFAULT_BUDGET
 
-    def test_force_overrides_budget(self):
-        result = search_tilings(3, budget=1, force=True)
-        assert result.candidates_tested == (84,)
+    def test_budget_equal_to_the_count_runs(self):
+        # n = 3 has exactly C(9, 3) = 84 candidates (Z_19 only)
+        assert search_tilings(3, budget=84).candidates_tested == (84,)
+        with pytest.raises(BudgetExceededError) as exc:
+            search_tilings(3, budget=83)
+        assert exc.value.candidate_count == 84
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -163,6 +163,18 @@ def subgroup_size(phi):
     return len(seen)
 
 
+def assert_hermite_normal_form(basis):
+    """Lower-triangular, positive diagonal, 0 <= entry < pivot below it."""
+    n = len(basis)
+    for i in range(n):
+        assert len(basis[i]) == n
+        assert basis[i][i] > 0
+        for j in range(i + 1, n):
+            assert basis[i][j] == 0
+        for j in range(i):
+            assert 0 <= basis[i][j] < basis[j][j]
+
+
 class TestKernel:
     def test_one_dimensional_examples(self):
         assert kernel_basis(hom(Z3, [(1,)])) == [[3]]
@@ -179,14 +191,12 @@ class TestKernel:
             assert apply_homomorphism(phi, row) == identity(phi.spec)
 
     def test_normal_form_shape(self):
-        basis = kernel_basis(golay11_tiling())
-        n = len(basis)
-        for i in range(n):
-            assert basis[i][i] > 0
-            for j in range(i + 1, n):
-                assert basis[i][j] == 0
-            for j in range(i):
-                assert 0 <= basis[i][j] < basis[j][j]
+        assert_hermite_normal_form(kernel_basis(golay11_tiling()))
+
+    def test_large_prime_modulus(self):
+        # x_1 + 5 x_2 = 0 (mod p): index p, and (p - 5, 1) reduced below p
+        p = 10**9 + 7
+        assert kernel_basis(hom(GroupSpec((p,)), [(1,), (5,)])) == [[p, 0], [p - 5, 1]]
 
     def test_identity_map_kernel_is_standard_lattice(self):
         spec = GroupSpec((4,))
@@ -198,10 +208,18 @@ class TestKernel:
     def test_determinant_equals_image_subgroup_order(self, data):
         spec = data.draw(
             st.sampled_from(
-                [GroupSpec((6,)), GroupSpec((8,)), GroupSpec((2, 4)), GroupSpec((3, 3)), GroupSpec((12,))]
+                [
+                    GroupSpec((6,)),
+                    GroupSpec((8,)),
+                    GroupSpec((2, 4)),
+                    GroupSpec((3, 3)),
+                    GroupSpec((12,)),
+                    GroupSpec((3, 3, 3, 3, 3)),
+                    GroupSpec((3, 33)),
+                ]
             )
         )
-        n = data.draw(st.integers(min_value=1, max_value=4))
+        n = data.draw(st.integers(min_value=1, max_value=11))
         images = [
             tuple(
                 data.draw(st.integers(min_value=0, max_value=d - 1))
@@ -211,6 +229,8 @@ class TestKernel:
         ]
         phi = hom(spec, images)
         basis = kernel_basis(phi)
+        # shape, membership and index together pin the unique normal form
+        assert_hermite_normal_form(basis)
         assert kernel_determinant(basis) == subgroup_size(phi)
         for row in basis:
             assert apply_homomorphism(phi, row) == identity(spec)
