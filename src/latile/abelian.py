@@ -7,9 +7,29 @@ significant factor first) underpins coefficient indexing in the group-ring
 layer, so the radix convention here is part of the file-format contract.
 """
 
+import operator
 from dataclasses import dataclass
 from itertools import product as cartesian_product
 from math import gcd, lcm, prod
+from typing import Iterable, Sequence
+
+
+def as_integers(values: Iterable, what: str) -> tuple[int, ...]:
+    """The values as a tuple of ints, by operator.index.
+
+    Anything that is not an integer, such as a float or a string, raises a
+    ValueError naming it, rather than being truncated or parsed.
+    """
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        for value in values:
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{what} must be integers, got {value!r}") from None
+        raise
 
 
 class GroupMismatchError(ValueError):
@@ -23,7 +43,7 @@ class GroupSpec:
     invariant_factors: tuple[int, ...]
 
     def __post_init__(self):
-        factors = tuple(int(d) for d in self.invariant_factors)
+        factors = as_integers(self.invariant_factors, "invariant factors")
         object.__setattr__(self, "invariant_factors", factors)
         for d in factors:
             if d < 2:
@@ -68,7 +88,8 @@ class GroupElement:
             raise ValueError(
                 f"expected {len(factors)} residues, got {len(self.residues)}"
             )
-        reduced = tuple(int(r) % d for r, d in zip(self.residues, factors))
+        residues = as_integers(self.residues, "residues")
+        reduced = tuple(r % d for r, d in zip(residues, factors))
         object.__setattr__(self, "residues", reduced)
 
 
@@ -140,6 +161,52 @@ def encode_residues(spec: GroupSpec, residues: tuple[int, ...]) -> int:
     for r, d in zip(residues, spec.invariant_factors):
         rank = rank * d + r
     return rank
+
+
+def rank_weights(spec: GroupSpec) -> tuple[int, ...]:
+    """Each coordinate's weight in the rank: the product of the later factors."""
+    weights = []
+    weight = spec.order
+    for d in spec.invariant_factors:
+        weight //= d
+        weights.append(weight)
+    return tuple(weights)
+
+
+def digit_columns(spec: GroupSpec, ranks: Sequence[int]) -> list[list[int]]:
+    """The residues of the ranks, one column per coordinate."""
+    return [
+        [r // w % d for r in ranks]
+        for d, w in zip(spec.invariant_factors, rank_weights(spec))
+    ]
+
+
+def sum_columns(columns: Sequence[Sequence[int]], length: int) -> Iterable[int]:
+    """The element-wise sum of rank columns of the given length.
+
+    A rank is the sum of its coordinates' residue-times-weight columns; a
+    group with no coordinates has only rank 0.
+    """
+    if not columns:
+        return [0] * length
+    total = columns[0]
+    for column in columns[1:]:
+        total = map(operator.add, total, column)
+    return total
+
+
+def scaled_ranks(spec: GroupSpec, ranks: Sequence[int], t: int) -> list[int]:
+    """The rank of t*g for each rank g in `ranks` (t may be any integer).
+
+    Each digit column is scaled by t mod its factor and weighted back, then
+    the columns are summed.
+    """
+    factors = spec.invariant_factors
+    columns = [
+        [t * h % d * w for h in digits]
+        for digits, d, w in zip(digit_columns(spec, ranks), factors, rank_weights(spec))
+    ]
+    return list(sum_columns(columns, len(ranks)))
 
 
 def elements(spec: GroupSpec):

@@ -7,7 +7,8 @@ comparisons should drop.  Verdicts are data -- a certificate concluding
 INCONCLUSIVE is still a successful run.  Exit codes are for pipeline
 control only: 0 success, 1 verification failure, 2 usage error (including
 an -n below 3 or a --budget below 1 for search and certify, a malformed map
-file, --ball or LATILE_THREADS), 3 internal error.
+file, --ball or LATILE_THREADS, and ball parameters that name no ball), 3
+internal error.
 """
 
 import argparse
@@ -178,7 +179,11 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_ball(args) -> int:
-    _emit(generate_ball(args.n, args.t, args.kplus, args.kminus).as_dict(), args.out)
+    try:
+        ball = generate_ball(args.n, args.t, args.kplus, args.kminus)
+    except ValueError as exc:
+        raise UsageError(f"ball: {exc}") from None
+    _emit(ball.as_dict(), args.out)
     return 0
 
 

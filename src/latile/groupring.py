@@ -1,9 +1,12 @@
 """Integer group-ring arithmetic over a finite abelian group.
 
 Ring elements are dense integer coefficient vectors indexed by element rank.
-The product is the convolution sum over ordered pairs of support elements.
-Python integers are unbounded, so coefficient overflow cannot occur for any
-group order or product degree.
+The product works on ranks one coordinate column at a time: a rank is the
+sum over coordinates of residue times weight, so the ranks of g + supp(b)
+are the element-wise sum of one shifted column of supp(b) per coordinate of
+g, and each shifted column is made once per product for each residue that
+occurs.  Python integers are unbounded, so coefficient overflow cannot
+occur for any group order or product degree.
 
 The module also houses the perfect-code condition checker: a candidate code
 set T tiles exactly when |T| = 2n+1, T contains the identity, T is closed
@@ -19,9 +22,13 @@ from .abelian import (
     GroupElement,
     GroupMismatchError,
     GroupSpec,
+    as_integers,
     decode_rank,
-    encode_residues,
+    digit_columns,
     rank_of,
+    rank_weights,
+    scaled_ranks,
+    sum_columns,
 )
 
 
@@ -35,7 +42,7 @@ class GroupRingElement:
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coefficients)
+        coeffs = as_integers(self.coefficients, "coefficients")
         object.__setattr__(self, "coefficients", coeffs)
         if len(coeffs) != self.spec.order:
             raise ValueError(
@@ -111,34 +118,44 @@ def linear_combine(
 
 
 def multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    """Convolution product, iterating the sparser operand's support."""
+    """Convolution product, translating the denser operand's support by each
+    element of the sparser one's."""
     _require_same_ring(a, b)
     spec = a.spec
     sup_a = [(r, c) for r, c in enumerate(a.coefficients) if c != 0]
     sup_b = [(r, c) for r, c in enumerate(b.coefficients) if c != 0]
     if len(sup_a) > len(sup_b):
         sup_a, sup_b = sup_b, sup_a
-    factors = spec.invariant_factors
-    dec_a = [decode_rank(spec, r) for r, _ in sup_a]
-    dec_b = [decode_rank(spec, r) for r, _ in sup_b]
+    coeffs_b = [c for _, c in sup_b]
+    coordinates = list(
+        zip(
+            spec.invariant_factors,
+            rank_weights(spec),
+            digit_columns(spec, [r for r, _ in sup_b]),
+            [{} for _ in spec.invariant_factors],  # shifted columns by residue
+        )
+    )
     out = [0] * spec.order
-    for (_, ca), ta in zip(sup_a, dec_a):
-        for (_, cb), tb in zip(sup_b, dec_b):
-            s = tuple((x + y) % d for x, y, d in zip(ta, tb, factors))
-            out[encode_residues(spec, s)] += ca * cb
+    for r, ca in sup_a:
+        columns = []
+        for d, w, digits, shifted in coordinates:
+            v = r // w % d
+            column = shifted.get(v)
+            if column is None:
+                column = shifted[v] = [(h + v) % d * w for h in digits]
+            columns.append(column)
+        for s, cb in zip(sum_columns(columns, len(coeffs_b)), coeffs_b):
+            out[s] += ca * cb
     return GroupRingElement(spec, tuple(out))
 
 
 def power_map(a: GroupRingElement, t: int) -> GroupRingElement:
     """Push coefficients forward along g -> t*g (t may be any integer)."""
     spec = a.spec
-    factors = spec.invariant_factors
+    ranks = [r for r, c in enumerate(a.coefficients) if c != 0]
     out = [0] * spec.order
-    for r, c in enumerate(a.coefficients):
-        if c != 0:
-            residues = decode_rank(spec, r)
-            image = tuple((t * x) % d for x, d in zip(residues, factors))
-            out[encode_residues(spec, image)] += c
+    for s, r in zip(scaled_ranks(spec, ranks, t), ranks):
+        out[s] += a.coefficients[r]
     return GroupRingElement(spec, tuple(out))
 
 

@@ -62,11 +62,11 @@ from .abelian import (
     GroupSpec,
     decode_rank,
     element_at,
-    encode_residues,
     enumerate_abelian_groups,
     identity,
     negate,
     rank_of,
+    scaled_ranks,
 )
 from .ball import ErrorBall, generate_ball
 from .groupring import check_tiling_conditions, from_multiset
@@ -87,20 +87,12 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-def _scaled_ranks(spec: GroupSpec, t: int) -> list[int]:
-    """The rank of t*x for each rank x."""
-    factors = spec.invariant_factors
-    return [
-        encode_residues(spec, tuple(t * v % d for v, d in zip(decode_rank(spec, rank), factors)))
-        for rank in range(spec.order)
-    ]
-
-
 def _pair_ranks(spec: GroupSpec) -> list[tuple[int, int]]:
     """The ranks of each negation pair {g, -g}, ordered by the rank of g."""
     if spec.order % 2 == 0:
         raise ValueError(f"group order {spec.order} is even; negation pairs undefined")
-    return [(rank, neg) for rank, neg in enumerate(_scaled_ranks(spec, -1)) if rank < neg]
+    negated = scaled_ranks(spec, range(spec.order), -1)
+    return [(rank, neg) for rank, neg in enumerate(negated) if rank < neg]
 
 
 def inverse_pairs(spec: GroupSpec) -> list[tuple[GroupElement, GroupElement]]:
@@ -276,7 +268,7 @@ def scan_prefixes(
     pair_ranks = _pair_ranks(spec)
     num_pairs = len(pair_ranks)
     shifts = _translations(spec)
-    doubled = _scaled_ranks(spec, 2)
+    doubled = scaled_ranks(spec, range(spec.order), 2)
     plus = [shifts[g] for g, _ in pair_ranks]
     minus = [shifts[h] for _, h in pair_ranks]
     pair_bits = [1 << g | 1 << h for g, h in pair_ranks]

@@ -13,13 +13,23 @@ def naive_multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement
     """Reference convolution: the full |G|^2 double loop, no support tricks."""
     spec = a.spec
     factors = spec.invariant_factors
+    decoded = [decode_rank(spec, r) for r in range(spec.order)]
     out = [0] * spec.order
-    for ra in range(spec.order):
-        ta = decode_rank(spec, ra)
-        for rb in range(spec.order):
-            tb = decode_rank(spec, rb)
+    for ta, ca in zip(decoded, a.coefficients):
+        for tb, cb in zip(decoded, b.coefficients):
             s = tuple((x + y) % d for x, y, d in zip(ta, tb, factors))
-            out[encode_residues(spec, s)] += a.coefficients[ra] * b.coefficients[rb]
+            out[encode_residues(spec, s)] += ca * cb
+    return GroupRingElement(spec, tuple(out))
+
+
+def naive_power_map(a: GroupRingElement, t: int) -> GroupRingElement:
+    """Reference power map: decode each rank, scale, encode."""
+    spec = a.spec
+    factors = spec.invariant_factors
+    out = [0] * spec.order
+    for r, c in enumerate(a.coefficients):
+        image = tuple(t * x % d for x, d in zip(decode_rank(spec, r), factors))
+        out[encode_residues(spec, image)] += c
     return GroupRingElement(spec, tuple(out))
 
 

@@ -8,6 +8,7 @@ from latile.abelian import (
     GroupSpec,
     add,
     decode_rank,
+    digit_columns,
     element_at,
     element_order,
     elements,
@@ -16,7 +17,10 @@ from latile.abelian import (
     identity,
     negate,
     rank_of,
+    rank_weights,
     scalar_mul,
+    scaled_ranks,
+    sum_columns,
 )
 
 from helpers import all_specs_up_to
@@ -97,6 +101,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             GroupSpec((0,))
 
+    @pytest.mark.parametrize("bad", [3.7, 9.0, "9"])
+    def test_non_integer_factors_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"invariant factors must be integers, got {bad!r}"):
+            GroupSpec((3, bad))
+
     def test_dict_round_trip(self):
         spec = GroupSpec((3, 3, 9))
         assert GroupSpec.from_dict(spec.as_dict()) == spec
@@ -120,6 +129,16 @@ class TestArithmetic:
     def test_residues_reduced_on_construction(self):
         spec = GroupSpec((3, 9))
         assert GroupElement(spec, (-1, 11)).residues == (2, 2)
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "2", None])
+    def test_non_integer_residues_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"residues must be integers, got {bad!r}"):
+            GroupElement(GroupSpec((3, 9)), (1, bad))
+
+    def test_integer_like_residues_become_ints(self):
+        g = GroupElement(GroupSpec((3, 9)), (True, 10))
+        assert g.residues == (1, 1)
+        assert type(g.residues[0]) is int
 
     def test_mixed_spec_addition_rejected(self):
         a = GroupElement(GroupSpec((4,)), (1,))
@@ -170,6 +189,22 @@ class TestRanking:
             residues = decode_rank(spec, r)
             assert residues == element_at(spec, r).residues
             assert encode_residues(spec, residues) == r
+
+    def test_rank_columns_agree_with_decode(self):
+        for spec in all_specs_up_to(40) + [GroupSpec((3, 3, 27))]:
+            ranks = list(range(spec.order))
+            columns = digit_columns(spec, ranks)
+            decoded = [tuple(column[r] for column in columns) for r in ranks]
+            assert decoded == [decode_rank(spec, r) for r in ranks]
+            weighted = [[h * w for h in col] for col, w in zip(columns, rank_weights(spec))]
+            assert list(sum_columns(weighted, spec.order)) == ranks
+
+    @pytest.mark.parametrize("t", [-1, 0, 1, 2, 3, 4, 244, -10**20])
+    def test_scaled_ranks_match_scalar_mul(self, t):
+        for spec in all_specs_up_to(40) + [GroupSpec((3, 81))]:
+            expected = [rank_of(scalar_mul(t, g)) for g in elements(spec)]
+            assert scaled_ranks(spec, range(spec.order), t) == expected
+            assert scaled_ranks(spec, [], t) == []
 
 
 SPECS = all_specs_up_to(36)

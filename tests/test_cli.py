@@ -179,10 +179,10 @@ class TestBallCommand:
         assert payload["n"] == 3
         assert len(payload["vectors"]) == 19
 
-    def test_invalid_parameters_internal_error(self, capsys):
+    def test_invalid_parameters_are_a_usage_error(self, capsys):
         code, _, stderr = run(capsys, "ball", "-n", "2", "-t", "3", "--kplus", "1", "--kminus", "1")
-        assert code == 3
-        assert "latile: error" in stderr
+        assert code == 2
+        assert "latile: error: ball: need n >= t >= 0, got n=2, t=3" in stderr
 
 
 class TestBadInput:

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latile.abelian import GroupElement, GroupSpec, elements, rank_of
+from latile.abelian import GroupElement, GroupSpec, elements, enumerate_abelian_groups, rank_of
 from latile.construct import golay11_tiling
 from latile.groupring import (
     GroupRingElement,
@@ -28,7 +28,7 @@ from latile.groupring import (
 )
 from latile.tiling import induced_code_set
 
-from helpers import all_specs_up_to, naive_multiply
+from helpers import all_specs_up_to, naive_multiply, naive_power_map, random_ring_element
 
 Z5 = GroupSpec((5,))
 Z19 = GroupSpec((19,))
@@ -58,6 +58,22 @@ class TestConstruction:
     def test_length_must_match_order(self):
         with pytest.raises(ValueError):
             GroupRingElement(Z5, (1, 2, 3))
+
+    @pytest.mark.parametrize("bad", [0.9, 1.5, 2.0, "3", None])
+    def test_non_integer_coefficients_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"coefficients must be integers, got {bad!r}"):
+            GroupRingElement(Z5, (0, bad, 2, True, 0))
+
+    def test_from_dict_rejects_non_integers(self):
+        for bad in (1.7, "3"):
+            data = {"group": Z5.as_dict(), "coefficients": [0, 1, bad, 0, 0]}
+            with pytest.raises(ValueError, match="coefficients must be integers"):
+                GroupRingElement.from_dict(data)
+
+    def test_integer_like_coefficients_become_ints(self):
+        a = GroupRingElement(Z5, [True, False, 2, -1, 2**70])
+        assert a.coefficients == (1, 0, 2, -1, 2**70)
+        assert all(type(c) is int for c in a.coefficients)
 
 
 class TestLinearCombine:
@@ -132,6 +148,10 @@ class TestCodeSet:
         code = as_code_set(ring(Z5, 1, 0, 1, 1, 0))
         assert code == ring(Z5, 1, 0, 1, 1, 0)
 
+    def test_rejects_fractional_memberships(self):
+        with pytest.raises(ValueError, match="0.9"):
+            as_code_set(ring(Z5, 0.9, 1.5, 0, 0, 0))
+
     def test_rejects_multiplicities(self):
         with pytest.raises(ValueError):
             as_code_set(ring(Z5, 1, 2, 0, 0, 0))
@@ -193,6 +213,54 @@ def test_power_map_is_a_ring_homomorphism(pair, t):
 def test_power_map_composes(args, s, t):
     (a,) = args
     assert power_map(power_map(a, s), t) == power_map(a, s * t)
+
+
+ORDER_243 = enumerate_abelian_groups(243)
+
+
+def golay_sized_set(rng, spec):
+    """A 0/1 element with 23 support elements, the size of the Golay code set."""
+    chosen = set(rng.sample(range(spec.order), 23))
+    return GroupRingElement(spec, tuple(int(r in chosen) for r in range(spec.order)))
+
+
+@pytest.mark.parametrize("spec", ORDER_243, ids=GroupSpec.describe)
+def test_multiply_matches_naive_oracle_at_order_243(spec):
+    rng = random.Random(spec.describe())
+    a, b = golay_sized_set(rng, spec), golay_sized_set(rng, spec)
+    assert multiply(a, b) == naive_multiply(a, b)
+    a, b = random_ring_element(rng, spec), random_ring_element(rng, spec)
+    assert multiply(a, b) == naive_multiply(a, b)
+
+
+def test_multiply_over_the_trivial_group():
+    trivial = GroupSpec(())
+    a, b = ring(trivial, 5), ring(trivial, -3)
+    assert multiply(a, b) == naive_multiply(a, b) == ring(trivial, -15)
+    assert multiply(a, zero(trivial)) == zero(trivial)
+    assert power_map(a, 7) == a
+
+
+def test_multiply_with_coefficients_above_two_to_the_64():
+    rng = random.Random(64)
+    big = 2**64
+    for spec in (Z19, GroupSpec((3, 9)), GroupSpec((2, 2, 4))):
+        a = random_ring_element(rng, spec, -(2**70), 2**70)
+        small = random_ring_element(rng, spec).coefficients
+        b = GroupRingElement(spec, tuple(c * big + 1 for c in small))
+        product = multiply(a, b)
+        assert product == naive_multiply(a, b)
+        assert max(map(abs, product.coefficients)) > big
+
+
+@pytest.mark.parametrize("t", [-1, 0, 2, 3, 4, 244])
+def test_power_map_matches_reference(t):
+    rng = random.Random(t)
+    for spec in all_specs_up_to(60) + ORDER_243:
+        a = random_ring_element(rng, spec)
+        assert power_map(a, t) == naive_power_map(a, t)
+        code = golay_sized_set(rng, spec) if spec.order >= 23 else a
+        assert power_map(code, t) == naive_power_map(code, t)
 
 
 def test_power_map_by_unit_permutes_multiset():
