@@ -61,7 +61,6 @@ from .search import (
     BudgetExceededError,
     SearchResult,
     inverse_pairs,
-    multiplier_reduce,
     search_tilings,
 )
 from .tiling import (

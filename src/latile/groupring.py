@@ -150,7 +150,12 @@ def multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
 
 
 def power_map(a: GroupRingElement, t: int) -> GroupRingElement:
-    """Push coefficients forward along g -> t*g (t may be any integer)."""
+    """Push coefficients forward along g -> t*g (t may be any integer).
+
+    A t that is not an integer, such as a float or a string, raises a
+    ValueError naming it.
+    """
+    (t,) = as_integers((t,), "multipliers")
     spec = a.spec
     ranks = [r for r, c in enumerate(a.coefficients) if c != 0]
     out = [0] * spec.order

@@ -32,17 +32,21 @@ subtree at once, counted exactly by binomial completion counts
 rejection is a tiling: its C(2n+1, 2) - n = 2n^2 distinct non-identity
 sums fill G minus e.
 
-Surviving leaves are re-verified by two independent routes, the group-ring
-condition checker and the ball-image bijection verifier; disagreement is
-an internal error, not a result.  The ball and the multiplier permutations
-are made once per scan, at the first leaf that needs them, so a scan that
-meets no leaf never makes them.
+A surviving leaf is read as a map phi: Z^n -> G sending e_i to the first
+element of the i-th chosen pair, and re-verified by two independent
+routes: the group-ring condition checker on its induced code set and the
+ball-image bijection verifier on phi itself; disagreement is an internal
+error, not a result.  The ball and the multiplier permutations are made
+once per scan, at the first leaf that needs them, so a scan that meets no
+leaf never makes them.
 
 Optional symmetry reduction quotients by multiplier equivalence x -> t*x
 with gcd(t, |G|) = 1 (cyclic groups only; other groups fall back to no
-reduction).  Reduction changes which solutions are reported -- one
-canonical representative per orbit, with its orbit size -- never how many
-candidates are counted.
+reduction).  A multiplier's permutation of the pair indices is read off
+the ranks: scale the first rank of each pair by t and look up the pair
+that holds the result.  A leaf is reported only when it is the minimum of
+its orbit, with the orbit's size; reduction changes which solutions are
+reported, never how many candidates are counted.
 
 The scan's unit of work is a prefix of pair indices.  A serial run scans
 the empty prefix; parallel runs cut the space into runs of prefixes with
@@ -55,7 +59,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, gcd
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from .abelian import (
     GroupElement,
@@ -63,14 +67,12 @@ from .abelian import (
     decode_rank,
     element_at,
     enumerate_abelian_groups,
-    identity,
-    negate,
-    rank_of,
+    rank_weights,
     scaled_ranks,
 )
 from .ball import ErrorBall, generate_ball
-from .groupring import check_tiling_conditions, from_multiset
-from .tiling import TilingHomomorphism, verify_tiling
+from .groupring import check_tiling_conditions
+from .tiling import TilingHomomorphism, induced_code_set, verify_tiling
 
 DEFAULT_BUDGET = 10**9
 _TASKS_PER_WORKER = 8  # parallel tasks per worker and group, for load balance
@@ -107,54 +109,30 @@ def inverse_pairs(spec: GroupSpec) -> list[tuple[GroupElement, GroupElement]]:
 def pair_multiplier_permutations(spec: GroupSpec) -> list[tuple[int, ...]]:
     """How each unit multiplier permutes the pair indices of a cyclic group.
 
-    Each unit t (gcd(t, |G|) = 1) maps the pair {g, -g} to {t*g, -t*g}; t
-    and -t induce the same permutation, so duplicates collapse.  For
-    non-cyclic groups the multiplier subgroup is a poor quotient and the
+    Each unit t (gcd(t, |G|) = 1) maps the pair {g, -g} to {t*g, -t*g}, so
+    its permutation sends pair i to the pair holding t times the first rank
+    of pair i; t and -t induce the same permutation, so duplicates collapse.
+    For non-cyclic groups the multiplier subgroup is a poor quotient and the
     function returns only the identity permutation (no reduction).
     """
-    if not spec.is_cyclic or spec.order <= 1:
-        num_pairs = (spec.order - 1) // 2
-        return [tuple(range(num_pairs))]
-    order = spec.order
-    num_pairs = (order - 1) // 2
-
-    def pair_index(value: int) -> int:
-        return min(value, order - value) - 1
-
-    seen = set()
-    for t in range(1, order):
-        if gcd(t, order) != 1:
-            continue
-        seen.add(tuple(pair_index(t * (i + 1) % order) for i in range(num_pairs)))
-    return sorted(seen)
+    pair_ranks = _pair_ranks(spec)
+    if not spec.is_cyclic:
+        return [tuple(range(len(pair_ranks)))]
+    index_of = {rank: i for i, pair in enumerate(pair_ranks) for rank in pair}
+    firsts = [g for g, _ in pair_ranks]
+    # 1..|G| is a full residue system; t = |G| is a unit only in the trivial group
+    units =[t for t in range(1, spec.order + 1) if gcd(t, spec.order) == 1]
+    return sorted(
+        {tuple(index_of[r] for r in scaled_ranks(spec, firsts, t)) for t in units}
+    )
 
 
 def candidate_orbit(
     perms: list[tuple[int, ...]], candidate: tuple[int, ...]
 ) -> set[tuple[int, ...]]:
+    """The candidates the multipliers map a candidate to; it is canonical
+    when it is the lexicographic minimum of this set."""
     return {tuple(sorted(perm[i] for i in candidate)) for perm in perms}
-
-
-def is_canonical(perms: list[tuple[int, ...]], candidate: tuple[int, ...]) -> bool:
-    """A candidate is canonical when it is the lexicographic minimum of its orbit."""
-    for perm in perms:
-        if tuple(sorted(perm[i] for i in candidate)) < candidate:
-            return False
-    return True
-
-
-def multiplier_reduce(
-    spec: GroupSpec, candidates: Iterable[tuple[int, ...]]
-) -> Iterator[tuple[int, ...]]:
-    """Filter a candidate stream down to one representative per orbit.
-
-    Fed the full candidate space, the surviving representatives' orbits
-    partition it, so nothing is lost.
-    """
-    perms = pair_multiplier_permutations(spec)
-    for candidate in candidates:
-        if is_canonical(perms, candidate):
-            yield candidate
 
 
 @dataclass(frozen=True)
@@ -191,32 +169,20 @@ class SearchResult:
         }
 
 
-def dual_verify_candidate(
-    spec: GroupSpec, n: int, elements, ball: Optional[ErrorBall] = None
-) -> bool:
-    """Accept a candidate only if two independent criteria agree it tiles.
+def dual_verify_candidate(phi: TilingHomomorphism, ball: ErrorBall) -> bool:
+    """Accept a map only if two independent criteria agree it tiles.
 
-    Runs the group-ring condition checker and the ball-bijection verifier
-    (against `ball`, B(n,2,1,1), generated here when not given); they are
+    Runs the group-ring condition checker on the induced code set and the
+    ball-bijection verifier on phi against `ball`, B(n,2,1,1); they are
     mathematically equivalent, so disagreement means the engine itself is
     broken and raises instead of returning.
     """
-    conditions = check_tiling_conditions(from_multiset(spec, elements), n)
-    representatives = []
-    seen = set()
-    for g in elements:
-        r = rank_of(g)
-        if r == 0 or r in seen:
-            continue
-        seen.add(r)
-        seen.add(rank_of(negate(g)))
-        representatives.append(g)
-    phi = TilingHomomorphism(n, spec, tuple(representatives))
-    report = verify_tiling(phi, ball if ball is not None else generate_ball(n, 2, 1, 1))
+    conditions = check_tiling_conditions(induced_code_set(phi), phi.n)
+    report = verify_tiling(phi, ball)
     if conditions.passed != report.bijective:
         raise RuntimeError(
             "internal error: condition checker and ball verifier disagree "
-            f"({conditions.passed} vs {report.bijective}) on {[g.residues for g in elements]}"
+            f"({conditions.passed} vs {report.bijective}) on {[g.residues for g in phi.images]}"
         )
     return conditions.passed
 
@@ -233,9 +199,7 @@ def _translations(spec: GroupSpec) -> list[tuple[tuple[int, int, int, int], ...]
     order = spec.order
     full = (1 << order) - 1
     by_coordinate = []
-    stride = order
-    for d in spec.invariant_factors:
-        stride //= d
+    for d, stride in zip(spec.invariant_factors, rank_weights(spec)):
         steps = [None]
         for v in range(1, d):
             run = (1 << (d - v) * stride) - 1
@@ -287,16 +251,17 @@ def scan_prefixes(
         if reduce_orbits:
             if perms is None:
                 perms = pair_multiplier_permutations(spec)
-            if not is_canonical(perms, candidate):
+            orbit = candidate_orbit(perms, candidate)
+            if min(orbit) != candidate:
                 return
-            orbit_size = len(candidate_orbit(perms, candidate))
+            orbit_size = len(orbit)
         if ball is None:
             ball = generate_ball(n, 2, 1, 1)
-        elements = [identity(spec)]
-        elements += [element_at(spec, r) for i in candidate for r in pair_ranks[i]]
-        if dual_verify_candidate(spec, n, elements, ball):
-            elements.sort(key=rank_of)
-            solutions.append(SearchSolution(spec, tuple(elements), orbit_size))
+        phi = TilingHomomorphism(n, spec, [element_at(spec, pair_ranks[i][0]) for i in candidate])
+        if dual_verify_candidate(phi, ball):
+            ranks = sorted([0] + [r for i in candidate for r in pair_ranks[i]])
+            elements = tuple(element_at(spec, r) for r in ranks)
+            solutions.append(SearchSolution(spec, elements, orbit_size))
 
     def extend(chosen_mask: int, covered: int, last_index: int, remaining: int) -> None:
         # a = S + x is tested against covered and S - x is made only to
@@ -412,7 +377,7 @@ def search_tilings(
         if threads > 1:
             import multiprocessing
 
-            pool = stack.enter_context(multiprocessing.get_context("fork").Pool(threads))
+            pool = stack.enter_context(multiprocessing.Pool(threads))
             outcomes = pool.imap(_prefix_worker, tasks)
         for spec in groups:
             tested = found = 0

@@ -137,6 +137,11 @@ class TestUnaryOps:
         a = ring(Z5, 0, 1, 1, 1, 1)
         assert power_map(a, 5) == ring(Z5, 4, 0, 0, 0, 0)
 
+    @pytest.mark.parametrize("bad", [2.5, "2"])
+    def test_power_map_rejects_non_integer_multipliers(self, bad):
+        with pytest.raises(ValueError, match=f"multipliers must be integers, got {bad!r}"):
+            power_map(ring(Z5, 0, 1, 1, 0, 0), bad)
+
     def test_support_and_coefficient(self):
         a = ring(Z5, 0, 3, 0, -1, 0)
         assert [rank_of(g) for g in support(a)] == [1, 3]

@@ -1,9 +1,11 @@
 """Tests for the exhaustive small-dimension tiling search."""
 
+import multiprocessing
 import random
 import time
+from dataclasses import replace
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -18,13 +20,11 @@ from latile.search import (
     candidate_orbit,
     dual_verify_candidate,
     inverse_pairs,
-    is_canonical,
-    multiplier_reduce,
     pair_multiplier_permutations,
     scan_prefixes,
     search_tilings,
 )
-from latile.tiling import TilingHomomorphism, induced_code_set, verify_tiling
+from latile.tiling import TilingHomomorphism, verify_tiling
 
 
 def golay_pair_indices() -> list[int]:
@@ -45,6 +45,41 @@ def pair_indices_of(spec: GroupSpec, solutions) -> list[tuple[int, ...]]:
         tuple(sorted({index[rank_of(g)] for g in sol.elements if rank_of(g)}))
         for sol in solutions
     ]
+
+
+def residue_pair_permutations(order: int) -> list[tuple[int, ...]]:
+    """Reference: the multiplier permutations of Z_order by residue arithmetic.
+
+    The rank of a residue is the residue itself, so pair i is {i + 1, -(i + 1)}
+    and the residue v lies in pair min(v, order - v) - 1.
+    """
+    num_pairs = (order - 1) // 2
+
+    def pair_index(value: int) -> int:
+        return min(value, order - value) - 1
+
+    return sorted(
+        {
+            tuple(pair_index(t * (i + 1) % order) for i in range(num_pairs))
+            for t in range(1, order)
+            if gcd(t, order) == 1
+        }
+    )
+
+
+def canonical_only(perms, candidates) -> list[tuple[int, ...]]:
+    """The candidates that are the minimum of their multiplier orbit."""
+    return [c for c in candidates if min(candidate_orbit(perms, c)) == c]
+
+
+def golay_with_one_image_swapped() -> TilingHomomorphism:
+    """The Golay map with its image ±(1, 0, 0, 0, 0) replaced by (1, 1, 0, 0, 0)."""
+    phi = golay11_tiling()
+    swap_out = GroupElement(phi.spec, (1, 0, 0, 0, 0))
+    swap_in = GroupElement(phi.spec, (1, 1, 0, 0, 0))
+    images = [swap_in if g in (swap_out, negate(swap_out)) else g for g in phi.images]
+    assert images != list(phi.images)
+    return TilingHomomorphism(11, phi.spec, images)
 
 
 def two_translation_accepts(pairs, leaf) -> bool:
@@ -101,8 +136,7 @@ class TestMultiplierReduction:
         perms = pair_multiplier_permutations(spec)
         orbit = candidate_orbit(perms, (0,))
         assert orbit == {(i,) for i in range(9)}
-        survivors = list(multiplier_reduce(spec, ((i,) for i in range(9))))
-        assert survivors == [(0,)]
+        assert canonical_only(perms, [(i,) for i in range(9)]) == [(0,)]
 
     def test_z33_pair_orbits_partition_by_divisor_structure(self):
         spec = GroupSpec((33,))
@@ -113,13 +147,11 @@ class TestMultiplierReduction:
         assert sum(sizes) == 16
 
     def test_orbits_partition_the_candidate_space(self):
-        from itertools import combinations
-
         spec = GroupSpec((19,))
         perms = pair_multiplier_permutations(spec)
         space = list(combinations(range(9), 3))
         covered = []
-        for cand in multiplier_reduce(spec, iter(space)):
+        for cand in canonical_only(perms, space):
             covered.extend(candidate_orbit(perms, cand))
         assert sorted(covered) == sorted(space)
 
@@ -127,47 +159,43 @@ class TestMultiplierReduction:
         spec = GroupSpec((3, 3))
         assert pair_multiplier_permutations(spec) == [(0, 1, 2, 3)]
         space = [(0, 1), (0, 2), (2, 3)]
-        assert list(multiplier_reduce(spec, iter(space))) == space
+        assert canonical_only(pair_multiplier_permutations(spec), space) == space
 
-    def test_canonicality_is_orbit_minimum(self):
-        spec = GroupSpec((19,))
-        perms = pair_multiplier_permutations(spec)
-        for cand in [(0, 1, 2), (1, 3, 5), (4, 7, 8)]:
-            canonical = is_canonical(perms, cand)
-            assert canonical == (cand == min(candidate_orbit(perms, cand)))
+    @pytest.mark.parametrize(
+        "order", list(range(3, 300, 2)) + [2 * n * n + 1 for n in range(3, 9)]
+    )
+    def test_permutations_match_the_residue_reference(self, order):
+        spec = GroupSpec((order,))
+        assert pair_multiplier_permutations(spec) == residue_pair_permutations(order)
+
+    def test_trivial_group_has_the_empty_permutation(self):
+        assert pair_multiplier_permutations(GroupSpec(())) == [()]
+
+    def test_even_order_rejected(self):
+        for factors in [(6,), (2, 2)]:
+            with pytest.raises(ValueError, match="even"):
+                pair_multiplier_permutations(GroupSpec(factors))
 
 
 class TestDualVerify:
     def test_accepts_known_tiling(self):
-        phi = golay11_tiling()
-        code = induced_code_set(phi)
-        spec = phi.spec
-        elems = [GroupElement(spec, (0, 0, 0, 0, 0))]
-        elems += [
-            GroupElement(spec, tuple(g.residues))
-            for g in (phi.images + tuple(negate(img) for img in phi.images))
-        ]
-        assert len({rank_of(g) for g in elems}) == 23
-        assert dual_verify_candidate(spec, 11, elems)
+        assert dual_verify_candidate(golay11_tiling(), generate_ball(11, 2, 1, 1))
 
     def test_rejects_corrupted_candidate(self):
-        phi = golay11_tiling()
-        spec = phi.spec
-        swap_out = GroupElement(spec, (1, 0, 0, 0, 0))
-        swap_in = GroupElement(spec, (1, 1, 0, 0, 0))
-        elems = {rank_of(GroupElement(spec, (0, 0, 0, 0, 0)))}
-        for img in phi.images:
-            elems.add(rank_of(img))
-            elems.add(rank_of(negate(img)))
-        elems.discard(rank_of(swap_out))
-        elems.discard(rank_of(negate(swap_out)))
-        elems.add(rank_of(swap_in))
-        elems.add(rank_of(negate(swap_in)))
-        from latile.abelian import element_at
+        phi = golay_with_one_image_swapped()
+        assert not dual_verify_candidate(phi, generate_ball(11, 2, 1, 1))
 
-        candidate = [element_at(spec, r) for r in sorted(elems)]
-        assert len(candidate) == 23
-        assert not dual_verify_candidate(spec, 11, candidate)
+    def test_disagreeing_verifiers_raise(self, monkeypatch):
+        real_verify = latile.search.verify_tiling
+
+        def flipped(phi, ball):
+            report = real_verify(phi, ball)
+            return replace(report, bijective=not report.bijective)
+
+        monkeypatch.setattr(latile.search, "verify_tiling", flipped)
+        for phi in (golay11_tiling(), golay_with_one_image_swapped()):
+            with pytest.raises(RuntimeError, match="disagree"):
+                dual_verify_candidate(phi, generate_ball(11, 2, 1, 1))
 
 
 class TestSearch:
@@ -207,6 +235,14 @@ class TestSearch:
                 a.pop("meta")
                 b.pop("meta")
                 assert a == b
+
+    def test_spawned_workers_match_the_serial_result(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("spawn").Pool)
+        serial = search_tilings(4, threads=1).as_dict()
+        parallel = search_tilings(4, threads=2).as_dict()
+        serial.pop("meta")
+        parallel.pop("meta")
+        assert parallel == serial
 
     def test_n7_is_exhausted_with_no_tiling(self):
         # Settles n = 7, which the certificate route leaves open: both
@@ -381,7 +417,7 @@ class TestPrefixScan:
         covered = set()
         for sol, candidate in zip(reduced, pair_indices_of(spec, reduced)):
             orbit = candidate_orbit(perms, candidate)
-            assert is_canonical(perms, candidate)
+            assert min(orbit) == candidate
             assert sol.orbit_size == len(orbit)
             covered |= orbit
         assert covered == leaves
