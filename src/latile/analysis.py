@@ -15,7 +15,7 @@ values valid for one residue class would silently break the others.
 """
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .groupring import (
@@ -64,7 +64,7 @@ class IdentityCheck:
     holds: bool
 
     def as_dict(self) -> dict:
-        return {"left": self.left, "right": self.right, "holds": self.holds}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -75,14 +75,8 @@ class SpectrumReport:
     identity_checks: dict[str, IdentityCheck]
 
     def as_dict(self) -> dict:
-        return {
-            "partition": {str(k): v for k, v in self.partition.items()},
-            "max_coefficient": self.max_coefficient,
-            "beta": self.beta,
-            "identity_checks": {
-                name: check.as_dict() for name, check in self.identity_checks.items()
-            },
-        }
+        # String keys, so sort_keys orders them as text ("2", "23", "3").
+        return {**asdict(self), "partition": {str(k): v for k, v in self.partition.items()}}
 
     @property
     def all_hold(self) -> bool:
@@ -141,12 +135,7 @@ class CubeMultiplicityReport:
     matches: bool
 
     def as_dict(self) -> dict:
-        return {
-            "multiplicity": self.multiplicity,
-            "beta": self.beta,
-            "expected": self.expected,
-            "matches": self.matches,
-        }
+        return asdict(self)
 
 
 def cube_multiplicity_check(code: CodeSetLike) -> CubeMultiplicityReport:
@@ -175,11 +164,7 @@ class CongruenceCheck:
     first_mismatch_rank: Optional[int]
 
     def as_dict(self) -> dict:
-        return {
-            "scalars": dict(self.scalars),
-            "holds": self.holds,
-            "first_mismatch_rank": self.first_mismatch_rank,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -188,7 +173,7 @@ class CongruenceReport:
     quartic: CongruenceCheck
 
     def as_dict(self) -> dict:
-        return {"cubic": self.cubic.as_dict(), "quartic": self.quartic.as_dict()}
+        return asdict(self)
 
     @property
     def all_hold(self) -> bool:

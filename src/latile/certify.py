@@ -28,7 +28,7 @@ by an O(p) scan over the powers of 4 and every other field independently,
 and returns a list of discrepancies.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import isqrt
 from typing import Optional, Union
 
@@ -106,12 +106,8 @@ class CertificateRow:
     witness: Optional[tuple[int, int]]
 
     def as_dict(self) -> dict:
-        return {
-            "ell": self.ell,
-            "target": self.target,
-            "representable": self.representable,
-            "witness": list(self.witness) if self.witness is not None else None,
-        }
+        witness = list(self.witness) if self.witness is not None else None
+        return {**asdict(self), "witness": witness}
 
 
 @dataclass(frozen=True)
@@ -129,16 +125,9 @@ class NonexistenceCertificate:
 
     def as_dict(self) -> dict:
         return {
-            "n": self.n,
-            "order": self.order,
-            "p": self.p,
-            "m": self.m,
+            **asdict(self),
             "a": "infinite" if self.a == INFINITE else int(self.a),
-            "b": self.b,
-            "ell_max": self.ell_max,
             "rows": [row.as_dict() for row in self.rows],
-            "conclusion": self.conclusion,
-            "p_exceeds_2n_plus_1": self.p_exceeds_2n_plus_1,
         }
 
 

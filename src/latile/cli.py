@@ -7,8 +7,9 @@ comparisons should drop.  Verdicts are data -- a certificate concluding
 INCONCLUSIVE is still a successful run.  Exit codes are for pipeline
 control only: 0 success, 1 verification failure, 2 usage error (including
 an -n below 3 or a --budget below 1 for search and certify, a malformed map
-file, --ball or LATILE_THREADS, and ball parameters that name no ball), 3
-internal error.
+file, --ball or LATILE_THREADS, ball parameters that name no ball, and a map
+whose dimension has no default ball for verify without --ball), 3 internal
+error.
 """
 
 import argparse
@@ -23,7 +24,7 @@ from .analysis import (
 )
 from .ball import ErrorBall, generate_ball
 from .certify import certify_nonexistence
-from .construct import check_pds, golay11_tiling, PdsParameters
+from .construct import check_pds, golay11_tiling, tiling_pds_parameters
 from .groupring import as_code_set, check_tiling_conditions, star
 from .search import DEFAULT_BUDGET, candidate_count, search_tilings
 from .tiling import TilingHomomorphism, induced_code_set, verify_tiling
@@ -141,9 +142,16 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+def _default_ball(n: int) -> ErrorBall:
+    try:
+        return generate_ball(n, 2, 1, 1)
+    except ValueError as exc:
+        raise UsageError(f"map dimension {n} has no default ball ({exc}); use --ball") from None
+
+
 def _cmd_verify(args) -> int:
     phi = _load_homomorphism(args.map)
-    ball = _parse_ball(args.ball, phi.n) if args.ball else generate_ball(phi.n, 2, 1, 1)
+    ball = _parse_ball(args.ball, phi.n) if args.ball else _default_ball(phi.n)
     report = verify_tiling(phi, ball)
     _emit(report.as_dict(), None)
     return 0 if report.bijective else 1
@@ -165,9 +173,7 @@ def _cmd_analyze(args) -> int:
         "spectrum": lambda: spectrum_identity_checks(code, n).as_dict(),
         "cube_multiplicity": lambda: cube_multiplicity_check(code).as_dict(),
         "congruences": lambda: congruence_check(code, n).as_dict(),
-        "partial_difference_set": lambda: check_pds(
-            star(code), PdsParameters(2 * n * n + 1, 2 * n, 1, 2)
-        ).as_dict(),
+        "partial_difference_set": lambda: check_pds(star(code), tiling_pds_parameters(n)).as_dict(),
     }
     for name, compute in sections.items():
         try:
@@ -194,8 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
         "construction, verification, exhaustive search, and nonexistence certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("-o", "--out", help="write JSON here instead of stdout")
 
-    p_search = sub.add_parser("search", help="exhaustive tiling search for a dimension")
+    p_search = sub.add_parser(
+        "search", parents=[out], help="exhaustive tiling search for a dimension"
+    )
     p_search.add_argument("-n", type=_int_at_least(3), required=True, help="dimension (n >= 3)")
     p_search.add_argument(
         "--no-reduce",
@@ -208,17 +218,16 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_BUDGET,
         help="refuse candidate spaces larger than this (default %(default)s)",
     )
-    p_search.add_argument("-o", "--out", help="write JSON here instead of stdout")
     p_search.set_defaults(func=_cmd_search)
 
-    p_certify = sub.add_parser("certify", help="modular nonexistence certificate")
+    p_certify = sub.add_parser("certify", parents=[out], help="modular nonexistence certificate")
     p_certify.add_argument("-n", type=_int_at_least(3), required=True, help="dimension (n >= 3)")
-    p_certify.add_argument("-o", "--out", help="write JSON here instead of stdout")
     p_certify.set_defaults(func=_cmd_certify)
 
-    p_construct = sub.add_parser("construct", help="emit a known tiling homomorphism")
+    p_construct = sub.add_parser(
+        "construct", parents=[out], help="emit a known tiling homomorphism"
+    )
     p_construct.add_argument("target", choices=["golay11"], help="which construction")
-    p_construct.add_argument("-o", "--out", help="write JSON here instead of stdout")
     p_construct.set_defaults(func=_cmd_construct)
 
     p_verify = sub.add_parser("verify", help="check a homomorphism against a ball")
@@ -229,17 +238,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_analyze = sub.add_parser("analyze", help="identity suite for a homomorphism")
+    p_analyze = sub.add_parser("analyze", parents=[out], help="identity suite for a homomorphism")
     p_analyze.add_argument("map", help="homomorphism JSON path, or - for stdin")
-    p_analyze.add_argument("-o", "--out", help="write JSON here instead of stdout")
     p_analyze.set_defaults(func=_cmd_analyze)
 
-    p_ball = sub.add_parser("ball", help="enumerate a limited-magnitude error ball")
+    p_ball = sub.add_parser("ball", parents=[out], help="enumerate a limited-magnitude error ball")
     p_ball.add_argument("-n", type=int, required=True)
     p_ball.add_argument("-t", type=int, required=True)
     p_ball.add_argument("--kplus", type=int, required=True)
     p_ball.add_argument("--kminus", type=int, required=True)
-    p_ball.add_argument("-o", "--out", help="write JSON here instead of stdout")
     p_ball.set_defaults(func=_cmd_ball)
 
     return parser

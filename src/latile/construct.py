@@ -18,7 +18,7 @@ has confirmed bijectivity on the actual ball.  scripts/derive_golay_check_matrix
 prints the derivation for inspection.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .abelian import GroupElement, GroupSpec
 from .groupring import (
@@ -133,14 +133,7 @@ class PdsReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "identity_excluded": self.identity_excluded,
-            "symmetric": self.symmetric,
-            "size": self.size,
-            "size_ok": self.size_ok,
-            "equation_holds": self.equation_holds,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def check_pds(code: CodeSetLike, params: PdsParameters) -> PdsReport:
@@ -171,7 +164,6 @@ def check_pds(code: CodeSetLike, params: PdsParameters) -> PdsReport:
     )
 
 
-def golay11_code_parameters() -> PdsParameters:
-    """The (2n^2+1, 2n, 1, 2) parameters carried by the n=11 instance."""
-    n = 11
+def tiling_pds_parameters(n: int) -> PdsParameters:
+    """The (2n^2+1, 2n, 1, 2) parameters of T* when T tiles Z^n."""
     return PdsParameters(2 * n * n + 1, 2 * n, 1, 2)

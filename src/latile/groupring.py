@@ -15,7 +15,7 @@ T^(t) denotes the image of T under the power map g -> t*g and G is the
 all-ones element.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence, Union
 
 from .abelian import (
@@ -92,12 +92,6 @@ def support(a: GroupRingElement) -> list[GroupElement]:
         for r, c in enumerate(a.coefficients)
         if c != 0
     ]
-
-
-def coefficient_of(a: GroupRingElement, g: GroupElement) -> int:
-    if g.spec != a.spec:
-        raise GroupMismatchError("element and ring element live in different groups")
-    return a.coefficients[rank_of(g)]
 
 
 def _require_same_ring(a: GroupRingElement, b: GroupRingElement) -> None:
@@ -209,15 +203,7 @@ class TilingConditionReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "size": self.size,
-            "size_ok": self.size_ok,
-            "contains_identity": self.contains_identity,
-            "symmetric": self.symmetric,
-            "equation_holds": self.equation_holds,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def check_tiling_conditions(code: CodeSetLike, n: int) -> TilingConditionReport:

@@ -320,6 +320,18 @@ class TestUsageErrors:
         assert stdout == ""
         assert message in stderr
 
+    def test_map_of_dimension_one_needs_a_ball(self, capsys, tmp_path):
+        out = tmp_path / "map.json"
+        out.write_text(json.dumps({"n": 1, "group": {"invariant_factors": [3]}, "images": [[1]]}))
+        code, stdout, stderr = run(capsys, "verify", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert "map dimension 1 has no default ball (need n >= t >= 0" in stderr
+        assert "use --ball" in stderr
+        code, stdout, _ = run(capsys, "verify", str(out), "--ball", "1,1,1,1")
+        assert code == 0
+        assert json.loads(stdout)["bijective"] is True
+
 
 def test_console_json_round_trips_through_schema(capsys, tmp_path):
     from latile.tiling import TilingHomomorphism

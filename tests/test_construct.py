@@ -9,9 +9,9 @@ from latile.construct import (
     PdsParameters,
     check_pds,
     derive_check_matrix,
-    golay11_code_parameters,
     golay11_tiling,
     golay_generator_polynomials,
+    tiling_pds_parameters,
 )
 from latile.groupring import (
     GroupRingElement,
@@ -73,7 +73,7 @@ class TestGolayTiling:
 class TestPartialDifferenceSets:
     def test_golay_nonidentity_part_is_a_pds(self):
         code = as_code_set(induced_code_set(golay11_tiling()))
-        params = golay11_code_parameters()
+        params = tiling_pds_parameters(11)
         assert params == PdsParameters(243, 22, 1, 2)
         report = check_pds(star(code), params)
         assert report.passed
@@ -119,7 +119,7 @@ class TestPartialDifferenceSets:
         coeffs[rank_of(negate(in_elem))] = 1
         broken = GroupRingElement(spec, tuple(coeffs))
         assert not check_tiling_conditions(broken, 11).passed
-        assert not check_pds(star(broken), golay11_code_parameters()).passed
+        assert not check_pds(star(broken), tiling_pds_parameters(11)).passed
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,51 @@
+"""The CLI's JSON, byte for byte, against files in tests/golden/.
+
+Each file is the full stdout of one run: `latile analyze -` on the Golay map
+(`latile construct golay11 | latile analyze -`) and on the Golay map with one
+image swapped, and `latile certify -n N` for N = 3 (a infinite), 14 (a = 26),
+282 (INCONCLUSIVE, with a witness) and 11 (INAPPLICABLE).  A change that
+alters one of them changes the JSON that users read.
+"""
+
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from latile.certify import certify_nonexistence
+from latile.cli import main
+from latile.construct import golay11_tiling
+from test_search import golay_with_one_image_swapped
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def stdout_of(capsys, argv) -> str:
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "name, phi",
+    [
+        ("analyze_golay11.json", golay11_tiling),
+        ("analyze_golay11_one_image_swapped.json", golay_with_one_image_swapped),
+    ],
+)
+def test_analyze_output_is_golden(capsys, monkeypatch, name, phi):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(phi().as_dict())))
+    assert stdout_of(capsys, ["analyze", "-"]) == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("n", [3, 11, 14, 282])
+def test_certify_output_is_golden(capsys, n):
+    golden = (GOLDEN / f"certify_n{n}.json").read_text()
+    assert stdout_of(capsys, ["certify", "-n", str(n)]) == golden
+
+
+@pytest.mark.parametrize("n", [3, 14, 282])
+def test_certificate_dict_equals_its_golden_json(n):
+    """as_dict() gives lists where the JSON has arrays, not tuples."""
+    golden = json.loads((GOLDEN / f"certify_n{n}.json").read_text())
+    assert certify_nonexistence(n).as_dict() == golden

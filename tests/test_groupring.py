@@ -15,7 +15,6 @@ from latile.groupring import (
     all_ones,
     as_code_set,
     check_tiling_conditions,
-    coefficient_of,
     from_multiset,
     linear_combine,
     multiply,
@@ -145,7 +144,6 @@ class TestUnaryOps:
     def test_support_and_coefficient(self):
         a = ring(Z5, 0, 3, 0, -1, 0)
         assert [rank_of(g) for g in support(a)] == [1, 3]
-        assert coefficient_of(a, GroupElement(Z5, (3,))) == -1
 
 
 class TestCodeSet:
