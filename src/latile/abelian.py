@@ -58,10 +58,6 @@ class GroupSpec:
     def order(self) -> int:
         return prod(self.invariant_factors)
 
-    @property
-    def is_cyclic(self) -> bool:
-        return len(self.invariant_factors) <= 1
-
     def describe(self) -> str:
         if not self.invariant_factors:
             return "Z_1"
@@ -135,10 +131,7 @@ def element_order(g: GroupElement) -> int:
 
 def rank_of(g: GroupElement) -> int:
     """Mixed-radix rank in [0, order), most significant factor first."""
-    rank = 0
-    for r, d in zip(g.residues, g.spec.invariant_factors):
-        rank = rank * d + r
-    return rank
+    return encode_residues(g.spec, g.residues)
 
 
 def element_at(spec: GroupSpec, rank: int) -> GroupElement:

@@ -134,11 +134,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    if args.target == "golay11":
-        phi = golay11_tiling()
-    else:  # pragma: no cover - argparse choices guard this
-        raise ValueError(f"unknown construction {args.target!r}")
-    _emit(phi.as_dict(), args.out)
+    _emit(golay11_tiling().as_dict(), args.out)  # argparse allows only golay11
     return 0
 
 

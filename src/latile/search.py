@@ -41,17 +41,21 @@ once per scan, at the first leaf that needs them, so a scan that meets no
 leaf never makes them.
 
 Optional symmetry reduction quotients by multiplier equivalence x -> t*x
-with gcd(t, |G|) = 1 (cyclic groups only; other groups fall back to no
-reduction).  A multiplier's permutation of the pair indices is read off
-the ranks: scale the first rank of each pair by t and look up the pair
-that holds the result.  A leaf is reported only when it is the minimum of
-its orbit, with the orbit's size; reduction changes which solutions are
-reported, never how many candidates are counted.
+with gcd(t, |G|) = 1.  Such a t is an automorphism of every finite abelian
+group of that order, and it maps tilings to tilings, so the reduction holds
+for cyclic and non-cyclic groups alike.  A multiplier's permutation of the
+pair indices is read off the ranks: scale the first rank of each pair by t
+and look up the pair that holds the result.  A leaf is reported only when
+it is the minimum of its orbit, with the orbit's size; reduction changes
+which solutions are reported, never how many candidates are counted.
 
-The scan's unit of work is a prefix of pair indices.  A serial run scans
-the empty prefix; parallel runs cut the space into runs of prefixes with
-similar candidate counts and merge them in prefix order, so the output is
-identical to a serial run.
+The scan's unit of work is a prefix of pair indices, walked by the same
+node rule as the pairs below it: at a prefix depth the only index is the
+prefix's own, and a rejection there drops the prefix's whole count.  So a
+planted prefix checks the scan's own rule.  A serial run scans the empty
+prefix; parallel runs cut the space into runs of prefixes with similar
+candidate counts and merge them in prefix order, so the output is identical
+to a serial run.
 """
 
 import time
@@ -107,21 +111,20 @@ def inverse_pairs(spec: GroupSpec) -> list[tuple[GroupElement, GroupElement]]:
 
 
 def pair_multiplier_permutations(spec: GroupSpec) -> list[tuple[int, ...]]:
-    """How each unit multiplier permutes the pair indices of a cyclic group.
+    """How each unit multiplier permutes the pair indices of the group.
 
-    Each unit t (gcd(t, |G|) = 1) maps the pair {g, -g} to {t*g, -t*g}, so
-    its permutation sends pair i to the pair holding t times the first rank
-    of pair i; t and -t induce the same permutation, so duplicates collapse.
-    For non-cyclic groups the multiplier subgroup is a poor quotient and the
-    function returns only the identity permutation (no reduction).
+    Each unit t (gcd(t, |G|) = 1) is an automorphism g -> t*g of any finite
+    abelian group of order |G|, and it maps the pair {g, -g} to {t*g, -t*g},
+    so its permutation sends pair i to the pair holding t times the first
+    rank of pair i.  Units that agree up to sign modulo the exponent induce
+    the same permutation, so duplicates collapse: in Z_3^k every unit acts
+    as +-1 and only the identity is left.
     """
     pair_ranks = _pair_ranks(spec)
-    if not spec.is_cyclic:
-        return [tuple(range(len(pair_ranks)))]
     index_of = {rank: i for i, pair in enumerate(pair_ranks) for rank in pair}
     firsts = [g for g, _ in pair_ranks]
     # 1..|G| is a full residue system; t = |G| is a unit only in the trivial group
-    units =[t for t in range(1, spec.order + 1) if gcd(t, spec.order) == 1]
+    units = [t for t in range(1, spec.order + 1) if gcd(t, spec.order) == 1]
     return sorted(
         {tuple(index_of[r] for r in scaled_ranks(spec, firsts, t)) for t in units}
     )
@@ -212,22 +215,16 @@ def _translations(spec: GroupSpec) -> list[tuple[tuple[int, int, int, int], ...]
     ]
 
 
-def _translate(mask: int, steps: tuple[tuple[int, int, int, int], ...]) -> int:
-    for low, up, high, down in steps:
-        mask = (mask & low) << up | (mask & high) >> down
-    return mask
-
-
 def scan_prefixes(
     spec: GroupSpec, n: int, prefixes: Iterable[tuple[int, ...]], *, reduce_orbits: bool = True
 ) -> tuple[int, list[SearchSolution]]:
     """Scan every candidate that starts with one of the prefixes.
 
-    A prefix is an increasing tuple of at most n pair indices, placed by the
-    same packing step as the scan's own; the empty prefix is the whole
-    space.  Returns the candidates covered, C(P - 1 - last, n - k) for a
-    prefix of k pairs ending at `last` among P pairs, summed over the
-    prefixes, and the solutions in prefix order.
+    A prefix is an increasing tuple of at most n pair indices, walked by the
+    scan's own node rule; the empty prefix is the whole space.  Returns the
+    candidates covered, C(P - 1 - last, n - k) for a prefix of k pairs
+    ending at `last` among P pairs, summed over the prefixes, and the
+    solutions in prefix order.
     """
     pair_ranks = _pair_ranks(spec)
     num_pairs = len(pair_ranks)
@@ -266,11 +263,16 @@ def scan_prefixes(
     def extend(chosen_mask: int, covered: int, last_index: int, remaining: int) -> None:
         # a = S + x is tested against covered and S - x is made only to
         # descend (see the module docstring); neither holds the identity, as
-        # x, -x are not chosen yet.  _translate is inlined here: the calls
-        # cost about a tenth of the scan.
+        # x, -x are not chosen yet.  While more than `below_prefix` pairs
+        # remain, the one index is the prefix's own.  The translations are
+        # inlined: calls would cost about a tenth of the scan.
         nonlocal tested
-        pruned = subtree[remaining - 1]
-        for index in range(last_index + 1, num_pairs - remaining + 1):
+        if remaining > below_prefix:
+            indices, pruned = (prefix[n - remaining],), prefix_count
+        else:
+            indices = range(last_index + 1, num_pairs - remaining + 1)
+            pruned = subtree[remaining - 1]
+        for index in indices:
             if double_bits[index] & covered:
                 tested += pruned[index]
                 continue
@@ -296,23 +298,11 @@ def scan_prefixes(
         prefix = tuple(prefix)
         if len(prefix) > n or list(prefix) != sorted(set(prefix) & set(range(num_pairs))):
             raise ValueError(f"prefix {prefix}: need <= {n} increasing indices below {num_pairs}")
+        below_prefix = n - len(prefix)
         last_index = prefix[-1] if prefix else -1
-        remaining = n - len(prefix)
-        chosen_mask, covered = 1, 0  # the identity, and no pair sums yet
-        for index in prefix:
-            a = _translate(chosen_mask, plus[index])
-            if double_bits[index] & covered or a & covered:
-                tested += comb(num_pairs - 1 - last_index, remaining)
-                break
-            covered |= a | _translate(chosen_mask, minus[index])
-            chosen_mask |= pair_bits[index]
-        else:
-            chosen[:] = prefix
-            if remaining == 0:
-                tested += 1
-                handle_leaf()
-            else:
-                extend(chosen_mask, covered, last_index, remaining)
+        # the candidates that start with the prefix, dropped by any rejection inside it
+        prefix_count = dict.fromkeys(prefix, comb(num_pairs - 1 - last_index, below_prefix))
+        extend(1, 0, -1, n)  # the identity, and no pair sums yet
     return tested, solutions
 
 

@@ -88,8 +88,6 @@ class TestSpecValidation:
     def test_order_is_product_of_factors(self):
         spec = GroupSpec((3, 9))
         assert spec.order == 27
-        assert not spec.is_cyclic
-        assert GroupSpec((27,)).is_cyclic
 
     def test_rejects_broken_divisibility_chain(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,16 @@ from math import comb, gcd
 import pytest
 
 import latile.search
-from latile.abelian import GroupElement, GroupSpec, add, element_at, identity, negate, rank_of
+from latile.abelian import (
+    GroupElement,
+    GroupSpec,
+    add,
+    element_at,
+    identity,
+    negate,
+    rank_of,
+    scalar_mul,
+)
 from latile.ball import generate_ball
 from latile.construct import golay11_tiling
 from latile.groupring import check_tiling_conditions, from_multiset
@@ -63,6 +72,20 @@ def residue_pair_permutations(order: int) -> list[tuple[int, ...]]:
             tuple(pair_index(t * (i + 1) % order) for i in range(num_pairs))
             for t in range(1, order)
             if gcd(t, order) == 1
+        }
+    )
+
+
+def group_pair_permutations(spec: GroupSpec) -> list[tuple[int, ...]]:
+    """Reference: the multiplier permutations of any odd-order group, by
+    scaling the first element of each pair with residue arithmetic."""
+    pairs = inverse_pairs(spec)
+    index = {g: i for i, pair in enumerate(pairs) for g in pair}
+    return sorted(
+        {
+            tuple(index[scalar_mul(t, g)] for g, _ in pairs)
+            for t in range(1, spec.order)
+            if gcd(t, spec.order) == 1
         }
     )
 
@@ -156,10 +179,21 @@ class TestMultiplierReduction:
         assert sorted(covered) == sorted(space)
 
     def test_noncyclic_group_gets_identity_only(self):
+        # Every unit is +-1 mod 3, so Z_3 x Z_3 keeps only the identity;
+        # Z_5 x Z_5 has the units +-1 and +-2, two permutations.
         spec = GroupSpec((3, 3))
         assert pair_multiplier_permutations(spec) == [(0, 1, 2, 3)]
         space = [(0, 1), (0, 2), (2, 3)]
         assert canonical_only(pair_multiplier_permutations(spec), space) == space
+        perms = pair_multiplier_permutations(GroupSpec((5, 5)))
+        assert len(perms) == 2
+        assert perms[0] == tuple(range(12))
+
+    @pytest.mark.parametrize("factors", [(3, 3), (5, 5), (3, 33), (17, 17)])
+    def test_noncyclic_permutations_match_the_residue_reference(self, factors):
+        # Z_17 x Z_17 is the n = 12 group of order 289.
+        spec = GroupSpec(factors)
+        assert pair_multiplier_permutations(spec) == group_pair_permutations(spec)
 
     @pytest.mark.parametrize(
         "order", list(range(3, 300, 2)) + [2 * n * n + 1 for n in range(3, 9)]
@@ -320,6 +354,33 @@ class TestPrefixScan:
         # pairs {1, 18} and {2, 17}: 0 + 1 = 18 + 2 (mod 19), a repeated sum
         assert scan_prefixes(spec, 3, [(0, 1)]) == (comb(9 - 1 - 1, 1), [])
 
+    @pytest.mark.parametrize("factors, n", [((19,), 3), ((33,), 4), ((51,), 3)])
+    @pytest.mark.parametrize("reduce_orbits", [False, True])
+    def test_every_short_prefix_counts_and_reports_exactly_its_leaves(
+        self, monkeypatch, factors, n, reduce_orbits
+    ):
+        # With leaf re-verification stubbed out, each prefix of at most three
+        # pairs counts C(P - 1 - last, n - k) whether it is rejected at its
+        # last index, before it or not at all, and reports the full scan's
+        # leaves that start with it.  In Z_19, (0, 1) already repeats a sum,
+        # so (0, 1, 5) counts its one candidate, not the C(7, 1) below a
+        # node ending at pair 1.  Z_19 and Z_33 hold no tiling, so there
+        # every report is empty; three pairs of Z_51 often pack.
+        monkeypatch.setattr(latile.search, "dual_verify_candidate", lambda *args: True)
+        spec = GroupSpec(factors)
+        num_pairs = (spec.order - 1) // 2
+        _, full = scan_prefixes(spec, n, [()], reduce_orbits=reduce_orbits)
+        leaves = pair_indices_of(spec, full)
+        assert bool(leaves) == (spec.order == 51)
+        for k in range(4):
+            for prefix in combinations(range(num_pairs), k):
+                tested, solutions = scan_prefixes(spec, n, [prefix], reduce_orbits=reduce_orbits)
+                last = prefix[-1] if prefix else -1
+                assert tested == comb(num_pairs - 1 - last, n - k)
+                assert pair_indices_of(spec, solutions) == [
+                    leaf for leaf in leaves if leaf[:k] == prefix
+                ]
+
     def test_prefixes_partition_the_space(self):
         spec = GroupSpec((19,))
         tested, _ = scan_prefixes(spec, 3, [(i,) for i in range(7)])
@@ -385,8 +446,8 @@ class TestPrefixScan:
     )
     def test_node_rule_matches_the_two_translation_reference(self, monkeypatch, factors, k):
         # Seeded increasing k-tuples, scanned with k as the scan depth so
-        # that some are packings.  Full-length prefixes are placed by the
-        # prefix step; prefixes one pair short are completed by `extend`.
+        # that some are packings.  Full-length prefixes are tested wholly
+        # at prefix depths; prefixes one pair short take one step below.
         monkeypatch.setattr(latile.search, "dual_verify_candidate", lambda *args: True)
         spec = GroupSpec(factors)
         pairs = inverse_pairs(spec)
@@ -405,23 +466,24 @@ class TestPrefixScan:
             assert 0 < len(expected) < len(leaves)
 
     def test_orbit_filter_reports_one_canonical_leaf_per_orbit(self, monkeypatch):
-        # Three pairs of Z_51 are a partial packing often enough for the
-        # multiplier filter to meet many leaves.
+        # Three pairs of Z_51, or of the non-cyclic Z_3 x Z_33, are a partial
+        # packing often enough for the multiplier filter to meet many leaves.
         monkeypatch.setattr(latile.search, "dual_verify_candidate", lambda *args: True)
-        spec = GroupSpec((51,))
-        full_tested, full = scan_prefixes(spec, 3, [()], reduce_orbits=False)
-        reduced_tested, reduced = scan_prefixes(spec, 3, [()], reduce_orbits=True)
-        assert full_tested == reduced_tested == comb(25, 3)
-        perms = pair_multiplier_permutations(spec)
-        leaves = set(pair_indices_of(spec, full))
-        covered = set()
-        for sol, candidate in zip(reduced, pair_indices_of(spec, reduced)):
-            orbit = candidate_orbit(perms, candidate)
-            assert min(orbit) == candidate
-            assert sol.orbit_size == len(orbit)
-            covered |= orbit
-        assert covered == leaves
-        assert len(reduced) < len(full)
+        for spec in (GroupSpec((51,)), GroupSpec((3, 33))):
+            num_pairs = (spec.order - 1) // 2
+            full_tested, full = scan_prefixes(spec, 3, [()], reduce_orbits=False)
+            reduced_tested, reduced = scan_prefixes(spec, 3, [()], reduce_orbits=True)
+            assert full_tested == reduced_tested == comb(num_pairs, 3)
+            perms = pair_multiplier_permutations(spec)
+            leaves = set(pair_indices_of(spec, full))
+            covered = set()
+            for sol, candidate in zip(reduced, pair_indices_of(spec, reduced)):
+                orbit = candidate_orbit(perms, candidate)
+                assert min(orbit) == candidate
+                assert sol.orbit_size == len(orbit)
+                covered |= orbit
+            assert covered == leaves
+            assert len(reduced) < len(full)
 
     def test_leaf_tables_are_made_once_and_only_for_leaves(self, monkeypatch):
         balls, perms = [], []
