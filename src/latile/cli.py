@@ -61,8 +61,9 @@ def _load_homomorphism(path: str) -> TilingHomomorphism:
 
 # With LATILE_THREADS unset, a search space below this many candidates is
 # scanned serially, because forking workers costs more than it saves there:
-# n = 6 (1.9M candidates) takes 0.035 s serial and 0.06 s with 2 workers,
-# while n = 7 (172M) takes 1.3 s serial and 0.8 s with 2 (2-core x86-64).
+# n = 6 (1.9M candidates) takes 0.009 s serial and 0.07 s with 2 workers,
+# n = 7 (172M) 0.24 s and 0.22 s, and n = 8 (4.4G) 0.42 s and 0.31 s
+# (medians of eleven `meta.wall_time` readings, 2-core x86-64).
 _SERIAL_CANDIDATES = 10**7
 
 

@@ -36,9 +36,8 @@ A surviving leaf is read as a map phi: Z^n -> G sending e_i to the first
 element of the i-th chosen pair, and re-verified by two independent
 routes: the group-ring condition checker on its induced code set and the
 ball-image bijection verifier on phi itself; disagreement is an internal
-error, not a result.  The ball and the multiplier permutations are made
-once per scan, at the first leaf that needs them, so a scan that meets no
-leaf never makes them.
+error, not a result.  The ball is made once per scan, at the first leaf,
+so a scan that meets no leaf never makes it.
 
 Optional symmetry reduction quotients by multiplier equivalence x -> t*x
 with gcd(t, |G|) = 1.  Such a t is an automorphism of every finite abelian
@@ -49,19 +48,31 @@ and look up the pair that holds the result.  A leaf is reported only when
 it is the minimum of its orbit, with the orbit's size; reduction changes
 which solutions are reported, never how many candidates are counted.
 
+The reduction also prunes inside the scan.  Pair j's orbit floor is the
+least pair a multiplier maps it to.  A candidate whose least pair is c is
+the minimum of its orbit only if no multiplier maps any of its pairs below
+c: the image would then start below c and so precede it.  Every pair j of
+a canonical candidate therefore has floor(j) >= c, so the scan rejects c
+at the root when floor(c) < c, and below a first pair c rejects every j
+with floor(j) < c.  The rule is necessary, not sufficient, so the leaf
+keeps its full orbit test, and a rejected subtree is counted like any
+other.  A reducing scan makes the multiplier permutations once, at its
+start; a scan without reduction never makes them.
+
 The scan's unit of work is a prefix of pair indices, walked by the same
 node rule as the pairs below it: at a prefix depth the only index is the
-prefix's own, and a rejection there drops the prefix's whole count.  So a
-planted prefix checks the scan's own rule.  A serial run scans the empty
-prefix; parallel runs cut the space into runs of prefixes with similar
-candidate counts and merge them in prefix order, so the output is identical
-to a serial run.
+prefix's own, and a rejection there, by the packing or by a floor, drops
+the prefix's whole count.  So a planted prefix checks the scan's own rule.
+A serial run scans the empty prefix; parallel runs cut the space into runs
+of prefixes with similar counts of the candidates the floors leave, and
+merge them in prefix order, so the output is identical to a serial run.
 """
 
+import operator
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, gcd
 from typing import Callable, Iterable, Optional
 
@@ -116,18 +127,33 @@ def pair_multiplier_permutations(spec: GroupSpec) -> list[tuple[int, ...]]:
     Each unit t (gcd(t, |G|) = 1) is an automorphism g -> t*g of any finite
     abelian group of order |G|, and it maps the pair {g, -g} to {t*g, -t*g},
     so its permutation sends pair i to the pair holding t times the first
-    rank of pair i.  Units that agree up to sign modulo the exponent induce
-    the same permutation, so duplicates collapse: in Z_3^k every unit acts
-    as +-1 and only the identity is left.
+    rank of pair i.  Units that agree up to sign modulo the exponent e induce
+    the same permutation, and every unit modulo e is one modulo |G| (they
+    have the same prime factors), so the units in 1..e/2 give them all: in
+    Z_3^k that is t = 1 alone, the identity.  A reducing scan makes them
+    once, at its start, for the orbit floors and the leaf orbits.
     """
     pair_ranks = _pair_ranks(spec)
     index_of = {rank: i for i, pair in enumerate(pair_ranks) for rank in pair}
     firsts = [g for g, _ in pair_ranks]
-    # 1..|G| is a full residue system; t = |G| is a unit only in the trivial group
-    units = [t for t in range(1, spec.order + 1) if gcd(t, spec.order) == 1]
+    exponent = spec.invariant_factors[-1] if spec.invariant_factors else 1
+    units = [t for t in range(1, max(exponent // 2, 1) + 1) if gcd(t, exponent) == 1]
     return sorted(
         {tuple(index_of[r] for r in scaled_ranks(spec, firsts, t)) for t in units}
     )
+
+
+def _multipliers(spec: GroupSpec, reduce_orbits: bool) -> list[tuple[int, ...]]:
+    """The pair permutations a scan reduces by: every multiplier's when
+    reducing, else the identity alone (every leaf its own orbit)."""
+    if reduce_orbits:
+        return pair_multiplier_permutations(spec)
+    return [tuple(range((spec.order - 1) // 2))]
+
+
+def orbit_floors(perms: list[tuple[int, ...]]) -> list[int]:
+    """For each pair index, the least index a multiplier maps it to."""
+    return [min(images) for images in zip(*perms)]
 
 
 def candidate_orbit(
@@ -224,7 +250,9 @@ def scan_prefixes(
     scan's own node rule; the empty prefix is the whole space.  Returns the
     candidates covered, C(P - 1 - last, n - k) for a prefix of k pairs
     ending at `last` among P pairs, summed over the prefixes, and the
-    solutions in prefix order.
+    solutions in prefix order.  With reduce_orbits the multiplier
+    permutations are made once, at the start, and their orbit floors prune
+    subtrees that hold no canonical leaf (see the module docstring).
     """
     pair_ranks = _pair_ranks(spec)
     num_pairs = len(pair_ranks)
@@ -233,32 +261,39 @@ def scan_prefixes(
     plus = [shifts[g] for g, _ in pair_ranks]
     minus = [shifts[h] for _, h in pair_ranks]
     pair_bits = [1 << g | 1 << h for g, h in pair_ranks]
-    double_bits = [1 << doubled[g] for g, _ in pair_ranks]
+    perms = _multipliers(spec, reduce_orbits)
+    floors = orbit_floors(perms)
+    # Pair j's sentinel, bit |G| + j, is set in covered while j may not be
+    # chosen: at the root when floors[j] < j, below a first pair c when
+    # floors[j] < c.  A sentinel rides in double_bits, so the 2x test
+    # rejects such a pair and counts its subtree like any other rejection.
+    sentinels = [1 << (spec.order + j) for j in range(num_pairs)]
+    double_bits = [1 << doubled[g] | bit for (g, _), bit in zip(pair_ranks, sentinels)]
+    root_covered = sum(bit for j, bit in enumerate(sentinels) if floors[j] < j)
+    at_floor = [0] * num_pairs
+    for floor, bit in zip(floors, sentinels):
+        at_floor[floor] |= bit
+    below_first = [0, *accumulate(at_floor, operator.or_)]
     # subtree[r][i]: candidates below a node whose last pair is i, r pairs short
     subtree = [[comb(num_pairs - 1 - i, r) for i in range(num_pairs)] for r in range(n)]
     chosen: list[int] = []
     tested = 0
     solutions: list[SearchSolution] = []
-    perms = ball = None  # made at the first leaf that needs them
+    ball = None  # made at the first leaf
 
     def handle_leaf() -> None:
-        nonlocal perms, ball
+        nonlocal ball
         candidate = tuple(chosen)
-        orbit_size = 1
-        if reduce_orbits:
-            if perms is None:
-                perms = pair_multiplier_permutations(spec)
-            orbit = candidate_orbit(perms, candidate)
-            if min(orbit) != candidate:
-                return
-            orbit_size = len(orbit)
+        orbit = candidate_orbit(perms, candidate)
+        if min(orbit) != candidate:
+            return
         if ball is None:
             ball = generate_ball(n, 2, 1, 1)
         phi = TilingHomomorphism(n, spec, [element_at(spec, pair_ranks[i][0]) for i in candidate])
         if dual_verify_candidate(phi, ball):
             ranks = sorted([0] + [r for i in candidate for r in pair_ranks[i]])
             elements = tuple(element_at(spec, r) for r in ranks)
-            solutions.append(SearchSolution(spec, elements, orbit_size))
+            solutions.append(SearchSolution(spec, elements, len(orbit)))
 
     def extend(chosen_mask: int, covered: int, last_index: int, remaining: int) -> None:
         # a = S + x is tested against covered and S - x is made only to
@@ -290,8 +325,10 @@ def scan_prefixes(
                 b = chosen_mask
                 for low, up, high, down in minus[index]:
                     b = (b & low) << up | (b & high) >> down
+                # leaving the root, the first pair's floor sentinels replace the root's
+                base = below_first[index] if remaining == n else covered
                 chosen.append(index)
-                extend(chosen_mask | pair_bits[index], covered | a | b, index, remaining - 1)
+                extend(chosen_mask | pair_bits[index], base | a | b, index, remaining - 1)
                 chosen.pop()
 
     for prefix in prefixes:
@@ -302,22 +339,29 @@ def scan_prefixes(
         last_index = prefix[-1] if prefix else -1
         # the candidates that start with the prefix, dropped by any rejection inside it
         prefix_count = dict.fromkeys(prefix, comb(num_pairs - 1 - last_index, below_prefix))
-        extend(1, 0, -1, n)  # the identity, and no pair sums yet
+        extend(1, root_covered, -1, n)  # the identity, and no pair sums yet
     return tested, solutions
 
 
-def _prefix_tasks(num_pairs: int, n: int, parts: int) -> list[list[tuple[int, ...]]]:
+def _prefix_tasks(floors: list[int], n: int, parts: int) -> list[list[tuple[int, ...]]]:
     """All two-pair prefixes in scan order, cut into about `parts` runs of
-    similar candidate count (a prefix ending at j holds C(P - 1 - j, n - 2))."""
-    target = comb(num_pairs, n) / parts
+    similar work.  A prefix (c, j) holds C(P - 1 - j, n - 2) candidates, but
+    the scan enters only the pairs k > j with floors[k] >= c, and none at all
+    when floors[c] < c or floors[j] < c, so it weighs C(#such k, n - 2)."""
+    prefixes = list(combinations(range(len(floors) - n + 2), 2))
+    weights = [
+        comb(sum(f >= c for f in floors[j + 1 :]), n - 2) if floors[c] == c <= floors[j] else 0
+        for c, j in prefixes
+    ]
+    target = sum(weights) / parts
     tasks: list[list[tuple[int, ...]]] = [[]]
     carried = 0
-    for prefix in combinations(range(num_pairs - n + 2), 2):
+    for prefix, weight in zip(prefixes, weights):
         if carried >= target:
             tasks.append([])
             carried = 0
         tasks[-1].append(prefix)
-        carried += comb(num_pairs - 1 - prefix[1], n - 2)
+        carried += weight
     return tasks
 
 
@@ -355,10 +399,17 @@ def search_tilings(
         raise BudgetExceededError(total, budget)
     groups = enumerate_abelian_groups(2 * n * n + 1)
     started = time.perf_counter()
-    num_pairs = n * n
-    runs = [[()]] if threads <= 1 else _prefix_tasks(num_pairs, n, threads * _TASKS_PER_WORKER)
+    parts = threads * _TASKS_PER_WORKER
+    runs = [
+        [[()]]
+        if threads <= 1
+        else _prefix_tasks(orbit_floors(_multipliers(spec, reduce_orbits)), n, parts)
+        for spec in groups
+    ]
     tasks = [
-        (spec.invariant_factors, n, reduce_orbits, prefixes) for spec in groups for prefixes in runs
+        (spec.invariant_factors, n, reduce_orbits, prefixes)
+        for spec, group_runs in zip(groups, runs)
+        for prefixes in group_runs
     ]
     tested_by_group = []
     solutions: list[SearchSolution] = []
@@ -369,9 +420,9 @@ def search_tilings(
 
             pool = stack.enter_context(multiprocessing.Pool(threads))
             outcomes = pool.imap(_prefix_worker, tasks)
-        for spec in groups:
+        for spec, group_runs in zip(groups, runs):
             tested = found = 0
-            for _ in runs:
+            for _ in group_runs:
                 run_tested, run_solutions = next(outcomes)
                 tested += run_tested
                 found += len(run_solutions)

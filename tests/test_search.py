@@ -4,6 +4,7 @@ import multiprocessing
 import random
 import time
 from dataclasses import replace
+from functools import cache
 from itertools import combinations
 from math import comb, gcd
 
@@ -29,6 +30,7 @@ from latile.search import (
     candidate_orbit,
     dual_verify_candidate,
     inverse_pairs,
+    orbit_floors,
     pair_multiplier_permutations,
     scan_prefixes,
     search_tilings,
@@ -48,8 +50,13 @@ def elements_of(spec: GroupSpec, prefix) -> list[GroupElement]:
     return [element_at(spec, 0)] + [g for i in prefix for g in pairs[i]]
 
 
+@cache
+def pair_index_by_rank(spec: GroupSpec) -> dict[int, int]:
+    return {rank_of(g): i for i, pair in enumerate(inverse_pairs(spec)) for g in pair}
+
+
 def pair_indices_of(spec: GroupSpec, solutions) -> list[tuple[int, ...]]:
-    index = {rank_of(g): i for i, pair in enumerate(inverse_pairs(spec)) for g in pair}
+    index = pair_index_by_rank(spec)
     return [
         tuple(sorted({index[rank_of(g)] for g in sol.elements if rank_of(g)}))
         for sol in solutions
@@ -295,6 +302,17 @@ class TestSearch:
         b.pop("meta")
         assert a == b
 
+    def test_n8_is_exhausted_with_no_tiling(self):
+        # Z_129, the only group of order 129, holds no tiling; the
+        # certificate route rules n = 8 out too, so this cross-checks it.
+        count = comb(64, 8)
+        started = time.perf_counter()
+        result = search_tilings(8, budget=count, threads=1)
+        assert time.perf_counter() - started < 30
+        assert result.groups_examined == (GroupSpec((129,)),)
+        assert result.candidates_tested == (count,) == (4426165368,)
+        assert result.solutions == ()
+
     def test_budget_refusal_carries_exact_count(self):
         with pytest.raises(BudgetExceededError) as exc:
             search_tilings(5, budget=10)
@@ -385,6 +403,28 @@ class TestPrefixScan:
         spec = GroupSpec((19,))
         tested, _ = scan_prefixes(spec, 3, [(i,) for i in range(7)])
         assert tested == comb(9, 3)
+
+    @pytest.mark.parametrize("reduce_orbits", [False, True])
+    def test_prefix_tasks_weigh_the_candidates_the_floors_leave(self, reduce_orbits):
+        # Each task of Z_51 at n = 4 closes once its prefixes hold a sixth
+        # of the candidates left after the orbit floors (all of them with
+        # the identity's floors), counted here one candidate at a time.
+        spec = GroupSpec((51,))
+        floors = orbit_floors(latile.search._multipliers(spec, reduce_orbits))
+        assert (floors == list(range(25))) != reduce_orbits
+
+        def weight(c, j):
+            return sum(
+                floors[c] == c and all(floors[k] >= c for k in (j, *rest))
+                for rest in combinations(range(j + 1, 25), 2)
+            )
+
+        tasks = latile.search._prefix_tasks(floors, 4, 6)
+        assert [prefix for task in tasks for prefix in task] == list(combinations(range(23), 2))
+        target = sum(weight(*prefix) for task in tasks for prefix in task) / 6
+        for task in tasks[:-1]:
+            weights = [weight(*prefix) for prefix in task]
+            assert sum(weights[:-1]) < target <= sum(weights)
 
     @pytest.mark.parametrize("prefix", [(1, 0), (0, 0), (9,), (-1,), (0, 1, 2, 3)])
     def test_malformed_prefix_rejected(self, prefix):
@@ -485,7 +525,51 @@ class TestPrefixScan:
             assert covered == leaves
             assert len(reduced) < len(full)
 
+    @pytest.mark.parametrize("factors, n", [((51,), 3), ((51,), 4), ((99,), 3), ((3, 33), 3)])
+    def test_orbit_floors_prune_only_non_canonical_subtrees(self, monkeypatch, factors, n):
+        # With leaf re-verification stubbed out, every prefix of at most two
+        # pairs still counts C(P - 1 - last, n - k) when its subtree falls to
+        # an orbit floor, and the reduced scan reports exactly the orbit
+        # minima among the unreduced scan's leaves below it.
+        monkeypatch.setattr(latile.search, "dual_verify_candidate", lambda *args: True)
+        spec = GroupSpec(factors)
+        num_pairs = (spec.order - 1) // 2
+        perms = pair_multiplier_permutations(spec)
+        _, full = scan_prefixes(spec, n, [()], reduce_orbits=False)
+        canonical = canonical_only(perms, pair_indices_of(spec, full))
+        assert 0 < len(canonical) < len(full)
+        for k in range(3):
+            for prefix in combinations(range(num_pairs), k):
+                tested, solutions = scan_prefixes(spec, n, [prefix])
+                last = prefix[-1] if prefix else -1
+                assert tested == comb(num_pairs - 1 - last, n - k)
+                assert pair_indices_of(spec, solutions) == [
+                    leaf for leaf in canonical if leaf[:k] == prefix
+                ]
+                for sol, leaf in zip(solutions, pair_indices_of(spec, solutions)):
+                    assert sol.orbit_size == len(candidate_orbit(perms, leaf))
+
+    def test_orbit_floors_are_the_least_images(self):
+        # Z_19's units act transitively on its nine pairs, so every floor is
+        # pair 0; in Z_3^5 the only multiplier is the identity, so no floor
+        # lies below its own pair and the reduced scan prunes nothing.
+        assert orbit_floors(pair_multiplier_permutations(GroupSpec((19,)))) == [0] * 9
+        for factors in [(51,), (99,), (3, 33)]:
+            perms = pair_multiplier_permutations(GroupSpec(factors))
+            floors = orbit_floors(perms)
+            assert floors == [min(perm[j] for perm in perms) for j in range(len(floors))]
+            assert any(f < j for j, f in enumerate(floors))
+        spec = GroupSpec((3, 3, 3, 3, 3))
+        assert orbit_floors(pair_multiplier_permutations(spec)) == list(range(121))
+        prefix = tuple(golay_pair_indices()[:6])
+        assert scan_prefixes(spec, 11, [prefix]) == scan_prefixes(
+            spec, 11, [prefix], reduce_orbits=False
+        )
+
     def test_leaf_tables_are_made_once_and_only_for_leaves(self, monkeypatch):
+        # The multiplier permutations give the orbit floors, so a reducing
+        # scan makes them once at its start, and a scan without reduction
+        # never; the ball is made only at the first leaf.
         balls, perms = [], []
         real_ball = latile.search.generate_ball
         real_perms = latile.search.pair_multiplier_permutations
@@ -498,8 +582,13 @@ class TestPrefixScan:
             lambda spec: perms.append(spec) or real_perms(spec),
         )
         search_tilings(5)
-        assert balls == perms == []
+        scan_prefixes(GroupSpec((51,)), 5, [(i,) for i in range(21)])
+        assert perms == [GroupSpec((51,))] * 2
+        search_tilings(5, reduce_orbits=False)
+        assert perms == [GroupSpec((51,))] * 2
+        assert balls == []
         spec = GroupSpec((3, 3, 3, 3, 3))
+        perms.clear()
         _, solutions = scan_prefixes(spec, 11, [tuple(golay_pair_indices()[:6])])
         assert len(solutions) > 1
         assert balls == [(11, 2, 1, 1)]
