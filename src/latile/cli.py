@@ -207,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument(
         "--no-reduce",
         action="store_true",
-        help="disable multiplier-equivalence reduction of reported solutions",
+        help="disable multiplier-equivalence reduction: report every solution, not one per "
+        "orbit, and turn off the orbit-floor pruning inside the scan",
     )
     p_search.add_argument(
         "--budget",

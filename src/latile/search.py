@@ -56,8 +56,15 @@ a canonical candidate therefore has floor(j) >= c, so the scan rejects c
 at the root when floor(c) < c, and below a first pair c rejects every j
 with floor(j) < c.  The rule is necessary, not sufficient, so the leaf
 keeps its full orbit test, and a rejected subtree is counted like any
-other.  A reducing scan makes the multiplier permutations once, at its
-start; a scan without reduction never makes them.
+other.
+
+Every table a scan reads (the translations, the doubled ranks, the
+multiplier permutations, the floors and their sentinels, the subtree
+counts) comes from one read-only object per group, n and reduction
+setting, made at its first use in a process and kept for the next scans:
+a parallel run's tasks, or a forked worker whose parent split the run by
+the same floors.  A scan without reduction never makes the multiplier
+permutations.
 
 The scan's unit of work is a prefix of pair indices, walked by the same
 node rule as the pairs below it: at a prefix depth the only index is the
@@ -72,9 +79,10 @@ import operator
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, combinations
 from math import comb, gcd
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .abelian import (
     GroupElement,
@@ -130,8 +138,9 @@ def pair_multiplier_permutations(spec: GroupSpec) -> list[tuple[int, ...]]:
     rank of pair i.  Units that agree up to sign modulo the exponent e induce
     the same permutation, and every unit modulo e is one modulo |G| (they
     have the same prime factors), so the units in 1..e/2 give them all: in
-    Z_3^k that is t = 1 alone, the identity.  A reducing scan makes them
-    once, at its start, for the orbit floors and the leaf orbits.
+    Z_3^k that is t = 1 alone, the identity.  The scan reads them, for the
+    orbit floors and the leaf orbits, from scan_tables, which makes them
+    once per process for each group and n when reducing.
     """
     pair_ranks = _pair_ranks(spec)
     index_of = {rank: i for i, pair in enumerate(pair_ranks) for rank in pair}
@@ -141,14 +150,6 @@ def pair_multiplier_permutations(spec: GroupSpec) -> list[tuple[int, ...]]:
     return sorted(
         {tuple(index_of[r] for r in scaled_ranks(spec, firsts, t)) for t in units}
     )
-
-
-def _multipliers(spec: GroupSpec, reduce_orbits: bool) -> list[tuple[int, ...]]:
-    """The pair permutations a scan reduces by: every multiplier's when
-    reducing, else the identity alone (every leaf its own orbit)."""
-    if reduce_orbits:
-        return pair_multiplier_permutations(spec)
-    return [tuple(range((spec.order - 1) // 2))]
 
 
 def orbit_floors(perms: list[tuple[int, ...]]) -> list[int]:
@@ -241,6 +242,73 @@ def _translations(spec: GroupSpec) -> list[tuple[tuple[int, int, int, int], ...]
     ]
 
 
+class ScanTables(NamedTuple):
+    """The read-only tables a scan of one group at one n reads.
+
+    Bit r of a mask stands for the element of rank r, and bit |G| + j is pair
+    j's floor sentinel (see scan_tables).
+    """
+
+    pair_ranks: tuple[tuple[int, int], ...]  # pair j = {x, -x}: the ranks of x and -x
+    perms: tuple[tuple[int, ...], ...]  # the multipliers' pair permutations, or the identity
+    floors: tuple[int, ...]  # pair j's orbit floor
+    plus: tuple  # pair j's steps that translate a mask by x, as in _translations
+    minus: tuple  # and by -x
+    pair_bits: tuple[int, ...]  # the bits of x and -x
+    double_bits: tuple[int, ...]  # the bit of 2x and pair j's sentinel
+    root_covered: int  # the sentinels set at the root
+    below_first: tuple[int, ...]  # below_first[c]: the sentinels set below a first pair c
+    subtree: tuple[tuple[int, ...], ...]  # subtree[r][i]: candidates below last pair i, r short
+
+
+# table sets a process keeps, one per (group, n, reduce): room for the seven
+# groups of order 243 (n = 11), the most of any order 2n^2+1 with n <= 12
+_TABLE_SETS_KEPT = 8
+
+
+@lru_cache(maxsize=_TABLE_SETS_KEPT)
+def scan_tables(spec: GroupSpec, n: int, reduce_orbits: bool, /) -> ScanTables:
+    """The scan tables of a group at dimension n, made once per process.
+
+    The permutations are every multiplier's when reducing, else the identity
+    alone (every leaf its own orbit, and no floor below its own pair), so a
+    scan without reduction never makes the multiplier permutations.  A
+    worker process makes them at its first task of the group, or inherits
+    them from a parent that made them before forking.
+    """
+    pair_ranks = tuple(_pair_ranks(spec))
+    num_pairs = len(pair_ranks)
+    shifts = _translations(spec)
+    doubled = scaled_ranks(spec, range(spec.order), 2)
+    if reduce_orbits:
+        perms = tuple(pair_multiplier_permutations(spec))
+    else:
+        perms = (tuple(range(num_pairs)),)
+    floors = orbit_floors(perms)
+    # Pair j's sentinel, bit |G| + j, is set in covered while j may not be
+    # chosen: at the root when floors[j] < j, below a first pair c when
+    # floors[j] < c.  A sentinel rides in double_bits, so the 2x test
+    # rejects such a pair and counts its subtree like any other rejection.
+    sentinels = [1 << (spec.order + j) for j in range(num_pairs)]
+    at_floor = [0] * num_pairs
+    for floor, bit in zip(floors, sentinels):
+        at_floor[floor] |= bit
+    return ScanTables(
+        pair_ranks=pair_ranks,
+        perms=perms,
+        floors=tuple(floors),
+        plus=tuple(shifts[g] for g, _ in pair_ranks),
+        minus=tuple(shifts[h] for _, h in pair_ranks),
+        pair_bits=tuple(1 << g | 1 << h for g, h in pair_ranks),
+        double_bits=tuple(1 << doubled[g] | bit for (g, _), bit in zip(pair_ranks, sentinels)),
+        root_covered=sum(bit for j, bit in enumerate(sentinels) if floors[j] < j),
+        below_first=(0, *accumulate(at_floor, operator.or_)),
+        subtree=tuple(
+            tuple(comb(num_pairs - 1 - i, r) for i in range(num_pairs)) for r in range(n)
+        ),
+    )
+
+
 def scan_prefixes(
     spec: GroupSpec, n: int, prefixes: Iterable[tuple[int, ...]], *, reduce_orbits: bool = True
 ) -> tuple[int, list[SearchSolution]]:
@@ -250,32 +318,15 @@ def scan_prefixes(
     scan's own node rule; the empty prefix is the whole space.  Returns the
     candidates covered, C(P - 1 - last, n - k) for a prefix of k pairs
     ending at `last` among P pairs, summed over the prefixes, and the
-    solutions in prefix order.  With reduce_orbits the multiplier
-    permutations are made once, at the start, and their orbit floors prune
-    subtrees that hold no canonical leaf (see the module docstring).
+    solutions in prefix order.  With reduce_orbits the multiplier orbit
+    floors prune subtrees that hold no canonical leaf (see the module
+    docstring).  The tables come from scan_tables, so only a process's
+    first scan of a group at n makes them.
     """
-    pair_ranks = _pair_ranks(spec)
-    num_pairs = len(pair_ranks)
-    shifts = _translations(spec)
-    doubled = scaled_ranks(spec, range(spec.order), 2)
-    plus = [shifts[g] for g, _ in pair_ranks]
-    minus = [shifts[h] for _, h in pair_ranks]
-    pair_bits = [1 << g | 1 << h for g, h in pair_ranks]
-    perms = _multipliers(spec, reduce_orbits)
-    floors = orbit_floors(perms)
-    # Pair j's sentinel, bit |G| + j, is set in covered while j may not be
-    # chosen: at the root when floors[j] < j, below a first pair c when
-    # floors[j] < c.  A sentinel rides in double_bits, so the 2x test
-    # rejects such a pair and counts its subtree like any other rejection.
-    sentinels = [1 << (spec.order + j) for j in range(num_pairs)]
-    double_bits = [1 << doubled[g] | bit for (g, _), bit in zip(pair_ranks, sentinels)]
-    root_covered = sum(bit for j, bit in enumerate(sentinels) if floors[j] < j)
-    at_floor = [0] * num_pairs
-    for floor, bit in zip(floors, sentinels):
-        at_floor[floor] |= bit
-    below_first = [0, *accumulate(at_floor, operator.or_)]
-    # subtree[r][i]: candidates below a node whose last pair is i, r pairs short
-    subtree = [[comb(num_pairs - 1 - i, r) for i in range(num_pairs)] for r in range(n)]
+    tables = scan_tables(spec, n, reduce_orbits)
+    pair_ranks, num_pairs = tables.pair_ranks, len(tables.pair_ranks)
+    plus, minus, pair_bits = tables.plus, tables.minus, tables.pair_bits
+    double_bits, below_first, subtree = tables.double_bits, tables.below_first, tables.subtree
     chosen: list[int] = []
     tested = 0
     solutions: list[SearchSolution] = []
@@ -284,7 +335,7 @@ def scan_prefixes(
     def handle_leaf() -> None:
         nonlocal ball
         candidate = tuple(chosen)
-        orbit = candidate_orbit(perms, candidate)
+        orbit = candidate_orbit(tables.perms, candidate)
         if min(orbit) != candidate:
             return
         if ball is None:
@@ -339,11 +390,11 @@ def scan_prefixes(
         last_index = prefix[-1] if prefix else -1
         # the candidates that start with the prefix, dropped by any rejection inside it
         prefix_count = dict.fromkeys(prefix, comb(num_pairs - 1 - last_index, below_prefix))
-        extend(1, root_covered, -1, n)  # the identity, and no pair sums yet
+        extend(1, tables.root_covered, -1, n)  # the identity, and no pair sums yet
     return tested, solutions
 
 
-def _prefix_tasks(floors: list[int], n: int, parts: int) -> list[list[tuple[int, ...]]]:
+def _prefix_tasks(floors: tuple[int, ...], n: int, parts: int) -> list[list[tuple[int, ...]]]:
     """All two-pair prefixes in scan order, cut into about `parts` runs of
     similar work.  A prefix (c, j) holds C(P - 1 - j, n - 2) candidates, but
     the scan enters only the pairs k > j with floors[k] >= c, and none at all
@@ -403,7 +454,7 @@ def search_tilings(
     runs = [
         [[()]]
         if threads <= 1
-        else _prefix_tasks(orbit_floors(_multipliers(spec, reduce_orbits)), n, parts)
+        else _prefix_tasks(scan_tables(spec, n, reduce_orbits).floors, n, parts)
         for spec in groups
     ]
     tasks = [

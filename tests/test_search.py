@@ -38,6 +38,15 @@ from latile.search import (
 from latile.tiling import TilingHomomorphism, verify_tiling
 
 
+@pytest.fixture(autouse=True)
+def fresh_scan_tables():
+    """Each test starts and ends with no scan tables kept, so a test that
+    patches a table helper neither reads nor leaves tables made without it."""
+    latile.search.scan_tables.cache_clear()
+    yield
+    latile.search.scan_tables.cache_clear()
+
+
 def golay_pair_indices() -> list[int]:
     """Sorted pair indices of the Golay code set in Z_3^5 (n = 11)."""
     phi = golay11_tiling()
@@ -410,8 +419,8 @@ class TestPrefixScan:
         # of the candidates left after the orbit floors (all of them with
         # the identity's floors), counted here one candidate at a time.
         spec = GroupSpec((51,))
-        floors = orbit_floors(latile.search._multipliers(spec, reduce_orbits))
-        assert (floors == list(range(25))) != reduce_orbits
+        floors = latile.search.scan_tables(spec, 4, reduce_orbits).floors
+        assert (floors == tuple(range(25))) != reduce_orbits
 
         def weight(c, j):
             return sum(
@@ -567,9 +576,11 @@ class TestPrefixScan:
         )
 
     def test_leaf_tables_are_made_once_and_only_for_leaves(self, monkeypatch):
-        # The multiplier permutations give the orbit floors, so a reducing
-        # scan makes them once at its start, and a scan without reduction
-        # never; the ball is made only at the first leaf.
+        # The scan tables are kept per process for each group, n and
+        # reduction setting (the fixture starts this test with none), so a
+        # reducing search and a later reducing scan of the same group share
+        # one set of multiplier permutations, a scan without reduction never
+        # makes them, and the ball is made only at the first leaf.
         balls, perms = [], []
         real_ball = latile.search.generate_ball
         real_perms = latile.search.pair_multiplier_permutations
@@ -583,9 +594,10 @@ class TestPrefixScan:
         )
         search_tilings(5)
         scan_prefixes(GroupSpec((51,)), 5, [(i,) for i in range(21)])
-        assert perms == [GroupSpec((51,))] * 2
+        assert perms == [GroupSpec((51,))]
         search_tilings(5, reduce_orbits=False)
-        assert perms == [GroupSpec((51,))] * 2
+        scan_prefixes(GroupSpec((33,)), 4, [()], reduce_orbits=False)
+        assert perms == [GroupSpec((51,))]
         assert balls == []
         spec = GroupSpec((3, 3, 3, 3, 3))
         perms.clear()
@@ -593,6 +605,33 @@ class TestPrefixScan:
         assert len(solutions) > 1
         assert balls == [(11, 2, 1, 1)]
         assert perms == [spec]
+
+    @pytest.mark.parametrize("factors, n", [((51,), 4), ((51,), 5), ((3, 33), 7), ((99,), 7)])
+    def test_two_worker_tasks_share_one_set_of_tables(self, monkeypatch, factors, n):
+        # Every task of a 2-worker split, run in this process the way a
+        # worker runs it, reads the tables the split was cut by: they are
+        # made once per group, not once per task and once more for the
+        # split, and the tasks together give the serial scan's count and
+        # its solutions in order.  With leaf re-verification stubbed out,
+        # Z_51 at n = 4 has canonical leaves to order.
+        monkeypatch.setattr(latile.search, "dual_verify_candidate", lambda *args: True)
+        made = []
+        for helper in ("_translations", "pair_multiplier_permutations"):
+            real = getattr(latile.search, helper)
+            monkeypatch.setattr(
+                latile.search, helper, lambda spec, real=real: made.append(spec) or real(spec)
+            )
+        spec = GroupSpec(factors)
+        floors = latile.search.scan_tables(spec, n, True).floors
+        tasks = latile.search._prefix_tasks(floors, n, 2 * latile.search._TASKS_PER_WORKER)
+        outcomes = [latile.search._prefix_worker((factors, n, True, task)) for task in tasks]
+        assert len(tasks) > 2
+        assert made == [spec, spec]
+        tested, solutions = scan_prefixes(spec, n, [()])
+        assert made == [spec, spec]
+        assert sum(count for count, _ in outcomes) == tested == comb((spec.order - 1) // 2, n)
+        assert [sol for _, found in outcomes for sol in found] == solutions
+        assert bool(solutions) == (n == 4)
 
     def test_scan_below_five_golay_pairs_finds_its_162_tilings(self):
         # Every leaf that survives the packing is re-verified by both
