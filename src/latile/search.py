@@ -10,8 +10,8 @@ choices.
 For odd |G| the product identity T*T = 2G + T^(2) + (2n-2)e says exactly
 that every non-identity element is the sum of one unordered pair of
 distinct elements of T.  So the search is a perfect-packing scan over two
-big-int masks, bit r standing for the element of rank r: S, the chosen
-elements, and covered, the non-identity pair sums so far.  Adding the pair
+big-int masks of elements: S, the chosen elements, and covered, the
+non-identity pair sums so far.  Adding the pair
 {x, -x} brings the sums S+x and S-x, and the node is rejected when they
 overlap or either meets covered.
 
@@ -25,12 +25,27 @@ simpler tests decide the node:
   2x in covered.
 
 A tested pair therefore costs a one-bit test (is 2x in covered?) and one
-translation (S+x against covered); S-x is translated only when the scan
-descends.  Sums are never removed, so a rejection drops the whole
+shift.  The masks lay the elements out in a padded mixed radix, 2d per
+coordinate of factor d (see _padded_layout), so that S+x is the chosen mask
+shifted left by x's digits in cyclic and non-cyclic groups alike, and it
+meets covered exactly when S+x does.  S-x is made only when the scan
+descends, and the two sums are folded into covered's layout once per
+coordinate.  Sums are never removed, so a rejection drops the whole
 subtree at once, counted exactly by binomial completion counts
 (candidates_tested is always C(n^2, n) per group).  Depth n without a
 rejection is a tiling: its C(2n+1, 2) - n = 2n^2 distinct non-identity
 sums fill G minus e.
+
+Below the first pair S and covered only grow, so a rejection there holds
+for the whole subtree.  The scan looks ahead (forward checking, Haralick
+and Elliott, Artif. Intell. 1980): a node tests all of its candidate
+indices, then descends into the survivors, and each child tests only the
+survivors after its own pair.  A survivor with too few survivors after it
+to fill a candidate heads no leaf, and its subtree is counted at once.  The
+indices a child does not test are counted for it, so the count is still
+summed from the walk.  The root's floor sentinels (below) are replaced
+under the first pair, so the root's children, and the first depth below a
+prefix, test every index after their pair.
 
 A surviving leaf is read as a map phi: Z^n -> G sending e_i to the first
 element of the i-th chosen pair, and re-verified by two independent
@@ -58,9 +73,9 @@ with floor(j) < c.  The rule is necessary, not sufficient, so the leaf
 keeps its full orbit test, and a rejected subtree is counted like any
 other.
 
-Every table a scan reads (the translations, the doubled ranks, the
-multiplier permutations, the floors and their sentinels, the subtree
-counts) comes from one read-only object per group, n and reduction
+Every table a scan reads (the layout's shifts and folds, the doubled
+ranks, the multiplier permutations, the floors and their sentinels, the
+subtree counts) comes from one read-only object per group, n and reduction
 setting, made at its first use in a process and kept for the next scans:
 a parallel run's tasks, or a forked worker whose parent split the run by
 the same floors.  A scan without reduction never makes the multiplier
@@ -87,11 +102,11 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from .abelian import (
     GroupElement,
     GroupSpec,
-    decode_rank,
+    digit_columns,
     element_at,
     enumerate_abelian_groups,
-    rank_weights,
     scaled_ranks,
+    sum_columns,
 )
 from .ball import ErrorBall, generate_ball
 from .groupring import check_tiling_conditions
@@ -217,45 +232,60 @@ def dual_verify_candidate(phi: TilingHomomorphism, ball: ErrorBall) -> bool:
     return conditions.passed
 
 
-def _translations(spec: GroupSpec) -> list[tuple[tuple[int, int, int, int], ...]]:
-    """For each rank x, the masked shift pairs that translate a mask by x.
+class _Layout(NamedTuple):
+    """Where each element sits in the scan's two masks (see _padded_layout)."""
 
-    Bit r of a mask stands for the element of rank r.  In a coordinate of
-    factor d and stride s (the product of the later factors), adding v moves
-    the bits whose residue is below d - v up by v*s and wraps the rest down
-    by (d - v)*s: one (low mask, up, high mask, down) step per non-zero
-    coordinate of x, so a cyclic group takes one rotation.
+    size: int  # the bits the elements span; pair j's floor sentinel is bit size + j
+    shifts: tuple[int, ...]  # shifts[r]: rank r's bit in a chosen mask, the shift that adds r
+    folds: tuple[tuple[int, int, int], ...]  # per coordinate: low half, high half, shift
+
+
+def _padded_layout(spec: GroupSpec) -> _Layout:
+    """Lay elements out in a padded mixed radix, so that S + x is one shift.
+
+    A coordinate of factor d gets radix 2d.  An element with digits v (its
+    residues) sits at v in a chosen mask, and at v + e*d for every e in
+    {0, 1}^k in a covered mask.  Shifting a chosen mask left by x's digits
+    puts s + x at v + x, with no carry since v + x <= 2d - 2, and that is
+    the covered bit of (s + x) mod d with e_i = 1 where the coordinate
+    wraps.  So the shifted mask meets covered exactly when S + x meets the
+    covered elements, for cyclic and non-cyclic groups alike.  To join
+    covered, a shifted mask is folded once per coordinate: the bits whose
+    digit there is below d are copied up by d, and the others down by d.
     """
-    order = spec.order
-    full = (1 << order) - 1
-    by_coordinate = []
-    for d, stride in zip(spec.invariant_factors, rank_weights(spec)):
-        steps = [None]
-        for v in range(1, d):
-            run = (1 << (d - v) * stride) - 1
-            low = sum(run << start for start in range(0, order, d * stride))
-            steps.append((low, v * stride, full ^ low, (d - v) * stride))
-        by_coordinate.append(steps)
-    return [
-        tuple(steps[v] for steps, v in zip(by_coordinate, decode_rank(spec, rank)) if v)
-        for rank in range(order)
-    ]
+    factors = spec.invariant_factors
+    strides = []  # each coordinate's bit stride: the product of the later radices
+    size = 1
+    for d in reversed(factors):
+        strides.append(size)
+        size *= 2 * d
+    strides.reverse()
+    digits = digit_columns(spec, range(spec.order))
+    columns = [[v * stride for v in column] for column, stride in zip(digits, strides)]
+    folds = []
+    for d, stride in zip(factors, strides):
+        shift = d * stride
+        low = sum(((1 << shift) - 1) << start for start in range(0, size, 2 * shift))
+        folds.append((low, (1 << size) - 1 ^ low, shift))
+    return _Layout(size, tuple(sum_columns(columns, spec.order)), tuple(folds))
 
 
 class ScanTables(NamedTuple):
     """The read-only tables a scan of one group at one n reads.
 
-    Bit r of a mask stands for the element of rank r, and bit |G| + j is pair
+    The masks follow _padded_layout: a chosen mask holds one bit per
+    element, a covered mask 2^k, and bit size + j of a covered mask is pair
     j's floor sentinel (see scan_tables).
     """
 
     pair_ranks: tuple[tuple[int, int], ...]  # pair j = {x, -x}: the ranks of x and -x
     perms: tuple[tuple[int, ...], ...]  # the multipliers' pair permutations, or the identity
     floors: tuple[int, ...]  # pair j's orbit floor
-    plus: tuple  # pair j's steps that translate a mask by x, as in _translations
-    minus: tuple  # and by -x
-    pair_bits: tuple[int, ...]  # the bits of x and -x
-    double_bits: tuple[int, ...]  # the bit of 2x and pair j's sentinel
+    plus: tuple[int, ...]  # the shift that translates a chosen mask by pair j's x
+    minus: tuple[int, ...]  # and by -x
+    pair_bits: tuple[int, ...]  # the chosen bits of x and -x
+    double_bits: tuple[int, ...]  # a covered bit of 2x, and pair j's sentinel
+    folds: tuple[tuple[int, int, int], ...]  # turn shifted chosen masks into covered ones
     root_covered: int  # the sentinels set at the root
     below_first: tuple[int, ...]  # below_first[c]: the sentinels set below a first pair c
     subtree: tuple[tuple[int, ...], ...]  # subtree[r][i]: candidates below last pair i, r short
@@ -278,29 +308,33 @@ def scan_tables(spec: GroupSpec, n: int, reduce_orbits: bool, /) -> ScanTables:
     """
     pair_ranks = tuple(_pair_ranks(spec))
     num_pairs = len(pair_ranks)
-    shifts = _translations(spec)
+    layout = _padded_layout(spec)
     doubled = scaled_ranks(spec, range(spec.order), 2)
     if reduce_orbits:
         perms = tuple(pair_multiplier_permutations(spec))
     else:
         perms = (tuple(range(num_pairs)),)
     floors = orbit_floors(perms)
-    # Pair j's sentinel, bit |G| + j, is set in covered while j may not be
+    # Pair j's sentinel, bit size + j, is set in covered while j may not be
     # chosen: at the root when floors[j] < j, below a first pair c when
     # floors[j] < c.  A sentinel rides in double_bits, so the 2x test
     # rejects such a pair and counts its subtree like any other rejection.
-    sentinels = [1 << (spec.order + j) for j in range(num_pairs)]
+    sentinels = [1 << (layout.size + j) for j in range(num_pairs)]
     at_floor = [0] * num_pairs
     for floor, bit in zip(floors, sentinels):
         at_floor[floor] |= bit
+    shifts = layout.shifts
     return ScanTables(
         pair_ranks=pair_ranks,
         perms=perms,
         floors=tuple(floors),
         plus=tuple(shifts[g] for g, _ in pair_ranks),
         minus=tuple(shifts[h] for _, h in pair_ranks),
-        pair_bits=tuple(1 << g | 1 << h for g, h in pair_ranks),
-        double_bits=tuple(1 << doubled[g] | bit for (g, _), bit in zip(pair_ranks, sentinels)),
+        pair_bits=tuple(1 << shifts[g] | 1 << shifts[h] for g, h in pair_ranks),
+        double_bits=tuple(
+            1 << shifts[doubled[g]] | bit for (g, _), bit in zip(pair_ranks, sentinels)
+        ),
+        folds=layout.folds,
         root_covered=sum(bit for j, bit in enumerate(sentinels) if floors[j] < j),
         below_first=(0, *accumulate(at_floor, operator.or_)),
         subtree=tuple(
@@ -325,7 +359,7 @@ def scan_prefixes(
     """
     tables = scan_tables(spec, n, reduce_orbits)
     pair_ranks, num_pairs = tables.pair_ranks, len(tables.pair_ranks)
-    plus, minus, pair_bits = tables.plus, tables.minus, tables.pair_bits
+    plus, minus, pair_bits, folds = tables.plus, tables.minus, tables.pair_bits, tables.folds
     double_bits, below_first, subtree = tables.double_bits, tables.below_first, tables.subtree
     chosen: list[int] = []
     tested = 0
@@ -346,51 +380,63 @@ def scan_prefixes(
             elements = tuple(element_at(spec, r) for r in ranks)
             solutions.append(SearchSolution(spec, elements, len(orbit)))
 
-    def extend(chosen_mask: int, covered: int, last_index: int, remaining: int) -> None:
-        # a = S + x is tested against covered and S - x is made only to
-        # descend (see the module docstring); neither holds the identity, as
-        # x, -x are not chosen yet.  While more than `below_prefix` pairs
-        # remain, the one index is the prefix's own.  The translations are
-        # inlined: calls would cost about a tenth of the scan.
+    def extend(
+        chosen_mask: int, covered: int, count: int, remaining: int, candidates: Iterable[int]
+    ) -> None:
+        # A node holds `count` candidates.  It tests each candidate index y
+        # (is 2x in covered, and does S + x meet it?), then descends into
+        # the survivors; below the first pair a child inherits the survivors
+        # after its own pair (see the module docstring).  While more than
+        # `below_prefix` pairs remain, the one index is the prefix's own.
         nonlocal tested
         if remaining > below_prefix:
-            indices, pruned = (prefix[n - remaining],), prefix_count
+            candidates, weights, inherit = (prefix[n - remaining],), prefix_count, False
         else:
-            indices = range(last_index + 1, num_pairs - remaining + 1)
-            pruned = subtree[remaining - 1]
-        for index in indices:
-            if double_bits[index] & covered:
-                tested += pruned[index]
-                continue
-            a = chosen_mask
-            for low, up, high, down in plus[index]:
-                a = (a & low) << up | (a & high) >> down
-            if a & covered:
-                tested += pruned[index]
-            elif remaining == 1:
+            weights, inherit = subtree[remaining - 1], remaining < n
+        survivors = [
+            y
+            for y in candidates
+            if not (double_bits[y] & covered or chosen_mask << plus[y] & covered)
+        ]
+        if inherit:
+            if len(survivors) < remaining:  # too few to fill a candidate: no leaf below
+                tested += count
+                return
+            entered = survivors[: len(survivors) - remaining + 1]
+        else:
+            entered = survivors
+        # the candidates below no entered survivor: their next pair was
+        # rejected, here or for good above, or heads no leaf
+        tested += count - sum(map(weights.__getitem__, entered))
+        if remaining == 1:
+            for y in entered:
                 tested += 1
-                chosen.append(index)
+                chosen.append(y)
                 handle_leaf()
                 chosen.pop()
-            else:
-                b = chosen_mask
-                for low, up, high, down in minus[index]:
-                    b = (b & low) << up | (b & high) >> down
-                # leaving the root, the first pair's floor sentinels replace the root's
-                base = below_first[index] if remaining == n else covered
-                chosen.append(index)
-                extend(chosen_mask | pair_bits[index], base | a | b, index, remaining - 1)
-                chosen.pop()
+            return
+        for i, y in enumerate(entered):
+            # S + x and S - x join covered; leaving the root, the first
+            # pair's floor sentinels replace the root's
+            sums = chosen_mask << plus[y] | chosen_mask << minus[y]
+            for low, high, shift in folds:
+                sums |= (sums & low) << shift | (sums & high) >> shift
+            base = below_first[y] if remaining == n else covered
+            rest = survivors[i + 1 :] if inherit else range(y + 1, num_pairs)
+            chosen.append(y)
+            extend(chosen_mask | pair_bits[y], base | sums, weights[y], remaining - 1, rest)
+            chosen.pop()
 
     for prefix in prefixes:
         prefix = tuple(prefix)
-        if len(prefix) > n or list(prefix) != sorted(set(prefix) & set(range(num_pairs))):
+        if len(prefix) > n or not all(a < b for a, b in zip((-1, *prefix), (*prefix, num_pairs))):
             raise ValueError(f"prefix {prefix}: need <= {n} increasing indices below {num_pairs}")
         below_prefix = n - len(prefix)
-        last_index = prefix[-1] if prefix else -1
         # the candidates that start with the prefix, dropped by any rejection inside it
-        prefix_count = dict.fromkeys(prefix, comb(num_pairs - 1 - last_index, below_prefix))
-        extend(1, tables.root_covered, -1, n)  # the identity, and no pair sums yet
+        count = comb(num_pairs - 1 - (prefix[-1] if prefix else -1), below_prefix)
+        prefix_count = dict.fromkeys(prefix, count)
+        # the identity, and no pair sums yet
+        extend(1, tables.root_covered, count, n, range(num_pairs - n + 1))
     return tested, solutions
 
 
@@ -399,11 +445,18 @@ def _prefix_tasks(floors: tuple[int, ...], n: int, parts: int) -> list[list[tupl
     similar work.  A prefix (c, j) holds C(P - 1 - j, n - 2) candidates, but
     the scan enters only the pairs k > j with floors[k] >= c, and none at all
     when floors[c] < c or floors[j] < c, so it weighs C(#such k, n - 2)."""
-    prefixes = list(combinations(range(len(floors) - n + 2), 2))
-    weights = [
-        comb(sum(f >= c for f in floors[j + 1 :]), n - 2) if floors[c] == c <= floors[j] else 0
-        for c, j in prefixes
-    ]
+    ends = len(floors) - n + 2
+    prefixes = list(combinations(range(ends), 2))
+    weights = []
+    for c in range(ends - 1):
+        if floors[c] != c:
+            weights += [0] * (ends - 1 - c)
+            continue
+        # after[k]: how many pairs from k on have a floor of at least c
+        after = [*accumulate((f >= c for f in reversed(floors)), initial=0)][::-1]
+        weights += [
+            comb(after[j + 1], n - 2) if floors[j] >= c else 0 for j in range(c + 1, ends)
+        ]
     target = sum(weights) / parts
     tasks: list[list[tuple[int, ...]]] = [[]]
     carried = 0
@@ -421,12 +474,19 @@ def _prefix_worker(args) -> tuple[int, list[SearchSolution]]:
     return scan_prefixes(GroupSpec(factors), n, prefixes, reduce_orbits=reduce_orbits)
 
 
+def _search_space(n: int) -> tuple[list[GroupSpec], int]:
+    """The abelian groups of order 2n^2+1, and the candidates a search of
+    dimension n tests: C(n^2, n) for each group."""
+    if n < 3:
+        raise ValueError(f"n must be >= 3, got {n}")
+    groups = enumerate_abelian_groups(2 * n * n + 1)
+    return groups, comb(n * n, n) * len(groups)
+
+
 def candidate_count(n: int) -> int:
     """The candidates a search of dimension n tests: C(n^2, n) for each
     abelian group of order 2n^2+1."""
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    return comb(n * n, n) * len(enumerate_abelian_groups(2 * n * n + 1))
+    return _search_space(n)[1]
 
 
 def search_tilings(
@@ -443,12 +503,11 @@ def search_tilings(
     space exceeds the budget.  Zero solutions from a completed run is a
     nonexistence proof for the dimension.
     """
-    total = candidate_count(n)
+    groups, total = _search_space(n)
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
     if total > budget:
         raise BudgetExceededError(total, budget)
-    groups = enumerate_abelian_groups(2 * n * n + 1)
     started = time.perf_counter()
     parts = threads * _TASKS_PER_WORKER
     runs = [

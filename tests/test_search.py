@@ -616,7 +616,7 @@ class TestPrefixScan:
         # Z_51 at n = 4 has canonical leaves to order.
         monkeypatch.setattr(latile.search, "dual_verify_candidate", lambda *args: True)
         made = []
-        for helper in ("_translations", "pair_multiplier_permutations"):
+        for helper in ("_padded_layout", "pair_multiplier_permutations"):
             real = getattr(latile.search, helper)
             monkeypatch.setattr(
                 latile.search, helper, lambda spec, real=real: made.append(spec) or real(spec)
@@ -632,6 +632,57 @@ class TestPrefixScan:
         assert sum(count for count, _ in outcomes) == tested == comb((spec.order - 1) // 2, n)
         assert [sol for _, found in outcomes for sol in found] == solutions
         assert bool(solutions) == (n == 4)
+
+    @pytest.mark.parametrize(
+        "factors", [(19,), (33,), (3, 33), (5, 25), (17, 17), (3, 3, 3, 3, 3)]
+    )
+    def test_one_shift_translates_a_chosen_mask(self, factors):
+        # For every x and seeded random sets S, the chosen mask of S shifted
+        # by x stays below the sentinels and meets the covered mask of a
+        # single element c exactly when c is in S + x, and folded once per
+        # coordinate it is the covered mask of S + x.
+        spec = GroupSpec(factors)
+        layout = latile.search._padded_layout(spec)
+
+        def folded(mask):
+            for low, high, shift in layout.folds:
+                mask |= (mask & low) << shift | (mask & high) >> shift
+            return mask
+
+        covered = [folded(1 << shift) for shift in layout.shifts]
+        assert all(mask.bit_count() == 2 ** len(factors) for mask in covered)
+        rng = random.Random(12)
+        for _ in range(3):
+            chosen = rng.sample(range(spec.order), rng.randint(1, spec.order // 3))
+            mask = sum(1 << layout.shifts[s] for s in chosen)
+            for x in range(spec.order):
+                translated = {
+                    rank_of(add(element_at(spec, s), element_at(spec, x))) for s in chosen
+                }
+                shifted = mask << layout.shifts[x]
+                assert shifted >> layout.size == 0
+                assert {c for c in range(spec.order) if shifted & covered[c]} == translated
+                assert folded(shifted) == sum(covered[c] for c in translated)
+
+    def test_four_pair_scan_keeps_exactly_the_packings(self, monkeypatch):
+        # Every four-pair set of Z_51, with leaf re-verification stubbed
+        # out: the leaves sit at depth 4, below the first pair, where the
+        # scan inherits each node's survivors.  The unreduced scan's leaves
+        # are exactly the sets the two-translation rule accepts, and the
+        # reduced scan reports exactly their orbit minima.
+        monkeypatch.setattr(latile.search, "dual_verify_candidate", lambda *args: True)
+        spec = GroupSpec((51,))
+        pairs = inverse_pairs(spec)
+        space = list(combinations(range(25), 4))
+        packings = [leaf for leaf in space if two_translation_accepts(pairs, leaf)]
+        assert 0 < len(packings) < len(space) == 12650
+        tested, full = scan_prefixes(spec, 4, [()], reduce_orbits=False)
+        assert tested == len(space)
+        assert pair_indices_of(spec, full) == packings
+        tested, reduced = scan_prefixes(spec, 4, [()])
+        assert tested == len(space)
+        perms = pair_multiplier_permutations(spec)
+        assert pair_indices_of(spec, reduced) == canonical_only(perms, packings)
 
     def test_scan_below_five_golay_pairs_finds_its_162_tilings(self):
         # Every leaf that survives the packing is re-verified by both
