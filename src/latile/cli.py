@@ -7,9 +7,10 @@ comparisons should drop.  Verdicts are data -- a certificate concluding
 INCONCLUSIVE is still a successful run.  Exit codes are for pipeline
 control only: 0 success, 1 verification failure, 2 usage error (including
 an -n below 3 or a --budget below 1 for search and certify, a malformed map
-file, --ball or LATILE_THREADS, ball parameters that name no ball, and a map
-whose dimension has no default ball for verify without --ball), 3 internal
-error.
+file, --ball or LATILE_THREADS, a LATILE_THREADS above the core count, ball
+parameters that name no ball, and a map whose dimension has no default ball
+for verify without --ball), 3 internal error.  search runs serially unless
+LATILE_THREADS asks for workers.
 """
 
 import argparse
@@ -26,7 +27,7 @@ from .ball import ErrorBall, generate_ball
 from .certify import certify_nonexistence
 from .construct import check_pds, golay11_tiling, tiling_pds_parameters
 from .groupring import as_code_set, check_tiling_conditions, star
-from .search import DEFAULT_BUDGET, candidate_count, search_tilings
+from .search import DEFAULT_BUDGET, search_tilings
 from .tiling import TilingHomomorphism, induced_code_set, verify_tiling
 
 
@@ -59,21 +60,16 @@ def _load_homomorphism(path: str) -> TilingHomomorphism:
         raise UsageError(f"{name} is not a tiling map: {exc}") from None
 
 
-# With LATILE_THREADS unset, a search space below this many candidates is
-# scanned serially, because forking workers costs more than it saves there:
-# n = 6 (1.9M candidates) takes 0.009 s serial and 0.07 s with 2 workers,
-# n = 7 (172M) 0.24 s and 0.22 s, and n = 8 (4.4G) 0.42 s and 0.31 s
-# (medians of eleven `meta.wall_time` readings, 2-core x86-64).
-_SERIAL_CANDIDATES = 10**7
-
-
-def _thread_count(n: int) -> int:
+def _thread_count() -> int:
     env = os.environ.get("LATILE_THREADS")
     if not env:
-        return 1 if candidate_count(n) < _SERIAL_CANDIDATES else (os.cpu_count() or 1)
+        return 1
     if not env.strip().isdecimal() or int(env) < 1:
         raise UsageError(f"LATILE_THREADS must be a positive integer, got {env!r}")
-    return int(env)
+    threads, cores = int(env), os.cpu_count() or 1
+    if threads > cores:
+        raise UsageError(f"LATILE_THREADS={threads} exceeds the core count, {cores}")
+    return threads
 
 
 def _int_at_least(minimum: int):
@@ -112,7 +108,7 @@ def _cmd_search(args) -> int:
         args.n,
         reduce_orbits=not args.no_reduce,
         budget=args.budget,
-        threads=_thread_count(args.n),
+        threads=_thread_count(),
         progress=lambda line: print(line, file=sys.stderr),
     )
     _emit(result.as_dict(), args.out)

@@ -474,21 +474,6 @@ def _prefix_worker(args) -> tuple[int, list[SearchSolution]]:
     return scan_prefixes(GroupSpec(factors), n, prefixes, reduce_orbits=reduce_orbits)
 
 
-def _search_space(n: int) -> tuple[list[GroupSpec], int]:
-    """The abelian groups of order 2n^2+1, and the candidates a search of
-    dimension n tests: C(n^2, n) for each group."""
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    groups = enumerate_abelian_groups(2 * n * n + 1)
-    return groups, comb(n * n, n) * len(groups)
-
-
-def candidate_count(n: int) -> int:
-    """The candidates a search of dimension n tests: C(n^2, n) for each
-    abelian group of order 2n^2+1."""
-    return _search_space(n)[1]
-
-
 def search_tilings(
     n: int,
     *,
@@ -503,7 +488,10 @@ def search_tilings(
     space exceeds the budget.  Zero solutions from a completed run is a
     nonexistence proof for the dimension.
     """
-    groups, total = _search_space(n)
+    if n < 3:
+        raise ValueError(f"n must be >= 3, got {n}")
+    groups = enumerate_abelian_groups(2 * n * n + 1)
+    total = comb(n * n, n) * len(groups)
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
     if total > budget:

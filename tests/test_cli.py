@@ -2,6 +2,7 @@
 
 import io
 import json
+import multiprocessing
 
 import pytest
 
@@ -96,14 +97,15 @@ class TestSearchCommand:
         assert json.loads(out.read_text())["candidates_tested"] == [84]
 
     def test_thread_env_override(self, capsys, monkeypatch):
+        monkeypatch.setattr(latile.cli.os, "cpu_count", lambda: 4)
         monkeypatch.setenv("LATILE_THREADS", "2")
         code, stdout, _ = run(capsys, "search", "-n", "4")
         assert code == 0
         assert json.loads(stdout)["candidates_tested"] == [1820]
 
-    def test_default_workers_follow_the_candidate_count(self, capsys, monkeypatch):
-        # Unset LATILE_THREADS: serial below 10^7 candidates (n = 6 has 1.9M),
-        # every core above it (n = 7 has 172M); a set value always wins.
+    def test_search_is_serial_unless_asked(self, capsys, monkeypatch):
+        # Unset LATILE_THREADS: serial at every n, even where workers pay
+        # (n = 9); a set value always wins.
         seen = []
         real_search = latile.cli.search_tilings
 
@@ -114,11 +116,11 @@ class TestSearchCommand:
         monkeypatch.setattr(latile.cli, "search_tilings", spy)
         monkeypatch.setattr(latile.cli.os, "cpu_count", lambda: 4)
         monkeypatch.delenv("LATILE_THREADS", raising=False)
-        for n in ("3", "6", "7"):
+        for n in ("3", "7", "9"):
             assert run(capsys, "search", "-n", n)[0] == 0
         monkeypatch.setenv("LATILE_THREADS", "2")
         assert run(capsys, "search", "-n", "3")[0] == 0
-        assert seen == [(3, 1), (6, 1), (7, 4), (3, 2)]
+        assert seen == [(3, 1), (7, 1), (9, 1), (3, 2)]
 
 
 class TestCertifyCommand:
@@ -258,6 +260,21 @@ class TestBadInput:
         assert code == 2
         assert stdout == ""
         assert "LATILE_THREADS must be a positive integer" in stderr
+
+    @pytest.mark.parametrize("cores, value, named", [(4, "5", 4), (4, "100000", 4), (None, "2", 1)])
+    def test_thread_count_above_the_cores_is_a_usage_error(
+        self, capsys, monkeypatch, cores, value, named
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr(latile.cli.os, "cpu_count", lambda: cores)
+        monkeypatch.setenv("LATILE_THREADS", value)
+        code, stdout, stderr = run(capsys, "search", "-n", "3")
+        assert code == 2
+        assert stdout == ""
+        assert f"LATILE_THREADS={value} exceeds the core count, {named}" in stderr
 
 
     @pytest.mark.parametrize(

@@ -276,7 +276,7 @@ class TestSearch:
         assert result.solutions == ()
 
     def test_threads_do_not_change_the_result(self):
-        for n in (4, 5):
+        for n in (4, 5, 6):
             for reduce_orbits in (True, False):
                 serial = search_tilings(n, reduce_orbits=reduce_orbits, threads=1)
                 parallel = search_tilings(n, reduce_orbits=reduce_orbits, threads=2)
