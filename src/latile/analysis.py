@@ -18,17 +18,14 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Optional
 
+from .abelian import as_integers
 from .groupring import (
     CodeSetLike,
     GroupRingElement,
     OrderMismatchError,
-    all_ones,
     as_code_set,
-    linear_combine,
     multiply,
-    one,
     power_map,
-    reduce_mod,
 )
 
 
@@ -44,12 +41,13 @@ def code_beta(code: CodeSetLike) -> int:
     intersection signals a corrupted input rather than a valid measurement.
     """
     t = as_code_set(code)
-    t2 = power_map(t, 2)
-    common = sum(
-        1
-        for r in range(1, t.spec.order)
-        if t.coefficients[r] != 0 and t2.coefficients[r] != 0
-    )
+    return _beta(t, power_map(t, 2))
+
+
+def _beta(t: GroupRingElement, t2: GroupRingElement) -> int:
+    """code_beta of the code set t, given its image t2 = T^(2)."""
+    doubled = t2.coefficients
+    common = sum(1 for r, c in enumerate(t.coefficients) if r and c and doubled[r])
     if common % 2 != 0:
         raise ArithmeticError(
             f"|supp(T*) ∩ supp(T^(2)*)| = {common} is odd; T is not symmetric"
@@ -99,9 +97,9 @@ def spectrum_identity_checks(code: CodeSetLike, n: int) -> SpectrumReport:
         raise OrderMismatchError(
             f"group order {spec.order} != 2*{n}^2+1 = {expected_order}"
         )
-    product = multiply(t, power_map(t, 2))
-    partition = coefficient_partition(product)
-    beta = code_beta(t)
+    t2 = power_map(t, 2)
+    partition = coefficient_partition(multiply(t, t2))
+    beta = _beta(t, t2)
     weighted_total = sum(i * count for i, count in partition.items())
     position_total = sum(partition.values())
     nonzero_total = sum(count for i, count in partition.items() if i >= 1)
@@ -146,7 +144,7 @@ def cube_multiplicity_check(code: CodeSetLike) -> CubeMultiplicityReport:
     arbitrary symmetric T both values are simply reported.
     """
     t = as_code_set(code)
-    beta = code_beta(t)
+    beta = _beta(t, power_map(t, 2))
     multiplicity = power_map(t, 3).coefficients[0]
     expected = 2 * beta + 1
     return CubeMultiplicityReport(
@@ -180,13 +178,9 @@ class CongruenceReport:
         return self.cubic.holds and self.quartic.holds
 
 
-def _compare_mod3(lhs: GroupRingElement, rhs: GroupRingElement) -> tuple[bool, Optional[int]]:
-    left = reduce_mod(lhs, 3).coefficients
-    right = reduce_mod(rhs, 3).coefficients
-    for rank, (x, y) in enumerate(zip(left, right)):
-        if x != y:
-            return False, rank
-    return True, None
+def _first_rank_off_mod3(difference: list[int]) -> Optional[int]:
+    """The first rank where lhs - rhs is not 0 mod 3, or None."""
+    return next((r for r, x in enumerate(difference) if x % 3), None)
 
 
 def congruence_check(code: CodeSetLike, n: int) -> CongruenceReport:
@@ -199,38 +193,42 @@ def congruence_check(code: CodeSetLike, n: int) -> CongruenceReport:
     instead gives
         T * T^(3) = T^(4) + d_G * G + d_T * T^(2) + d_e * e  (mod 3),
     with d_G = 8n^2+16n+2, d_T = 4n-4, d_e = 4n^2-6n+2, all mod 3.
+    Each congruence is one pass over lhs - rhs, rank by rank.
     """
     t = as_code_set(code)
-    spec = t.spec
-    g_all = all_ones(spec)
-    e_one = one(spec)
+    (n,) = as_integers((n,), "dimensions")
     t2 = power_map(t, 2)
     t3 = power_map(t, 3)
-    t4 = power_map(t, 4)
 
     c_g = (-(4 * n + 2)) % 3
     c_t = (-(2 * n - 2)) % 3
-    cubic_lhs = multiply(t2, t)
-    cubic_rhs = linear_combine(1, t3, c_g, g_all)
-    cubic_rhs = linear_combine(1, cubic_rhs, c_t, t)
-    cubic_holds, cubic_rank = _compare_mod3(cubic_lhs, cubic_rhs)
+    cubic = [
+        x - y - c_g - c_t * z
+        for x, y, z in zip(multiply(t2, t).coefficients, t3.coefficients, t.coefficients)
+    ]
+    cubic_rank = _first_rank_off_mod3(cubic)
 
     d_g = (8 * n * n + 16 * n + 2) % 3
     d_t = (4 * n - 4) % 3
     d_e = (4 * n * n - 6 * n + 2) % 3
-    quartic_lhs = multiply(t, t3)
-    quartic_rhs = linear_combine(1, t4, d_g, g_all)
-    quartic_rhs = linear_combine(1, quartic_rhs, d_t, t2)
-    quartic_rhs = linear_combine(1, quartic_rhs, d_e, e_one)
-    quartic_holds, quartic_rank = _compare_mod3(quartic_lhs, quartic_rhs)
+    quartic = [
+        x - y - d_g - d_t * z
+        for x, y, z in zip(
+            multiply(t, t3).coefficients, power_map(t, 4).coefficients, t2.coefficients
+        )
+    ]
+    quartic[0] -= d_e
+    quartic_rank = _first_rank_off_mod3(quartic)
 
     return CongruenceReport(
         cubic=CongruenceCheck(
-            scalars={"G": c_g, "T": c_t}, holds=cubic_holds, first_mismatch_rank=cubic_rank
+            scalars={"G": c_g, "T": c_t},
+            holds=cubic_rank is None,
+            first_mismatch_rank=cubic_rank,
         ),
         quartic=CongruenceCheck(
             scalars={"G": d_g, "T2": d_t, "e": d_e},
-            holds=quartic_holds,
+            holds=quartic_rank is None,
             first_mismatch_rank=quartic_rank,
         ),
     )

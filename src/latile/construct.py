@@ -20,17 +20,8 @@ prints the derivation for inspection.
 
 from dataclasses import asdict, dataclass
 
-from .abelian import GroupElement, GroupSpec
-from .groupring import (
-    CodeSetLike,
-    OrderMismatchError,
-    all_ones,
-    as_code_set,
-    linear_combine,
-    multiply,
-    one,
-    power_map,
-)
+from .abelian import GroupElement, GroupSpec, as_integers, scaled_ranks
+from .groupring import CodeSetLike, OrderMismatchError, as_code_set, multiply
 from .tiling import TilingHomomorphism
 
 GOLAY11_CHECK_MATRIX: tuple[tuple[int, ...], ...] = (
@@ -140,20 +131,24 @@ def check_pds(code: CodeSetLike, params: PdsParameters) -> PdsReport:
     """Check that D is a (v, k, lambda, mu) partial difference set.
 
     The defining ring identity for a symmetric D not containing the
-    identity is D*D = mu*G + (lambda - mu)*D + (k - mu)*e.
+    identity is D*D = mu*G + (lambda - mu)*D + (k - mu)*e; its right-hand
+    side is built from the support ranks of D.
     """
     d = as_code_set(code)
     spec = d.spec
     if spec.order != params.v:
         raise OrderMismatchError(f"group order {spec.order} != v = {params.v}")
+    k, lam, mu = as_integers((params.k, params.lam, params.mu), "PDS parameters")
+    ranks = [r for r, c in enumerate(d.coefficients) if c]
     identity_excluded = d.coefficients[0] == 0
-    symmetric = power_map(d, -1) == d
-    size = sum(d.coefficients)
-    size_ok = size == params.k
-    lhs = multiply(d, d)
-    rhs = linear_combine(params.mu, all_ones(spec), params.lam - params.mu, d)
-    rhs = linear_combine(1, rhs, params.k - params.mu, one(spec))
-    equation_holds = lhs == rhs
+    symmetric = sorted(scaled_ranks(spec, ranks, -1)) == ranks
+    size = len(ranks)
+    size_ok = size == k
+    rhs = [mu] * spec.order
+    for r in ranks:
+        rhs[r] += lam - mu
+    rhs[0] += k - mu
+    equation_holds = multiply(d, d).coefficients == tuple(rhs)
     return PdsReport(
         identity_excluded=identity_excluded,
         symmetric=symmetric,

@@ -1,6 +1,11 @@
 """Integer group-ring arithmetic over a finite abelian group.
 
 Ring elements are dense integer coefficient vectors indexed by element rank.
+Inputs are validated: a GroupRingElement built by a caller has its
+coefficients checked, and the scalars, multipliers and moduli passed to the
+operations are checked once per call, so a non-integer raises ValueError
+naming it.  Results of the ring's own operations are integers by
+construction and are not re-validated.
 The product works on ranks one coordinate column at a time: a rank is the
 sum over coordinates of residue times weight, so the ranks of g + supp(b)
 are the element-wise sum of one shifted column of supp(b) per coordinate of
@@ -12,7 +17,8 @@ The module also houses the perfect-code condition checker: a candidate code
 set T tiles exactly when |T| = 2n+1, T contains the identity, T is closed
 under negation, and T*T = 2*G + T^(2) + (2n-2)*e as ring elements, where
 T^(t) denotes the image of T under the power map g -> t*g and G is the
-all-ones element.
+all-ones element.  The right-hand side is built from the support ranks of T:
+2 everywhere, one more on each doubled rank, and 2n-2 more at the identity.
 """
 
 from dataclasses import asdict, dataclass
@@ -60,17 +66,26 @@ class GroupRingElement:
 CodeSetLike = Union[GroupRingElement, Sequence[GroupElement]]
 
 
+def _ring(spec: GroupSpec, coefficients) -> GroupRingElement:
+    """A ring element from coefficients the ring made itself: a sequence of
+    spec.order ints, stored as a tuple without re-checking them."""
+    a = object.__new__(GroupRingElement)
+    object.__setattr__(a, "spec", spec)
+    object.__setattr__(a, "coefficients", tuple(coefficients))
+    return a
+
+
 def zero(spec: GroupSpec) -> GroupRingElement:
-    return GroupRingElement(spec, (0,) * spec.order)
+    return _ring(spec, (0,) * spec.order)
 
 
 def one(spec: GroupSpec) -> GroupRingElement:
     """The ring identity: coefficient 1 at the group identity."""
-    return GroupRingElement(spec, (1,) + (0,) * (spec.order - 1))
+    return _ring(spec, (1,) + (0,) * (spec.order - 1))
 
 
 def all_ones(spec: GroupSpec) -> GroupRingElement:
-    return GroupRingElement(spec, (1,) * spec.order)
+    return _ring(spec, (1,) * spec.order)
 
 
 def from_multiset(spec: GroupSpec, elements: Iterable[GroupElement]) -> GroupRingElement:
@@ -82,7 +97,7 @@ def from_multiset(spec: GroupSpec, elements: Iterable[GroupElement]) -> GroupRin
                 f"element of {g.spec.describe()} used in ring over {spec.describe()}"
             )
         coeffs[rank_of(g)] += 1
-    return GroupRingElement(spec, tuple(coeffs))
+    return _ring(spec, coeffs)
 
 
 def support(a: GroupRingElement) -> list[GroupElement]:
@@ -104,11 +119,10 @@ def _require_same_ring(a: GroupRingElement, b: GroupRingElement) -> None:
 def linear_combine(
     c1: int, a: GroupRingElement, c2: int, b: GroupRingElement
 ) -> GroupRingElement:
+    """c1*a + c2*b; a non-integer scalar raises a ValueError naming it."""
+    c1, c2 = as_integers((c1, c2), "scalars")
     _require_same_ring(a, b)
-    return GroupRingElement(
-        a.spec,
-        tuple(c1 * x + c2 * y for x, y in zip(a.coefficients, b.coefficients)),
-    )
+    return _ring(a.spec, [c1 * x + c2 * y for x, y in zip(a.coefficients, b.coefficients)])
 
 
 def multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
@@ -140,7 +154,7 @@ def multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
             columns.append(column)
         for s, cb in zip(sum_columns(columns, len(coeffs_b)), coeffs_b):
             out[s] += ca * cb
-    return GroupRingElement(spec, tuple(out))
+    return _ring(spec, out)
 
 
 def power_map(a: GroupRingElement, t: int) -> GroupRingElement:
@@ -155,18 +169,21 @@ def power_map(a: GroupRingElement, t: int) -> GroupRingElement:
     out = [0] * spec.order
     for s, r in zip(scaled_ranks(spec, ranks, t), ranks):
         out[s] += a.coefficients[r]
-    return GroupRingElement(spec, tuple(out))
+    return _ring(spec, out)
 
 
 def star(a: GroupRingElement) -> GroupRingElement:
     """Zero the identity coefficient, keep the rest."""
-    return GroupRingElement(a.spec, (0,) + a.coefficients[1:])
+    return _ring(a.spec, (0,) + a.coefficients[1:])
 
 
 def reduce_mod(a: GroupRingElement, p: int) -> GroupRingElement:
+    """Coefficients reduced into [0, p); a non-integer p raises a ValueError
+    naming it."""
+    (p,) = as_integers((p,), "moduli")
     if p < 2:
         raise ValueError(f"modulus must be >= 2, got {p}")
-    return GroupRingElement(a.spec, tuple(c % p for c in a.coefficients))
+    return _ring(a.spec, [c % p for c in a.coefficients])
 
 
 def as_code_set(code: CodeSetLike) -> GroupRingElement:
@@ -182,6 +199,8 @@ def as_code_set(code: CodeSetLike) -> GroupRingElement:
         if not seq:
             raise ValueError("cannot infer the group from an empty element list")
         normalized = from_multiset(seq[0].spec, seq)
+    if set(normalized.coefficients) <= {0, 1}:
+        return normalized
     for r, c in enumerate(normalized.coefficients):
         if c not in (0, 1):
             raise ValueError(
@@ -214,20 +233,23 @@ def check_tiling_conditions(code: CodeSetLike, n: int) -> TilingConditionReport:
     then meaningless rather than negative.
     """
     t = as_code_set(code)
+    (n,) = as_integers((n,), "dimensions")
     spec = t.spec
     expected_order = 2 * n * n + 1
     if spec.order != expected_order:
         raise OrderMismatchError(
             f"group order {spec.order} != 2*{n}^2+1 = {expected_order}"
         )
-    size = sum(t.coefficients)
+    ranks = [r for r, c in enumerate(t.coefficients) if c]
+    size = len(ranks)
     size_ok = size == 2 * n + 1
     contains_identity = t.coefficients[0] == 1
-    symmetric = power_map(t, -1) == t
-    lhs = multiply(t, t)
-    rhs = linear_combine(2, all_ones(spec), 1, power_map(t, 2))
-    rhs = linear_combine(1, rhs, 2 * n - 2, one(spec))
-    equation_holds = lhs == rhs
+    symmetric = sorted(scaled_ranks(spec, ranks, -1)) == ranks
+    rhs = [2] * spec.order
+    for s in scaled_ranks(spec, ranks, 2):
+        rhs[s] += 1
+    rhs[0] += 2 * n - 2
+    equation_holds = multiply(t, t).coefficients == tuple(rhs)
     return TilingConditionReport(
         n=n,
         size=size,

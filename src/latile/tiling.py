@@ -4,6 +4,9 @@ A candidate tiling is a homomorphism phi determined by the images
 a_1, ..., a_n of the standard basis vectors.  The ball B(n,2,1,1) tiles Z^n
 by the kernel lattice of phi exactly when phi restricted to the ball is a
 bijection onto G, which is what verify_tiling checks by direct counting.
+It works column-wise, for any ErrorBall: the ball's nonzero entries are
+listed once, every vector's residues are accumulated one group coordinate
+at a time over them, and the ranks they give are counted.
 
 kernel_basis exports the lattice ker(phi) as an integer row basis in its
 Hermite normal form, which is unique, so the output is suitable for
@@ -20,9 +23,9 @@ from .abelian import (
     GroupElement,
     GroupSpec,
     element_at,
-    encode_residues,
     identity,
     negate,
+    rank_weights,
 )
 from .ball import ErrorBall
 from .groupring import GroupRingElement, from_multiset
@@ -135,48 +138,47 @@ class VerificationReport:
 def verify_tiling(phi: TilingHomomorphism, ball: ErrorBall) -> VerificationReport:
     """Check that phi restricted to the ball is a bijection onto G.
 
-    Counts images over ranks in a single pass.  Only the first collision
-    witness is kept (plus the total count of excess vectors); the uncovered
-    list is complete.
+    The ball's nonzero entries are listed once as (vector index, position,
+    value).  Image residues are accumulated over those entries one group
+    coordinate at a time, and each vector's rank is the sum over coordinates
+    of (residue mod d) times the coordinate's rank weight.  Only the first
+    collision witness in ball order is kept (plus the total count of excess
+    vectors); the uncovered list is complete, in rank order.
     """
     if ball.n != phi.n:
         raise ValueError(f"ball dimension {ball.n} != homomorphism dimension {phi.n}")
     spec = phi.spec
     order = spec.order
-    if order != len(ball.vectors):
+    vectors = ball.vectors
+    if order != len(vectors):
         return VerificationReport(
             bijective=False,
-            reason=f"group order {order} != ball size {len(ball.vectors)}",
+            reason=f"group order {order} != ball size {len(vectors)}",
         )
-    factors = spec.invariant_factors
-    width = len(factors)
-    image_residues = [g.residues for g in phi.images]
-    counts = [0] * order
-    first_vector = [None] * order
-    witness = None
-    collision_count = 0
-    for vec in ball.vectors:
-        acc = [0] * width
-        for v, residues in zip(vec, image_residues):
-            if v:
-                for i in range(width):
-                    acc[i] += v * residues[i]
-        rank = encode_residues(spec, tuple(a % d for a, d in zip(acc, factors)))
-        counts[rank] += 1
-        if counts[rank] == 1:
-            first_vector[rank] = vec
-        else:
-            collision_count += 1
-            if witness is None:
-                witness = (first_vector[rank], vec, element_at(spec, rank))
-    uncovered = tuple(element_at(spec, r) for r, c in enumerate(counts) if c == 0)
-    bijective = collision_count == 0 and not uncovered
+    entries = [(i, p, v) for i, vec in enumerate(vectors) for p, v in enumerate(vec) if v]
+    ranks = [0] * order
+    for k, (d, w) in enumerate(zip(spec.invariant_factors, rank_weights(spec))):
+        column = [g.residues[k] for g in phi.images]
+        acc = [0] * order
+        for i, p, v in entries:
+            acc[i] += v * column[p]
+        ranks = [r + a % d * w for r, a in zip(ranks, acc)]
+    covered = set(ranks)
+    if len(covered) == order:
+        return VerificationReport(bijective=True)
+    # order == len(vectors), so a missed rank means some rank is hit twice
+    first = {}
+    for i, rank in enumerate(ranks):
+        if rank in first:
+            break
+        first[rank] = i
+    witness = (vectors[first[rank]], vectors[i], element_at(spec, rank))
     return VerificationReport(
-        bijective=bijective,
-        collisions=(witness,) if witness is not None else (),
-        collision_count=collision_count,
-        uncovered=uncovered,
-        reason=None if bijective else "images of ball vectors do not cover G exactly once",
+        bijective=False,
+        collisions=(witness,),
+        collision_count=order - len(covered),
+        uncovered=tuple(element_at(spec, r) for r in range(order) if r not in covered),
+        reason="images of ball vectors do not cover G exactly once",
     )
 
 

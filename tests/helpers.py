@@ -1,12 +1,28 @@
 """Shared test utilities: reference oracles and input generators."""
 
+from hypothesis import strategies as st
+
 from latile.abelian import (
     GroupSpec,
     decode_rank,
+    elements,
     encode_residues,
     enumerate_abelian_groups,
 )
-from latile.groupring import GroupRingElement
+from latile.analysis import CongruenceCheck, CongruenceReport
+from latile.construct import PdsReport
+from latile.groupring import (
+    GroupRingElement,
+    TilingConditionReport,
+    all_ones,
+    as_code_set,
+    linear_combine,
+    multiply,
+    one,
+    power_map,
+    reduce_mod,
+)
+from latile.tiling import VerificationReport, apply_homomorphism
 
 
 def naive_multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
@@ -44,3 +60,158 @@ def random_ring_element(rng, spec: GroupSpec, low: int = -3, high: int = 3) -> G
     return GroupRingElement(
         spec, tuple(rng.randint(low, high) for _ in range(spec.order))
     )
+
+
+def naive_verify_tiling(phi, ball) -> VerificationReport:
+    """Reference verifier: apply_homomorphism to each ball vector in turn and
+    count the images in a dict."""
+    if ball.n != phi.n:
+        raise ValueError(f"ball dimension {ball.n} != homomorphism dimension {phi.n}")
+    order = phi.spec.order
+    if order != len(ball.vectors):
+        return VerificationReport(
+            bijective=False, reason=f"group order {order} != ball size {len(ball.vectors)}"
+        )
+    first = {}
+    witness = None
+    excess = 0
+    for vec in ball.vectors:
+        g = apply_homomorphism(phi, vec)
+        if g not in first:
+            first[g] = vec
+            continue
+        excess += 1
+        if witness is None:
+            witness = (first[g], vec, g)
+    uncovered = tuple(g for g in elements(phi.spec) if g not in first)
+    if witness is None and not uncovered:
+        return VerificationReport(bijective=True)
+    return VerificationReport(
+        bijective=False,
+        collisions=(witness,) if witness is not None else (),
+        collision_count=excess,
+        uncovered=uncovered,
+        reason="images of ball vectors do not cover G exactly once",
+    )
+
+
+def dense_check_tiling_conditions(code, n: int) -> TilingConditionReport:
+    """Reference tiling-condition check with the right-hand side built by
+    dense linear_combine calls: 2G + T^(2) + (2n-2)e."""
+    t = as_code_set(code)
+    spec = t.spec
+    assert spec.order == 2 * n * n + 1
+    size = sum(t.coefficients)
+    size_ok = size == 2 * n + 1
+    contains_identity = t.coefficients[0] == 1
+    symmetric = power_map(t, -1) == t
+    rhs = linear_combine(2, all_ones(spec), 1, power_map(t, 2))
+    rhs = linear_combine(1, rhs, 2 * n - 2, one(spec))
+    equation_holds = multiply(t, t) == rhs
+    return TilingConditionReport(
+        n=n,
+        size=size,
+        size_ok=size_ok,
+        contains_identity=contains_identity,
+        symmetric=symmetric,
+        equation_holds=equation_holds,
+        passed=size_ok and contains_identity and symmetric and equation_holds,
+    )
+
+
+def dense_check_pds(code, params) -> PdsReport:
+    """Reference PDS check with the right-hand side built by dense
+    linear_combine calls: mu*G + (lambda - mu)*D + (k - mu)*e."""
+    d = as_code_set(code)
+    spec = d.spec
+    assert spec.order == params.v
+    identity_excluded = d.coefficients[0] == 0
+    symmetric = power_map(d, -1) == d
+    size = sum(d.coefficients)
+    size_ok = size == params.k
+    rhs = linear_combine(params.mu, all_ones(spec), params.lam - params.mu, d)
+    rhs = linear_combine(1, rhs, params.k - params.mu, one(spec))
+    equation_holds = multiply(d, d) == rhs
+    return PdsReport(
+        identity_excluded=identity_excluded,
+        symmetric=symmetric,
+        size=size,
+        size_ok=size_ok,
+        equation_holds=equation_holds,
+        passed=identity_excluded and symmetric and size_ok and equation_holds,
+    )
+
+
+def _first_rank_differing_mod3(lhs: GroupRingElement, rhs: GroupRingElement):
+    left = reduce_mod(lhs, 3).coefficients
+    right = reduce_mod(rhs, 3).coefficients
+    return next((r for r, (x, y) in enumerate(zip(left, right)) if x != y), None)
+
+
+def dense_congruence_check(code, n: int) -> CongruenceReport:
+    """Reference mod-3 congruences: both sides built as ring elements by dense
+    linear_combine calls, reduced mod 3 and compared rank by rank."""
+    t = as_code_set(code)
+    spec = t.spec
+    t2, t3, t4 = (power_map(t, k) for k in (2, 3, 4))
+    c_g = (-(4 * n + 2)) % 3
+    c_t = (-(2 * n - 2)) % 3
+    cubic_rhs = linear_combine(1, t3, c_g, all_ones(spec))
+    cubic_rhs = linear_combine(1, cubic_rhs, c_t, t)
+    cubic_rank = _first_rank_differing_mod3(multiply(t2, t), cubic_rhs)
+    d_g = (8 * n * n + 16 * n + 2) % 3
+    d_t = (4 * n - 4) % 3
+    d_e = (4 * n * n - 6 * n + 2) % 3
+    quartic_rhs = linear_combine(1, t4, d_g, all_ones(spec))
+    quartic_rhs = linear_combine(1, quartic_rhs, d_t, t2)
+    quartic_rhs = linear_combine(1, quartic_rhs, d_e, one(spec))
+    quartic_rank = _first_rank_differing_mod3(multiply(t, t3), quartic_rhs)
+    return CongruenceReport(
+        cubic=CongruenceCheck({"G": c_g, "T": c_t}, cubic_rank is None, cubic_rank),
+        quartic=CongruenceCheck(
+            {"G": d_g, "T2": d_t, "e": d_e}, quartic_rank is None, quartic_rank
+        ),
+    )
+
+
+def random_symmetric_set(rng, spec: GroupSpec, density: float = 0.5) -> GroupRingElement:
+    """A random 0/1 element closed under negation: each negation orbit
+    {g, -g}, the identity included, is taken with probability `density`."""
+    factors = spec.invariant_factors
+    coeffs = [0] * spec.order
+    for r in range(spec.order):
+        neg = encode_residues(spec, tuple(-x % d for x, d in zip(decode_rank(spec, r), factors)))
+        if r <= neg and rng.random() < density:
+            coeffs[r] = coeffs[neg] = 1
+    return GroupRingElement(spec, tuple(coeffs))
+
+
+_json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@st.composite
+def _near_maps(draw):
+    """A well-formed map document over a group of order at most 33, with at
+    most one field replaced by arbitrary JSON."""
+    factors = list(draw(st.sampled_from(all_specs_up_to(33))).invariant_factors)
+    n = draw(st.integers(min_value=1, max_value=4))
+    images = [[draw(st.integers(min_value=-5, max_value=40)) for _ in factors] for _ in range(n)]
+    document = {"n": n, "group": {"invariant_factors": factors}, "images": images}
+    field = draw(st.sampled_from([None, "n", "group", "images", "factors", "image"]))
+    if field in ("n", "group", "images"):
+        document[field] = draw(json_values)
+    elif field == "factors":
+        document["group"]["invariant_factors"] = draw(json_values)
+    elif field == "image":
+        images[draw(st.integers(min_value=0, max_value=n - 1))] = draw(json_values)
+    return document
+
+
+# Arbitrary JSON, plus documents shaped like a map, so the loader's later
+# checks and the verifier are reached as well as its first checks.
+map_documents = json_values | _near_maps()

@@ -1,6 +1,10 @@
 """Tests for coefficient spectra, counting identities, and mod-3 congruences."""
 
+import random
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latile.abelian import GroupElement, GroupSpec, negate, rank_of
 from latile.analysis import (
@@ -21,6 +25,8 @@ from latile.groupring import (
     power_map,
 )
 from latile.tiling import induced_code_set
+
+from helpers import all_specs_up_to, dense_congruence_check, random_symmetric_set
 
 
 def golay_code():
@@ -148,6 +154,28 @@ class TestCongruences:
         assert not report.all_hold
         failing = report.cubic if not report.cubic.holds else report.quartic
         assert failing.first_mismatch_rank is not None
+
+    @pytest.mark.parametrize("code", [golay_code, corrupted_golay_code])
+    def test_golay_codes_match_the_dense_oracle(self, code):
+        """first_mismatch_rank, holds and the scalars agree with the
+        reduce_mod-and-compare formula, congruence by congruence."""
+        assert congruence_check(code(), 11) == dense_congruence_check(code(), 11)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(all_specs_up_to(40)),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([0.1, 0.3, 0.6]),
+    )
+    def test_random_symmetric_sets_match_the_dense_oracle(self, spec, n, seed, density):
+        code = random_symmetric_set(random.Random(seed), spec, density)
+        assert congruence_check(code, n) == dense_congruence_check(code, n)
+
+    @pytest.mark.parametrize("bad", [11.0, "11"])
+    def test_non_integer_dimension_rejected(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"dimensions must be integers, got {bad!r}")):
+            congruence_check(golay_code(), bad)
 
     def test_scalars_depend_on_n_mod_3(self):
         spec = GroupSpec((19,))

@@ -1,13 +1,19 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import contextlib
 import io
 import json
 import multiprocessing
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
 
 import latile.cli
 from latile.cli import main
+from latile.tiling import TilingHomomorphism
+
+from helpers import map_documents
 
 
 def run(capsys, *argv):
@@ -252,6 +258,28 @@ class TestBadInput:
         code, _, stderr = run(capsys, "verify", "-")
         assert code == 2
         assert "standard input is not valid JSON" in stderr
+
+    @settings(max_examples=300, deadline=None)
+    @given(map_documents)
+    def test_verify_on_arbitrary_json_loads_or_exits_2(self, document):
+        """A document the loader accepts is verified (exit 0 or 1, or 2 for a
+        dimension with no default ball); any other exits 2 with a message.
+        Never exit 3, whatever the JSON holds."""
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(json.dumps(document))):
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(["verify", "-"])
+        try:
+            phi = TilingHomomorphism.from_dict(document)
+        except ValueError:
+            phi = None
+        if phi is None or phi.n < 2:
+            assert code == 2
+            assert stdout.getvalue() == ""
+            assert stderr.getvalue().startswith("latile: error: ")
+        else:
+            assert code in (0, 1)
+            assert json.loads(stdout.getvalue())["bijective"] is (code == 0)
 
     @pytest.mark.parametrize("value", ["x", "0", "-1", "1.5", "²"])
     def test_bad_thread_count_is_a_usage_error(self, capsys, monkeypatch, value):

@@ -1,6 +1,10 @@
 """Tests for the explicit order-243 construction and partial difference sets."""
 
+import random
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latile.abelian import GroupElement, GroupSpec
 from latile.ball import generate_ball
@@ -21,6 +25,8 @@ from latile.groupring import (
     star,
 )
 from latile.tiling import induced_code_set, verify_tiling
+
+from helpers import all_specs_up_to, dense_check_pds, random_symmetric_set
 
 
 class TestGolayDerivation:
@@ -136,3 +142,50 @@ class TestPartialDifferenceSets:
     def test_lambda_key_in_dict(self):
         d = PdsParameters(243, 22, 1, 2).as_dict()
         assert d == {"v": 243, "k": 22, "lambda": 1, "mu": 2}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(all_specs_up_to(40)),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([0.1, 0.3, 0.6]),
+    st.booleans(),
+    st.data(),
+)
+def test_pds_report_matches_the_dense_oracle(spec, seed, density, starred, data):
+    """Every field of the report agrees with the dense linear_combine formula."""
+    d = random_symmetric_set(random.Random(seed), spec, density)
+    if starred:
+        d = star(d)
+    v = spec.order
+    k = data.draw(st.integers(min_value=0, max_value=v - 1))
+    lam = data.draw(st.integers(min_value=-1, max_value=k))
+    mu = data.draw(st.integers(min_value=-1, max_value=k))
+    params = PdsParameters(v, k, lam, mu)
+    assert check_pds(d, params) == dense_check_pds(d, params)
+
+
+def test_pds_report_matches_the_dense_oracle_on_known_sets():
+    from test_analysis import corrupted_golay_code, golay_code
+
+    spec = GroupSpec((13,))
+    paley = GroupRingElement(spec, tuple(int(r in (1, 3, 4, 9, 10, 12)) for r in range(13)))
+    cases = [
+        (star(golay_code()), tiling_pds_parameters(11), True),
+        (star(corrupted_golay_code()), tiling_pds_parameters(11), False),
+        (paley, PdsParameters(13, 6, 2, 3), True),
+        (paley, PdsParameters(13, 6, 3, 2), False),
+    ]
+    for d, params, passed in cases:
+        report = check_pds(d, params)
+        assert report == dense_check_pds(d, params)
+        assert report.passed is report.equation_holds is passed
+
+
+@pytest.mark.parametrize("field", ["k", "lam", "mu"])
+def test_pds_rejects_non_integer_parameters(field):
+    spec = GroupSpec((13,))
+    d = GroupRingElement(spec, (0,) * 13)
+    values = {"v": 13, "k": 6, "lam": 2, "mu": 3, field: 2.5}
+    with pytest.raises(ValueError, match=re.escape("PDS parameters must be integers, got 2.5")):
+        check_pds(d, PdsParameters(**values))

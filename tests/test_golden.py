@@ -1,10 +1,13 @@
 """The CLI's JSON, byte for byte, against files in tests/golden/.
 
-Each file is the full stdout of one run: `latile analyze -` on the Golay map
-(`latile construct golay11 | latile analyze -`) and on the Golay map with one
-image swapped, and `latile certify -n N` for N = 3 (a infinite), 14 (a = 26),
-282 (INCONCLUSIVE, with a witness) and 11 (INAPPLICABLE).  A change that
-alters one of them changes the JSON that users read.
+Each file is the full stdout of one run: `latile analyze -` and
+`latile verify -` on the Golay map (`latile construct golay11 | latile
+analyze -`) and on the Golay map with one image swapped, and `latile
+certify -n N` for N = 3 (a infinite), 14 (a = 26), 282 (INCONCLUSIVE, with a
+witness) and 11 (INAPPLICABLE).  The swapped map's verify file pins the
+first collision witness and the order of the uncovered elements, and that
+run exits 1.  A change that alters one of them changes the JSON that users
+read.
 """
 
 import io
@@ -36,6 +39,19 @@ def stdout_of(capsys, argv) -> str:
 def test_analyze_output_is_golden(capsys, monkeypatch, name, phi):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(phi().as_dict())))
     assert stdout_of(capsys, ["analyze", "-"]) == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize(
+    "name, phi, exit_code",
+    [
+        ("verify_golay11.json", golay11_tiling, 0),
+        ("verify_golay11_one_image_swapped.json", golay_with_one_image_swapped, 1),
+    ],
+)
+def test_verify_output_is_golden(capsys, monkeypatch, name, phi, exit_code):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(phi().as_dict())))
+    assert main(["verify", "-"]) == exit_code
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()
 
 
 @pytest.mark.parametrize("n", [3, 11, 14, 282])

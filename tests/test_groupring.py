@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -27,7 +28,14 @@ from latile.groupring import (
 )
 from latile.tiling import induced_code_set
 
-from helpers import all_specs_up_to, naive_multiply, naive_power_map, random_ring_element
+from helpers import (
+    all_specs_up_to,
+    dense_check_tiling_conditions,
+    naive_multiply,
+    naive_power_map,
+    random_ring_element,
+    random_symmetric_set,
+)
 
 Z5 = GroupSpec((5,))
 Z19 = GroupSpec((19,))
@@ -87,6 +95,20 @@ class TestLinearCombine:
         with pytest.raises(Exception):
             linear_combine(1, one(Z5), 1, one(Z19))
 
+    @pytest.mark.parametrize(
+        "c1, c2, bad", [(1.5, 1, 1.5), (1, 1.5, 1.5), (1, "2", "2"), (None, 1, None), (2.0, 3, 2.0)]
+    )
+    def test_non_integer_scalars_rejected(self, c1, c2, bad):
+        """The error names the bad scalar, not a coefficient of the result."""
+        a = ring(Z5, 1, 2, 0, -1, 4)
+        with pytest.raises(ValueError, match=re.escape(f"scalars must be integers, got {bad!r}")):
+            linear_combine(c1, a, c2, one(Z5))
+
+    def test_integer_like_scalars_become_ints(self):
+        c = linear_combine(True, ring(Z5, 1, 2, 0, -1, 4), 2**70, one(Z5))
+        assert c.coefficients == (1 + 2**70, 2, 0, -1, 4)
+        assert all(type(x) is int for x in c.coefficients)
+
 
 class TestMultiply:
     def test_identity_law(self):
@@ -125,6 +147,32 @@ class TestUnaryOps:
         assert reduce_mod(a, 3) == ring(Z5, 2, 2, 1, 0, 0)
         with pytest.raises(ValueError):
             reduce_mod(a, 1)
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, "3", None])
+    def test_reduce_mod_rejects_non_integer_moduli(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"moduli must be integers, got {bad!r}")):
+            reduce_mod(ring(Z5, 5, -1, 7, 3, 0), bad)
+
+    def test_results_are_tuples_of_ints(self):
+        """Results skip re-validation, so they must already be what the
+        public constructor would store."""
+        a = ring(Z5, 5, -1, 7, 3, 0)
+        b = ring(Z5, 1, 0, 2, 0, -3)
+        results = [
+            linear_combine(2, a, -1, b),
+            multiply(a, b),
+            power_map(a, 3),
+            star(a),
+            reduce_mod(a, 4),
+            from_multiset(Z5, support(b)),
+            zero(Z5),
+            one(Z5),
+            all_ones(Z5),
+        ]
+        for c in results:
+            assert type(c.coefficients) is tuple
+            assert all(type(x) is int for x in c.coefficients)
+            assert GroupRingElement(c.spec, c.coefficients) == c
 
     def test_power_map_examples(self):
         a = ring(Z5, 0, 1, 1, 0, 0)
@@ -338,3 +386,51 @@ class TestTilingConditions:
                 assert square.coefficients[r] == 3
             else:
                 assert square.coefficients[r] == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([0.05, 0.2, 0.5, 0.9]),
+    st.booleans(),
+    st.data(),
+)
+def test_tiling_conditions_match_the_dense_oracle(n, seed, density, symmetric, data):
+    """Every field of the report agrees with the dense linear_combine formula,
+    on symmetric sets and on arbitrary 0/1 sets."""
+    spec = data.draw(st.sampled_from(enumerate_abelian_groups(2 * n * n + 1)))
+    rng = random.Random(seed)
+    if symmetric:
+        code = random_symmetric_set(rng, spec, density)
+    else:
+        code = GroupRingElement(spec, tuple(int(rng.random() < density) for _ in range(spec.order)))
+    assert check_tiling_conditions(code, n) == dense_check_tiling_conditions(code, n)
+
+
+def test_tiling_conditions_match_the_dense_oracle_on_golay_codes():
+    from test_analysis import corrupted_golay_code, golay_code
+
+    for code in (golay_code(), corrupted_golay_code()):
+        report = check_tiling_conditions(code, 11)
+        assert report == dense_check_tiling_conditions(code, 11)
+    assert check_tiling_conditions(golay_code(), 11).equation_holds
+    assert not report.equation_holds and not report.passed
+
+
+def test_tiling_conditions_hold_for_small_tilings():
+    """n = 1 and n = 2 have tilings, so the oracle comparison above also
+    meets equation_holds = True away from n = 11."""
+    assert check_tiling_conditions(all_ones(GroupSpec((3,))), 1).passed
+    z9 = GroupSpec((9,))
+    code = GroupRingElement(z9, tuple(int(r in (0, 1, 8, 3, 6)) for r in range(9)))
+    assert check_tiling_conditions(code, 2).passed
+    assert check_tiling_conditions(code, 2) == dense_check_tiling_conditions(code, 2)
+
+
+@pytest.mark.parametrize("bad", [11.0, "11"])
+def test_tiling_conditions_reject_a_non_integer_dimension(bad):
+    from test_analysis import golay_code
+
+    with pytest.raises(ValueError, match=re.escape(f"dimensions must be integers, got {bad!r}")):
+        check_tiling_conditions(golay_code(), bad)

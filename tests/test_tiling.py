@@ -11,6 +11,7 @@ from latile.abelian import (
     GroupSpec,
     add,
     elements,
+    enumerate_abelian_groups,
     identity,
     rank_of,
     scalar_mul,
@@ -26,7 +27,11 @@ from latile.tiling import (
     verify_tiling,
 )
 
+from helpers import all_specs_up_to, map_documents, naive_verify_tiling
+from test_search import golay_with_one_image_swapped
+
 Z3 = GroupSpec((3,))
+SMALL_SPECS = all_specs_up_to(40)
 
 
 def hom(spec, image_residues):
@@ -119,6 +124,47 @@ class TestVerify:
         report = verify_tiling(phi, generate_ball(3, 2, 1, 1))
         json.dumps(report.as_dict())
 
+    @pytest.mark.parametrize(
+        "phi, ball",
+        [
+            (golay11_tiling(), (11, 2, 1, 1)),
+            (golay_with_one_image_swapped(), (11, 2, 1, 1)),
+            (hom(GroupSpec((3, 3, 3, 3, 3)), [(0,) * 5] * 11), (11, 2, 1, 1)),
+            (hom(Z3, [(1,)]), (1, 1, 1, 1)),
+            (hom(GroupSpec((9,)), [(1,), (3,)]), (2, 2, 1, 1)),
+            (hom(GroupSpec((3, 3)), [(1, 0), (0, 1)]), (2, 2, 1, 1)),
+            (hom(GroupSpec((4,)), [(1,)]), (1, 1, 2, 1)),
+            (hom(GroupSpec((2, 2)), [(1, 1)]), (1, 1, 2, 1)),
+            (hom(GroupSpec(()), [(), ()]), (2, 0, 0, 0)),
+            (hom(GroupSpec(()), [()]), (1, 1, 1, 0)),
+            (hom(GroupSpec((5,)), [(1,), (2,), (3,)]), (3, 2, 1, 1)),
+        ],
+    )
+    def test_known_maps_match_the_naive_oracle(self, phi, ball):
+        """Bijections, collisions and an order mismatch, in cyclic,
+        non-cyclic and trivial groups."""
+        ball = generate_ball(*ball)
+        assert verify_tiling(phi, ball) == naive_verify_tiling(phi, ball)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_report_matches_the_naive_oracle(self, data):
+        t = data.draw(st.sampled_from([0, 1, 2, 3]), label="t")
+        n = data.draw(st.integers(min_value=max(t, 1), max_value=4), label="n")
+        k_plus = data.draw(st.integers(min_value=int(t >= 1), max_value=3), label="k_plus")
+        k_minus = data.draw(st.integers(min_value=0, max_value=k_plus), label="k_minus")
+        ball = generate_ball(n, t, k_plus, k_minus)
+        # mostly groups of the ball's size, so the counting path runs
+        if data.draw(st.integers(0, 3), label="matched") > 0:
+            specs = enumerate_abelian_groups(len(ball))
+        else:
+            specs = SMALL_SPECS
+        spec = data.draw(st.sampled_from(specs), label="group")
+        residues = [st.integers(min_value=-2 * d, max_value=2 * d) for d in spec.invariant_factors]
+        images = [tuple(data.draw(r) for r in residues) for _ in range(n)]
+        phi = hom(spec, images)
+        assert verify_tiling(phi, ball) == naive_verify_tiling(phi, ball)
+
 
 class TestSerialization:
     def test_round_trip(self):
@@ -140,6 +186,17 @@ class TestSerialization:
         mangle(d)
         with pytest.raises(ValueError):
             TilingHomomorphism.from_dict(d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(map_documents)
+    def test_arbitrary_json_loads_or_raises_value_error(self, document):
+        """Never KeyError, TypeError or anything but ValueError with a message."""
+        try:
+            phi = TilingHomomorphism.from_dict(document)
+        except ValueError as exc:
+            assert str(exc)
+        else:
+            assert TilingHomomorphism.from_dict(json.loads(json.dumps(phi.as_dict()))) == phi
 
     def test_dict_shape(self):
         d = golay11_tiling().as_dict()
