@@ -22,7 +22,7 @@ from .abelian import as_integers
 from .groupring import (
     CodeSetLike,
     GroupRingElement,
-    OrderMismatchError,
+    _tiling_dimension,
     as_code_set,
     multiply,
     power_map,
@@ -91,12 +91,8 @@ def spectrum_identity_checks(code: CodeSetLike, n: int) -> SpectrumReport:
     All three are reported with both sides; nothing is asserted.
     """
     t = as_code_set(code)
-    spec = t.spec
+    n = _tiling_dimension(t.spec, n)
     expected_order = 2 * n * n + 1
-    if spec.order != expected_order:
-        raise OrderMismatchError(
-            f"group order {spec.order} != 2*{n}^2+1 = {expected_order}"
-        )
     t2 = power_map(t, 2)
     partition = coefficient_partition(multiply(t, t2))
     beta = _beta(t, t2)

@@ -24,7 +24,7 @@ deterministic trial division, never by a probabilistic test.
 
 Certificates are meant to be re-checked from scratch: validate_certificate
 shares no code with the builder's parameter search.  It re-derives b and a
-by an O(p) scan over the powers of 4 and every other field independently,
+by one O(p) walk over the powers of 4, and every other field independently,
 and returns a list of discrepancies.
 """
 
@@ -214,8 +214,9 @@ def validate_certificate(cert: NonexistenceCertificate) -> list[str]:
     """Re-derive every certificate field independently; list discrepancies.
 
     An empty list means the certificate is sound.  The validator shares no
-    state with the builder: primality, the order of 4, the a-scan, the ell
-    range, and every row's representability are recomputed from scratch.
+    state with the builder: primality, b and a (from one walk over the
+    powers of 4 mod p), the ell range, and every row's representability are
+    recomputed from scratch.
     """
     problems = []
     n = cert.n
@@ -234,19 +235,21 @@ def validate_certificate(cert: NonexistenceCertificate) -> list[str]:
         return problems
     if cert.m != order // cert.p:
         problems.append(f"m = {cert.m} != {order}//{cert.p}")
-    b = 1
-    value = 4 % cert.p
-    while value != 1:
-        value = value * 4 % cert.p
-        b += 1
-    if cert.b != b:
-        problems.append(f"b = {cert.b} but the order of 4 mod {cert.p} is {b}")
+    # One walk over 4^k mod p from k = 0 until the value returns to 1 at
+    # k = b.  The powers before that are distinct, so 4n+2 is met at most
+    # once, and the k that meets it is a.
     target_residue = (4 * n + 2) % cert.p
     a: Union[int, float] = INFINITE
-    for k in range(b):
-        if pow(4, k, cert.p) == target_residue:
-            a = k
+    b, value = 0, 1
+    while True:
+        if value == target_residue:
+            a = b
+        value = value * 4 % cert.p
+        b += 1
+        if value == 1:
             break
+    if cert.b != b:
+        problems.append(f"b = {cert.b} but the order of 4 mod {cert.p} is {b}")
     if cert.a != a:
         problems.append(f"a = {cert.a} but the scan over one period gives {a}")
     ell_max = _ell_bound(n, order // cert.p)

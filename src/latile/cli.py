@@ -10,7 +10,8 @@ an -n below 3 or a --budget below 1 for search and certify, a malformed map
 file, --ball or LATILE_THREADS, a LATILE_THREADS above the core count, ball
 parameters that name no ball, and a map whose dimension has no default ball
 for verify without --ball), 3 internal error.  search runs serially unless
-LATILE_THREADS asks for workers.
+LATILE_THREADS asks for workers.  verify compares the ball's closed-form
+size with the group order before it builds the ball.
 """
 
 import argparse
@@ -23,12 +24,12 @@ from .analysis import (
     cube_multiplicity_check,
     spectrum_identity_checks,
 )
-from .ball import ErrorBall, generate_ball
+from .ball import ball_size, generate_ball
 from .certify import certify_nonexistence
 from .construct import check_pds, golay11_tiling, tiling_pds_parameters
 from .groupring import as_code_set, check_tiling_conditions, star
 from .search import DEFAULT_BUDGET, search_tilings
-from .tiling import TilingHomomorphism, induced_code_set, verify_tiling
+from .tiling import TilingHomomorphism, induced_code_set, size_mismatch_report, verify_tiling
 
 
 def _emit(payload: dict, out_path) -> None:
@@ -87,8 +88,9 @@ def _int_at_least(minimum: int):
     return convert
 
 
-def _parse_ball(text: str, n: int) -> ErrorBall:
-    """The ball named by --ball n,t,k+,k-, for a map of dimension n."""
+def _parse_ball(text: str, n: int) -> tuple[tuple[int, ...], int]:
+    """The parameters of the ball named by --ball n,t,k+,k-, for a map of
+    dimension n, and the ball's size."""
     try:
         parts = [int(part) for part in text.split(",")]
     except ValueError:
@@ -98,7 +100,7 @@ def _parse_ball(text: str, n: int) -> ErrorBall:
     if parts[0] != n:
         raise UsageError(f"--ball dimension {parts[0]} != map dimension {n}")
     try:
-        return generate_ball(*parts)
+        return tuple(parts), ball_size(*parts)
     except ValueError as exc:
         raise UsageError(f"--ball {text}: {exc}") from None
 
@@ -135,17 +137,22 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-def _default_ball(n: int) -> ErrorBall:
+def _default_ball(n: int) -> tuple[tuple[int, ...], int]:
+    """The parameters of B(n,2,1,1) and its size."""
     try:
-        return generate_ball(n, 2, 1, 1)
+        return (n, 2, 1, 1), ball_size(n, 2, 1, 1)
     except ValueError as exc:
         raise UsageError(f"map dimension {n} has no default ball ({exc}); use --ball") from None
 
 
 def _cmd_verify(args) -> int:
     phi = _load_homomorphism(args.map)
-    ball = _parse_ball(args.ball, phi.n) if args.ball else _default_ball(phi.n)
-    report = verify_tiling(phi, ball)
+    parameters, size = _parse_ball(args.ball, phi.n) if args.ball else _default_ball(phi.n)
+    order = phi.spec.order
+    if size == order:
+        report = verify_tiling(phi, generate_ball(*parameters))
+    else:  # the closed-form size settles it; the ball is never built
+        report = size_mismatch_report(order, size)
     _emit(report.as_dict(), None)
     return 0 if report.bijective else 1
 
@@ -254,7 +261,7 @@ def main(argv=None) -> int:
         print(f"latile: error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        print(f"latile: error: {exc}", file=sys.stderr)
+        print(f"latile: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

@@ -225,6 +225,17 @@ class TilingConditionReport:
         return asdict(self)
 
 
+def _tiling_dimension(spec: GroupSpec, n: int) -> int:
+    """n as an integer, once the group order is checked to be 2n^2+1."""
+    (n,) = as_integers((n,), "dimensions")
+    expected_order = 2 * n * n + 1
+    if spec.order != expected_order:
+        raise OrderMismatchError(
+            f"group order {spec.order} != 2*{n}^2+1 = {expected_order}"
+        )
+    return n
+
+
 def check_tiling_conditions(code: CodeSetLike, n: int) -> TilingConditionReport:
     """Check the four conditions equivalent to T tiling Z^n with B(n,2,1,1).
 
@@ -233,13 +244,8 @@ def check_tiling_conditions(code: CodeSetLike, n: int) -> TilingConditionReport:
     then meaningless rather than negative.
     """
     t = as_code_set(code)
-    (n,) = as_integers((n,), "dimensions")
     spec = t.spec
-    expected_order = 2 * n * n + 1
-    if spec.order != expected_order:
-        raise OrderMismatchError(
-            f"group order {spec.order} != 2*{n}^2+1 = {expected_order}"
-        )
+    n = _tiling_dimension(spec, n)
     ranks = [r for r, c in enumerate(t.coefficients) if c]
     size = len(ranks)
     size_ok = size == 2 * n + 1

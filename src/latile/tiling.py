@@ -135,6 +135,11 @@ class VerificationReport:
         }
 
 
+def size_mismatch_report(order: int, size: int) -> VerificationReport:
+    """The report for a ball whose size is not the group order: no bijection."""
+    return VerificationReport(bijective=False, reason=f"group order {order} != ball size {size}")
+
+
 def verify_tiling(phi: TilingHomomorphism, ball: ErrorBall) -> VerificationReport:
     """Check that phi restricted to the ball is a bijection onto G.
 
@@ -151,10 +156,7 @@ def verify_tiling(phi: TilingHomomorphism, ball: ErrorBall) -> VerificationRepor
     order = spec.order
     vectors = ball.vectors
     if order != len(vectors):
-        return VerificationReport(
-            bijective=False,
-            reason=f"group order {order} != ball size {len(vectors)}",
-        )
+        return size_mismatch_report(order, len(vectors))
     entries = [(i, p, v) for i, vec in enumerate(vectors) for p, v in enumerate(vec) if v]
     ranks = [0] * order
     for k, (d, w) in enumerate(zip(spec.invariant_factors, rank_weights(spec))):

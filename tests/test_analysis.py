@@ -172,10 +172,18 @@ class TestCongruences:
         code = random_symmetric_set(random.Random(seed), spec, density)
         assert congruence_check(code, n) == dense_congruence_check(code, n)
 
-    @pytest.mark.parametrize("bad", [11.0, "11"])
-    def test_non_integer_dimension_rejected(self, bad):
+    @pytest.mark.parametrize(
+        "check, bad",
+        [
+            pytest.param(congruence_check, 11.0, id="11.0"),
+            pytest.param(congruence_check, "11", id="11"),
+            pytest.param(spectrum_identity_checks, 11.0, id="spectrum-11.0"),
+            pytest.param(spectrum_identity_checks, "11", id="spectrum-11"),
+        ],
+    )
+    def test_non_integer_dimension_rejected(self, check, bad):
         with pytest.raises(ValueError, match=re.escape(f"dimensions must be integers, got {bad!r}")):
-            congruence_check(golay_code(), bad)
+            check(golay_code(), bad)
 
     def test_scalars_depend_on_n_mod_3(self):
         spec = GroupSpec((19,))

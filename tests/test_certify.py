@@ -255,7 +255,7 @@ class TestCertify:
 
 class TestValidator:
     def test_accepts_every_emitted_certificate(self):
-        for n in range(3, 31):
+        for n in range(3, 401):
             cert = certify_nonexistence(n)
             if cert is not None:
                 assert validate_certificate(cert) == []
@@ -270,6 +270,22 @@ class TestValidator:
     def test_rejects_wrong_a(self):
         cert = dataclasses.replace(self.base(), a=2)
         assert validate_certificate(cert)
+
+    # n = 282, p = 761 has a = 137 and b = 190: each forgery below keeps
+    # the rows and the conclusion, so only the walk over 4^k can catch it.
+    @pytest.mark.parametrize(
+        "forged, message",
+        [
+            ({"a": 137 + 190}, "a = 327 but the scan over one period gives 137"),
+            ({"a": INFINITE}, "a = inf but the scan over one period gives 137"),
+            ({"b": 2 * 190}, "b = 380 but the order of 4 mod 761 is 190"),
+        ],
+        ids=["a-plus-b", "a-infinite", "twice-b"],
+    )
+    def test_rejects_parameters_only_the_walk_catches(self, forged, message):
+        cert = build_certificate(282, 761)
+        assert (cert.a, cert.b) == (137, 190)
+        assert validate_certificate(dataclasses.replace(cert, **forged)) == [message]
 
     def test_rejects_flipped_conclusion(self):
         cert = dataclasses.replace(self.base(), conclusion=INCONCLUSIVE)
@@ -313,7 +329,14 @@ class TestValidator:
             n=5, order=51, p=3, m=17, a=0, b=1, ell_max=2, rows=rows,
             conclusion=NONEXISTENCE, p_exceeds_2n_plus_1=True,
         )
-        assert "p = 3 <= 2n+1 = 11" in validate_certificate(cert)
+        # 4 = 1 (mod 3), so the walk gives b = 1 and meets 4n+2 = 1 at a = 0:
+        # with a = 0 every target is a multiple of b, so every row is wrong
+        assert validate_certificate(cert) == [
+            "p = 3 <= 2n+1 = 11",
+            "row ell=0: representable=False, recheck says True",
+            "row ell=1: representable=False, recheck says True",
+            "row ell=2: representable=False, recheck says True",
+        ]
 
 
 def test_survey_of_applicable_n_up_to_sixty():

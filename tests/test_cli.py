@@ -7,11 +7,13 @@ import multiprocessing
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import latile.cli
+from latile.ball import generate_ball
 from latile.cli import main
-from latile.tiling import TilingHomomorphism
+from latile.construct import golay11_tiling
+from latile.tiling import TilingHomomorphism, verify_tiling
 
 from helpers import map_documents
 
@@ -71,6 +73,44 @@ class TestConstructVerify:
         code, _, stderr = run(capsys, "verify", str(tmp_path / "nope.json"))
         assert code == 3
         assert "latile: error" in stderr
+
+    def test_size_mismatch_report_is_the_verifiers(self, capsys, tmp_path):
+        out = tmp_path / "map.json"
+        run(capsys, "construct", "golay11", "-o", str(out))
+        code, stdout, _ = run(capsys, "verify", str(out), "--ball", "11,1,1,1")
+        assert code == 1
+        report = verify_tiling(golay11_tiling(), generate_ball(11, 1, 1, 1))
+        assert stdout == json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
+        assert report.reason == "group order 243 != ball size 23"
+
+    @pytest.mark.parametrize(
+        "document, ball, reason",
+        [
+            (None, ["--ball", "11,2,1000000,0"], "group order 243 != ball size 55000011000001"),
+            (
+                {"n": 2000, "group": {"invariant_factors": [3]}, "images": [[1]] * 2000},
+                [],
+                "group order 3 != ball size 8000001",
+            ),
+        ],
+        ids=["ball-option", "default-ball"],
+    )
+    def test_ball_size_is_checked_before_the_ball_is_built(
+        self, capsys, tmp_path, monkeypatch, document, ball, reason
+    ):
+        out = tmp_path / "map.json"
+        if document is None:
+            run(capsys, "construct", "golay11", "-o", str(out))
+        else:
+            out.write_text(json.dumps(document))
+
+        def no_ball(*args):
+            raise AssertionError(f"generate_ball{args} was called")
+
+        monkeypatch.setattr(latile.cli, "generate_ball", no_ball)
+        code, stdout, _ = run(capsys, "verify", str(out), *ball)
+        assert code == 1
+        assert json.loads(stdout)["reason"] == reason
 
 
 class TestSearchCommand:
@@ -178,6 +218,19 @@ class TestAnalyzeCommand:
         report = json.loads(stdout)
         assert "code_set_error" in report
 
+    def test_exception_without_a_message_is_named(self, capsys, tmp_path, monkeypatch):
+        out = tmp_path / "map.json"
+        run(capsys, "construct", "golay11", "-o", str(out))
+
+        def out_of_memory(phi):
+            raise MemoryError()
+
+        monkeypatch.setattr(latile.cli, "induced_code_set", out_of_memory)
+        code, stdout, stderr = run(capsys, "analyze", str(out))
+        assert code == 3
+        assert stdout == ""
+        assert stderr == "latile: error: MemoryError\n"
+
 
 class TestBallCommand:
     def test_small_ball(self, capsys):
@@ -275,6 +328,32 @@ class TestBadInput:
             phi = None
         if phi is None or phi.n < 2:
             assert code == 2
+            assert stdout.getvalue() == ""
+            assert stderr.getvalue().startswith("latile: error: ")
+        else:
+            assert code in (0, 1)
+            assert json.loads(stdout.getvalue())["bijective"] is (code == 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.text()
+        | st.lists(
+            st.integers(min_value=0, max_value=11) | st.integers(), min_size=1, max_size=6
+        ).map(lambda parts: ",".join(map(str, parts)))
+        | st.lists(st.integers(), min_size=3, max_size=3).map(
+            lambda parts: ",".join(map(str, [11, *parts]))
+        )
+    )
+    def test_verify_with_arbitrary_ball_text_never_exits_3(self, text):
+        """latile verify <golay map> --ball <text> gives a report (exit 0 or
+        1) or exits 2 with a message.  The ball's closed-form size is checked
+        against the group order first, so integers of any size are safe."""
+        stdout, stderr = io.StringIO(), io.StringIO()
+        golay = json.dumps(golay11_tiling().as_dict())
+        with mock.patch("sys.stdin", io.StringIO(golay)):
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(["verify", "-", f"--ball={text}"])
+        if code == 2:
             assert stdout.getvalue() == ""
             assert stderr.getvalue().startswith("latile: error: ")
         else:
