@@ -147,7 +147,7 @@ def _default_ball(n: int) -> tuple[tuple[int, ...], int]:
 
 def _cmd_verify(args) -> int:
     phi = _load_homomorphism(args.map)
-    parameters, size = _parse_ball(args.ball, phi.n) if args.ball else _default_ball(phi.n)
+    parameters, size = _default_ball(phi.n) if args.ball is None else _parse_ball(args.ball, phi.n)
     order = phi.spec.order
     if size == order:
         report = verify_tiling(phi, generate_ball(*parameters))

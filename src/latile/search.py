@@ -43,9 +43,9 @@ indices, then descends into the survivors, and each child tests only the
 survivors after its own pair.  A survivor with too few survivors after it
 to fill a candidate heads no leaf, and its subtree is counted at once.  The
 indices a child does not test are counted for it, so the count is still
-summed from the walk.  The root's floor sentinels (below) are replaced
-under the first pair, so the root's children, and the first depth below a
-prefix, test every index after their pair.
+summed from the walk.  The root's children, and the first depth below a
+prefix, test every index after their pair that the first pair allows
+(below); the covered mask holds pair sums and nothing else.
 
 A surviving leaf is read as a map phi: Z^n -> G sending e_i to the first
 element of the i-th chosen pair, and re-verified by two independent
@@ -67,35 +67,38 @@ The reduction also prunes inside the scan.  Pair j's orbit floor is the
 least pair a multiplier maps it to.  A candidate whose least pair is c is
 the minimum of its orbit only if no multiplier maps any of its pairs below
 c: the image would then start below c and so precede it.  Every pair j of
-a canonical candidate therefore has floor(j) >= c, so the scan rejects c
-at the root when floor(c) < c, and below a first pair c rejects every j
-with floor(j) < c.  The rule is necessary, not sufficient, so the leaf
-keeps its full orbit test, and a rejected subtree is counted like any
-other.
+a canonical candidate therefore has floor(j) >= c, and floor(c) = c.  One
+table holds the rule: allowed[c] lists the pairs j > c with floor(j) >= c,
+and is empty when floor(c) < c.  The root tries only the first pairs c
+whose allowed[c] can fill a candidate, and below c the scan never tests a
+pair that allowed[c] leaves out; a prefix's own indices must pass the same
+table.  The pairs left out are skipped, not tested, and their candidates
+are counted with the node's other rejections.  The rule is necessary, not
+sufficient, so the leaf keeps its full orbit test.
 
 Every table a scan reads (the layout's shifts and folds, the doubled
-ranks, the multiplier permutations, the floors and their sentinels, the
-subtree counts) comes from one read-only object per group, n and reduction
-setting, made at its first use in a process and kept for the next scans:
-a parallel run's tasks, or a forked worker whose parent split the run by
-the same floors.  A scan without reduction never makes the multiplier
-permutations.
+ranks, the multiplier permutations, the floors and the pairs they allow,
+the subtree counts) comes from one read-only object per group, n and
+reduction setting, made at its first use in a process and kept for the
+next scans: a parallel run's tasks, or a forked worker whose parent split
+the run by the same tables.  A scan without reduction never makes the
+multiplier permutations.
 
 The scan's unit of work is a prefix of pair indices, walked by the same
 node rule as the pairs below it: at a prefix depth the only index is the
-prefix's own, and a rejection there, by the packing or by a floor, drops
-the prefix's whole count.  So a planted prefix checks the scan's own rule.
-A serial run scans the empty prefix; parallel runs cut the space into runs
-of prefixes with similar counts of the candidates the floors leave, and
-merge them in prefix order, so the output is identical to a serial run.
+prefix's own, and a rejection there, by the packing or by the allowed
+pairs, drops the prefix's whole count.  So a planted prefix checks the
+scan's own rule.  A serial run scans the empty prefix; parallel runs cut
+the space into runs of prefixes with similar counts of the candidates the
+floors leave, and merge them in prefix order, so the output is identical
+to a serial run.
 """
 
-import operator
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import comb, gcd
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -235,7 +238,7 @@ def dual_verify_candidate(phi: TilingHomomorphism, ball: ErrorBall) -> bool:
 class _Layout(NamedTuple):
     """Where each element sits in the scan's two masks (see _padded_layout)."""
 
-    size: int  # the bits the elements span; pair j's floor sentinel is bit size + j
+    size: int  # the bits the elements span
     shifts: tuple[int, ...]  # shifts[r]: rank r's bit in a chosen mask, the shift that adds r
     folds: tuple[tuple[int, int, int], ...]  # per coordinate: low half, high half, shift
 
@@ -274,8 +277,9 @@ class ScanTables(NamedTuple):
     """The read-only tables a scan of one group at one n reads.
 
     The masks follow _padded_layout: a chosen mask holds one bit per
-    element, a covered mask 2^k, and bit size + j of a covered mask is pair
-    j's floor sentinel (see scan_tables).
+    element and a covered mask 2^k.  The orbit floors reach the scan only
+    through `allowed`: allowed[c] lists the pairs that may follow a first
+    pair c, and is empty when a multiplier maps c itself lower.
     """
 
     pair_ranks: tuple[tuple[int, int], ...]  # pair j = {x, -x}: the ranks of x and -x
@@ -284,10 +288,9 @@ class ScanTables(NamedTuple):
     plus: tuple[int, ...]  # the shift that translates a chosen mask by pair j's x
     minus: tuple[int, ...]  # and by -x
     pair_bits: tuple[int, ...]  # the chosen bits of x and -x
-    double_bits: tuple[int, ...]  # a covered bit of 2x, and pair j's sentinel
+    double_bits: tuple[int, ...]  # a covered bit of 2x
     folds: tuple[tuple[int, int, int], ...]  # turn shifted chosen masks into covered ones
-    root_covered: int  # the sentinels set at the root
-    below_first: tuple[int, ...]  # below_first[c]: the sentinels set below a first pair c
+    allowed: tuple[tuple[int, ...], ...]  # the j > c with floors[j] >= c, if floors[c] == c
     subtree: tuple[tuple[int, ...], ...]  # subtree[r][i]: candidates below last pair i, r short
 
 
@@ -315,14 +318,6 @@ def scan_tables(spec: GroupSpec, n: int, reduce_orbits: bool, /) -> ScanTables:
     else:
         perms = (tuple(range(num_pairs)),)
     floors = orbit_floors(perms)
-    # Pair j's sentinel, bit size + j, is set in covered while j may not be
-    # chosen: at the root when floors[j] < j, below a first pair c when
-    # floors[j] < c.  A sentinel rides in double_bits, so the 2x test
-    # rejects such a pair and counts its subtree like any other rejection.
-    sentinels = [1 << (layout.size + j) for j in range(num_pairs)]
-    at_floor = [0] * num_pairs
-    for floor, bit in zip(floors, sentinels):
-        at_floor[floor] |= bit
     shifts = layout.shifts
     return ScanTables(
         pair_ranks=pair_ranks,
@@ -331,12 +326,12 @@ def scan_tables(spec: GroupSpec, n: int, reduce_orbits: bool, /) -> ScanTables:
         plus=tuple(shifts[g] for g, _ in pair_ranks),
         minus=tuple(shifts[h] for _, h in pair_ranks),
         pair_bits=tuple(1 << shifts[g] | 1 << shifts[h] for g, h in pair_ranks),
-        double_bits=tuple(
-            1 << shifts[doubled[g]] | bit for (g, _), bit in zip(pair_ranks, sentinels)
-        ),
+        double_bits=tuple(1 << shifts[doubled[g]] for g, _ in pair_ranks),
         folds=layout.folds,
-        root_covered=sum(bit for j, bit in enumerate(sentinels) if floors[j] < j),
-        below_first=(0, *accumulate(at_floor, operator.or_)),
+        allowed=tuple(
+            tuple(j for j in range(c + 1, num_pairs) if floors[j] >= c) if floors[c] == c else ()
+            for c in range(num_pairs)
+        ),
         subtree=tuple(
             tuple(comb(num_pairs - 1 - i, r) for i in range(num_pairs)) for r in range(n)
         ),
@@ -360,7 +355,9 @@ def scan_prefixes(
     tables = scan_tables(spec, n, reduce_orbits)
     pair_ranks, num_pairs = tables.pair_ranks, len(tables.pair_ranks)
     plus, minus, pair_bits, folds = tables.plus, tables.minus, tables.pair_bits, tables.folds
-    double_bits, below_first, subtree = tables.double_bits, tables.below_first, tables.subtree
+    double_bits, allowed, subtree = tables.double_bits, tables.allowed, tables.subtree
+    # the first pairs that head at least one candidate the floors allow
+    roots = [c for c, after in enumerate(allowed) if len(after) >= n - 1]
     chosen: list[int] = []
     tested = 0
     solutions: list[SearchSolution] = []
@@ -387,10 +384,12 @@ def scan_prefixes(
         # (is 2x in covered, and does S + x meet it?), then descends into
         # the survivors; below the first pair a child inherits the survivors
         # after its own pair (see the module docstring).  While more than
-        # `below_prefix` pairs remain, the one index is the prefix's own.
+        # `below_prefix` pairs remain, the one index is the prefix's own, if
+        # the floors leave it among the candidates.
         nonlocal tested
         if remaining > below_prefix:
-            candidates, weights, inherit = (prefix[n - remaining],), prefix_count, False
+            own = prefix[n - remaining]
+            candidates, weights, inherit = [own] if own in candidates else [], prefix_count, False
         else:
             weights, inherit = subtree[remaining - 1], remaining < n
         survivors = [
@@ -406,7 +405,8 @@ def scan_prefixes(
         else:
             entered = survivors
         # the candidates below no entered survivor: their next pair was
-        # rejected, here or for good above, or heads no leaf
+        # rejected, here or for good above, left out by the floors, or heads
+        # no leaf
         tested += count - sum(map(weights.__getitem__, entered))
         if remaining == 1:
             for y in entered:
@@ -416,15 +416,15 @@ def scan_prefixes(
                 chosen.pop()
             return
         for i, y in enumerate(entered):
-            # S + x and S - x join covered; leaving the root, the first
-            # pair's floor sentinels replace the root's
+            # S + x and S - x join covered
             sums = chosen_mask << plus[y] | chosen_mask << minus[y]
             for low, high, shift in folds:
                 sums |= (sums & low) << shift | (sums & high) >> shift
-            base = below_first[y] if remaining == n else covered
-            rest = survivors[i + 1 :] if inherit else range(y + 1, num_pairs)
             chosen.append(y)
-            extend(chosen_mask | pair_bits[y], base | sums, weights[y], remaining - 1, rest)
+            # the root's children, and the first depth below a prefix, take
+            # the pairs after y that the first pair allows
+            rest = survivors[i + 1 :] if inherit else [j for j in allowed[chosen[0]] if j > y]
+            extend(chosen_mask | pair_bits[y], covered | sums, weights[y], remaining - 1, rest)
             chosen.pop()
 
     for prefix in prefixes:
@@ -436,27 +436,22 @@ def scan_prefixes(
         count = comb(num_pairs - 1 - (prefix[-1] if prefix else -1), below_prefix)
         prefix_count = dict.fromkeys(prefix, count)
         # the identity, and no pair sums yet
-        extend(1, tables.root_covered, count, n, range(num_pairs - n + 1))
+        extend(1, 0, count, n, roots)
     return tested, solutions
 
 
-def _prefix_tasks(floors: tuple[int, ...], n: int, parts: int) -> list[list[tuple[int, ...]]]:
+def _prefix_tasks(tables: ScanTables, n: int, parts: int) -> list[list[tuple[int, ...]]]:
     """All two-pair prefixes in scan order, cut into about `parts` runs of
     similar work.  A prefix (c, j) holds C(P - 1 - j, n - 2) candidates, but
-    the scan enters only the pairs k > j with floors[k] >= c, and none at all
-    when floors[c] < c or floors[j] < c, so it weighs C(#such k, n - 2)."""
-    ends = len(floors) - n + 2
+    the scan enters only the pairs after j that allowed[c] lists, and none at
+    all when it does not list j, so it weighs C(#such pairs, n - 2)."""
+    ends = len(tables.allowed) - n + 2
     prefixes = list(combinations(range(ends), 2))
     weights = []
     for c in range(ends - 1):
-        if floors[c] != c:
-            weights += [0] * (ends - 1 - c)
-            continue
-        # after[k]: how many pairs from k on have a floor of at least c
-        after = [*accumulate((f >= c for f in reversed(floors)), initial=0)][::-1]
-        weights += [
-            comb(after[j + 1], n - 2) if floors[j] >= c else 0 for j in range(c + 1, ends)
-        ]
+        # left[j]: how many pairs allowed[c] lists after j
+        left = {j: len(tables.allowed[c]) - 1 - i for i, j in enumerate(tables.allowed[c])}
+        weights += [comb(left[j], n - 2) if j in left else 0 for j in range(c + 1, ends)]
     target = sum(weights) / parts
     tasks: list[list[tuple[int, ...]]] = [[]]
     carried = 0
@@ -501,7 +496,7 @@ def search_tilings(
     runs = [
         [[()]]
         if threads <= 1
-        else _prefix_tasks(scan_tables(spec, n, reduce_orbits).floors, n, parts)
+        else _prefix_tasks(scan_tables(spec, n, reduce_orbits), n, parts)
         for spec in groups
     ]
     tasks = [

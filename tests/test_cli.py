@@ -428,6 +428,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "spec, message",
         [
+            ("", "four comma-separated integers"),
             ("11,2,1,1,1", "four comma-separated integers"),
             ("11,two,1,1", "four comma-separated integers"),
             ("11,2,1.5,1", "four comma-separated integers"),

@@ -419,7 +419,8 @@ class TestPrefixScan:
         # of the candidates left after the orbit floors (all of them with
         # the identity's floors), counted here one candidate at a time.
         spec = GroupSpec((51,))
-        floors = latile.search.scan_tables(spec, 4, reduce_orbits).floors
+        tables = latile.search.scan_tables(spec, 4, reduce_orbits)
+        floors = tables.floors
         assert (floors == tuple(range(25))) != reduce_orbits
 
         def weight(c, j):
@@ -428,7 +429,7 @@ class TestPrefixScan:
                 for rest in combinations(range(j + 1, 25), 2)
             )
 
-        tasks = latile.search._prefix_tasks(floors, 4, 6)
+        tasks = latile.search._prefix_tasks(tables, 4, 6)
         assert [prefix for task in tasks for prefix in task] == list(combinations(range(23), 2))
         target = sum(weight(*prefix) for task in tasks for prefix in task) / 6
         for task in tasks[:-1]:
@@ -558,6 +559,28 @@ class TestPrefixScan:
                 for sol, leaf in zip(solutions, pair_indices_of(spec, solutions)):
                     assert sol.orbit_size == len(candidate_orbit(perms, leaf))
 
+    def test_prefix_the_floors_leave_out_is_rejected_at_the_prefix(self, monkeypatch):
+        # In Z_51 at n = 3 a multiplier maps pair 3 to pair 0, below pair 2,
+        # so no canonical candidate starts (2, 3), though the unreduced scan
+        # finds leaves below it.  The reduced scan drops the prefix's 21
+        # candidates at the prefix and reaches no leaf's orbit test.
+        monkeypatch.setattr(latile.search, "dual_verify_candidate", lambda *args: True)
+        orbits = []
+        real = latile.search.candidate_orbit
+        monkeypatch.setattr(
+            latile.search,
+            "candidate_orbit",
+            lambda perms, candidate: orbits.append(candidate) or real(perms, candidate),
+        )
+        spec = GroupSpec((51,))
+        floors = latile.search.scan_tables(spec, 3, True).floors
+        assert floors[2] == 2 and floors[3] < 2
+        tested, leaves = scan_prefixes(spec, 3, [(2, 3)], reduce_orbits=False)
+        assert tested == 21 and leaves
+        orbits.clear()
+        assert scan_prefixes(spec, 3, [(2, 3)]) == (21, [])
+        assert orbits == []
+
     def test_orbit_floors_are_the_least_images(self):
         # Z_19's units act transitively on its nine pairs, so every floor is
         # pair 0; in Z_3^5 the only multiplier is the identity, so no floor
@@ -568,6 +591,20 @@ class TestPrefixScan:
             floors = orbit_floors(perms)
             assert floors == [min(perm[j] for perm in perms) for j in range(len(floors))]
             assert any(f < j for j, f in enumerate(floors))
+        # allowed[c] holds the pairs j > c whose floor is at least c, and
+        # nothing when a multiplier maps c itself lower
+        for factors in [(19,), (51,), (99,), (3, 33)]:
+            spec = GroupSpec(factors)
+            floors = orbit_floors(pair_multiplier_permutations(spec))
+            allowed = latile.search.scan_tables(spec, 4, True).allowed
+            assert allowed == tuple(
+                tuple(j for j in range(c + 1, len(floors)) if floors[j] >= c)
+                if floors[c] == c
+                else ()
+                for c in range(len(floors))
+            )
+            unreduced = latile.search.scan_tables(spec, 4, False).allowed
+            assert unreduced == tuple(tuple(range(c + 1, len(floors))) for c in range(len(floors)))
         spec = GroupSpec((3, 3, 3, 3, 3))
         assert orbit_floors(pair_multiplier_permutations(spec)) == list(range(121))
         prefix = tuple(golay_pair_indices()[:6])
@@ -622,8 +659,8 @@ class TestPrefixScan:
                 latile.search, helper, lambda spec, real=real: made.append(spec) or real(spec)
             )
         spec = GroupSpec(factors)
-        floors = latile.search.scan_tables(spec, n, True).floors
-        tasks = latile.search._prefix_tasks(floors, n, 2 * latile.search._TASKS_PER_WORKER)
+        tables = latile.search.scan_tables(spec, n, True)
+        tasks = latile.search._prefix_tasks(tables, n, 2 * latile.search._TASKS_PER_WORKER)
         outcomes = [latile.search._prefix_worker((factors, n, True, task)) for task in tasks]
         assert len(tasks) > 2
         assert made == [spec, spec]
@@ -638,7 +675,7 @@ class TestPrefixScan:
     )
     def test_one_shift_translates_a_chosen_mask(self, factors):
         # For every x and seeded random sets S, the chosen mask of S shifted
-        # by x stays below the sentinels and meets the covered mask of a
+        # by x stays within the layout's bits and meets the covered mask of a
         # single element c exactly when c is in S + x, and folded once per
         # coordinate it is the covered mask of S + x.
         spec = GroupSpec(factors)
