@@ -134,10 +134,25 @@ def rank_of(g: GroupElement) -> int:
     return encode_residues(g.spec, g.residues)
 
 
+def _element(spec: GroupSpec, residues: tuple[int, ...]) -> GroupElement:
+    """An element from residues already reduced mod the invariant factors,
+    such as decode_rank's, stored without GroupElement's re-validation."""
+    g = object.__new__(GroupElement)
+    object.__setattr__(g, "spec", spec)
+    object.__setattr__(g, "residues", residues)
+    return g
+
+
 def element_at(spec: GroupSpec, rank: int) -> GroupElement:
+    """The element of the given rank.  Only the rank is checked: the
+    residues decode_rank makes from a valid rank are already reduced."""
+    try:
+        rank = operator.index(rank)
+    except TypeError:
+        raise ValueError(f"rank must be an integer, got {rank!r}") from None
     if not 0 <= rank < spec.order:
         raise ValueError(f"rank {rank} out of range for group of order {spec.order}")
-    return GroupElement(spec, decode_rank(spec, rank))
+    return _element(spec, decode_rank(spec, rank))
 
 
 def decode_rank(spec: GroupSpec, rank: int) -> tuple[int, ...]:
@@ -205,7 +220,7 @@ def scaled_ranks(spec: GroupSpec, ranks: Sequence[int], t: int) -> list[int]:
 def elements(spec: GroupSpec):
     """Iterate all group elements in rank order."""
     for rank in range(spec.order):
-        yield GroupElement(spec, decode_rank(spec, rank))
+        yield _element(spec, decode_rank(spec, rank))
 
 
 def factorize(m: int) -> dict[int, int]:

@@ -13,9 +13,16 @@ proved and the certificate records the full row table; if some ell works
 the certificate is INCONCLUSIVE (it proves nothing either way).  When
 2n^2+1 has no admissible prime at all the method is INAPPLICABLE.
 
-The builder finds (a, b) in O(sqrt(p)) steps: b by dividing p-1 by its
-prime factors (found by trial division) while 4 to the quotient is still
-1 mod p, and a by Shanks' baby-step giant-step with step ceil(sqrt(b)).
+2n^2+1 has at most one admissible prime: two prime factors above 2n+1
+would multiply to more than (2n+1)^2.  Its prime factors are 1 or 3 mod 8
+(-2 = (2n)^2 is a square mod each), so admissible_primes trial-divides by
+those d only, a mod-8 wheel, and keeps the cofactor.
+
+The builder finds (a, b) in O(sqrt(p)) steps.  b comes from the factors
+of p-1.  <4> is the only subgroup of order b, so a = INFINITE exactly when
+(4n+2)^b != 1 (mod p).  A finite a is found by Pohlig-Hellman: for each
+prime power q^e of b, each base-q digit of a mod q^e takes one baby-step
+giant-step with step ceil(sqrt(q)), and the residues are joined by CRT.
 
 a = 0 cannot occur for an admissible prime: it needs p | 4n+1 and
 p | 2n^2+1, so p | 18 and p = 3, below 2n+1 >= 7.  build_certificate raises
@@ -54,10 +61,23 @@ def is_prime(p: int) -> bool:
 
 
 def admissible_primes(n: int) -> list[int]:
-    """Prime divisors p of 2n^2+1 with p > 2n+1, ascending."""
+    """Prime divisors p of 2n^2+1 with p > 2n+1: a list of at most one.
+
+    Trial division by d = 3, 9, 11, 17, ... (1 or 3 mod 8) while d^2 <= m.
+    Each d that divides is below 2n+1, so only the cofactor can be
+    admissible.  A composite d divides nothing left: each of its prime
+    factors is a smaller wheel value, already divided out, or 5 or 7 mod 8.
+    """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
-    return [p for p in factorize(2 * n * n + 1) if p > 2 * n + 1]
+    m = 2 * n * n + 1
+    d, step = 3, 6
+    while d * d <= m:
+        while m % d == 0:
+            m //= d
+        d += step
+        step = 8 - step
+    return [m] if m > 2 * n + 1 else []
 
 
 def multiplicative_order(base: int, p: int) -> int:
@@ -78,24 +98,58 @@ def certificate_parameters(n: int, p: int) -> tuple[Union[int, float], int]:
     4^k = 4n+2 (mod p), else INFINITE."""
     if p == 2:
         raise ValueError("p must not divide 4")
-    b = multiplicative_order(4, p)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    b = p - 1
+    b_factors = factorize(p - 1)
+    for q in b_factors:
+        while b_factors[q] and pow(4, b // q, p) == 1:
+            b //= q
+            b_factors[q] -= 1
     target = (4 * n + 2) % p
-    # Baby-step giant-step: k = i*s + j with 0 <= j < s.  The giant steps
-    # visit i in increasing order, so the first hit is the least k >= 0.
-    s = isqrt(b - 1) + 1
+    if pow(target, b, p) != 1:
+        return INFINITE, b
+    a, modulus = 0, 1
+    for q, e in b_factors.items():
+        if e == 0:
+            continue
+        q_e = q**e
+        x = _log_in_prime_power(pow(4, b // q_e, p), pow(target, b // q_e, p), q, e, p)
+        a += modulus * ((x - a) * pow(modulus, -1, q_e) % q_e)
+        modulus *= q_e
+    return a, b
+
+
+def _log_in_prime_power(g: int, h: int, q: int, e: int, p: int) -> int:
+    """The x in [0, q^e) with g^x = h (mod p), for g of order q^e and h in
+    <g>.  Digit k of x in base q is the log of (h g^-(x mod q^k))^(q^(e-1-k))
+    to the base gamma = g^(q^(e-1)), of order q; the first hit of the
+    baby-step giant-step, step s = ceil(sqrt(q)) <= q, is that log."""
+    s = isqrt(q - 1) + 1
+    gamma = pow(g, q ** (e - 1), p)
     baby: dict[int, int] = {}
     value = 1
     for j in range(s):
-        baby.setdefault(value, j)
-        value = value * 4 % p
-    giant = pow(4, -s, p)
-    value = target
-    for i in range(-(-b // s)):
-        j = baby.get(value)
-        if j is not None:
-            return i * s + j, b
-        value = value * giant % p
-    return INFINITE, b
+        baby[value] = j
+        value = value * gamma % p
+    giant = pow(gamma, -s, p)
+    g_inverse = pow(g, -1, p)  # g^-(q^k) at digit k
+    x, q_k = 0, 1
+    for k in range(e):
+        value = pow(h, q ** (e - 1 - k), p)
+        for i in range(s):
+            j = baby.get(value)
+            if j is not None:
+                break
+            value = value * giant % p
+        else:
+            raise ArithmeticError(f"h is not in the subgroup generated by {g} mod {p}")
+        digit = i * s + j
+        x += digit * q_k
+        h = h * pow(g_inverse, digit, p) % p
+        g_inverse = pow(g_inverse, q, p)
+        q_k *= q
+    return x
 
 
 @dataclass(frozen=True)
@@ -191,23 +245,10 @@ def build_certificate(n: int, p: int) -> NonexistenceCertificate:
 
 
 def certify_nonexistence(n: int) -> Optional[NonexistenceCertificate]:
-    """Best certificate for n, or None when no admissible prime exists.
-
-    Every admissible prime is tried; one all-unrepresentable table proves
-    nonexistence.  If all primes leave some row representable, the first
-    prime's certificate is returned with conclusion INCONCLUSIVE.
-    """
+    """The certificate for n's admissible prime, or None when there is
+    none.  There is at most one: two would multiply to more than 2n^2+1."""
     primes = admissible_primes(n)
-    if not primes:
-        return None
-    first = None
-    for p in primes:
-        cert = build_certificate(n, p)
-        if cert.conclusion == NONEXISTENCE:
-            return cert
-        if first is None:
-            first = cert
-    return first
+    return build_certificate(n, primes[0]) if primes else None
 
 
 def validate_certificate(cert: NonexistenceCertificate) -> list[str]:

@@ -175,6 +175,20 @@ class TestRanking:
         with pytest.raises(ValueError):
             element_at(spec, -1)
 
+    @pytest.mark.parametrize("rank", [2.0, "2", None])
+    def test_non_integer_rank_rejected(self, rank):
+        with pytest.raises(ValueError, match="rank must be an integer"):
+            element_at(GroupSpec((6,)), rank)
+
+    def test_unvalidated_elements_equal_validated_ones(self):
+        # element_at and elements skip GroupElement's re-validation; what
+        # they build must still compare and hash like a checked element
+        spec = GroupSpec((3, 3, 27))
+        for g in elements(spec):
+            checked = GroupElement(spec, g.residues)
+            assert g == checked and hash(g) == hash(checked)
+            assert element_at(spec, rank_of(g)) == checked
+
     def test_elements_iterates_in_rank_order(self):
         spec = GroupSpec((2, 4))
         listing = list(elements(spec))

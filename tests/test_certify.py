@@ -2,9 +2,11 @@
 
 import dataclasses
 import time
+from math import isqrt
 
 import pytest
 
+from latile.abelian import factorize
 from latile.certify import (
     INCONCLUSIVE,
     INFINITE,
@@ -79,6 +81,17 @@ class TestPrimes:
         with pytest.raises(ValueError):
             admissible_primes(2)
 
+    def test_wheel_agrees_with_full_factorization(self):
+        # the mod-8 wheel against trial division by every odd d
+        for n in range(3, 5001):
+            reference = [p for p in factorize(2 * n * n + 1) if p > 2 * n + 1]
+            assert admissible_primes(n) == reference, n
+
+    def test_at_most_one_admissible_prime(self):
+        # two primes above 2n+1 would multiply to more than 2n^2+1
+        for n in range(3, 5001):
+            assert len(admissible_primes(n)) <= 1, n
+
     def test_multiplicative_order(self):
         assert multiplicative_order(4, 19) == 9
         assert multiplicative_order(4, 11) == 5
@@ -102,12 +115,15 @@ class TestPrimes:
 class TestParameters:
     @pytest.mark.parametrize(
         "n,p,b",
-        [(3, 19, 9), (4, 11, 5), (5, 17, 4)],
+        [(3, 19, 9), (4, 11, 5), (5, 17, 4), (4, 3, 1), (1959, 7675363, 3837681)],
     )
     def test_power_never_reaches_target(self, n, p, b):
+        # 4n+2 lies in <4>, the only subgroup of order b, iff
+        # (4n+2)^b = 1 (mod p); for n = 4, p = 3 the target 18 is 0 mod p
         a, got_b = certificate_parameters(n, p)
         assert a == INFINITE
         assert got_b == b
+        assert pow(4 * n + 2, b, p) != 1
 
     def test_finite_a_example(self):
         a, b = certificate_parameters(9, 163)
@@ -123,9 +139,28 @@ class TestParameters:
             certificate_parameters(3, 2)
 
     def test_agrees_with_linear_scan(self):
-        for n in range(3, 151):
+        for n in range(3, 401):
             for p in admissible_primes(n):
                 assert certificate_parameters(n, p) == scanned_parameters(n, p), (n, p)
+
+    def test_b_a_prime_power(self):
+        # b = 81 = 3^4: Pohlig-Hellman reads a mod 81 as four base-3 digits
+        assert factorize(163 - 1) == {2: 1, 3: 4}
+        assert certificate_parameters(9, 163) == (63, 3**4) == scanned_parameters(9, 163)
+
+    @pytest.mark.parametrize(
+        "n,p,a,b,q",
+        [
+            (38, 107, 33, 53, 53),
+            (165, 3203, 306, 1601, 1601),
+            (174, 3187, 1469, 3**3 * 59, 59),
+        ],
+    )
+    def test_digit_past_the_first_giant_step(self, n, p, a, b, q):
+        # a mod q is at least the step ceil(sqrt(q)), so the baby steps
+        # alone miss it and the giant steps must reach it
+        assert a % q >= isqrt(q - 1) + 1
+        assert certificate_parameters(n, p) == (a, b) == scanned_parameters(n, p)
 
     @pytest.mark.parametrize(
         "n,p,a,b",
