@@ -80,19 +80,6 @@ def admissible_primes(n: int) -> list[int]:
     return [m] if m > 2 * n + 1 else []
 
 
-def multiplicative_order(base: int, p: int) -> int:
-    """Order of base in the multiplicative group mod the prime p."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if base % p == 0:
-        raise ArithmeticError(f"{base} is not invertible mod {p}")
-    order = p - 1
-    for q in factorize(p - 1):
-        while order % q == 0 and pow(base, order // q, p) == 1:
-            order //= q
-    return order
-
-
 def certificate_parameters(n: int, p: int) -> tuple[Union[int, float], int]:
     """(a, b) for the certificate: b = ord_p(4), a = least k >= 0 with
     4^k = 4n+2 (mod p), else INFINITE."""

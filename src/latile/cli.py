@@ -8,10 +8,12 @@ INCONCLUSIVE is still a successful run.  Exit codes are for pipeline
 control only: 0 success, 1 verification failure, 2 usage error (including
 an -n below 3 or a --budget below 1 for search and certify, a malformed map
 file, --ball or LATILE_THREADS, a LATILE_THREADS above the core count, ball
-parameters that name no ball, and a map whose dimension has no default ball
-for verify without --ball), 3 internal error.  search runs serially unless
+parameters that name no ball, a map whose dimension has no default ball
+for verify without --ball, and a map given to analyze whose group order is
+not 2n^2+1), 3 internal error.  search runs serially unless
 LATILE_THREADS asks for workers.  verify compares the ball's closed-form
-size with the group order before it builds the ball.
+size with the group order before it builds the ball, and analyze checks
+the group order before it builds the code set.
 """
 
 import argparse
@@ -27,7 +29,13 @@ from .analysis import (
 from .ball import ball_size, generate_ball
 from .certify import certify_nonexistence
 from .construct import check_pds, golay11_tiling, tiling_pds_parameters
-from .groupring import as_code_set, check_tiling_conditions, star
+from .groupring import (
+    OrderMismatchError,
+    _tiling_dimension,
+    as_code_set,
+    check_tiling_conditions,
+    star,
+)
 from .search import DEFAULT_BUDGET, search_tilings
 from .tiling import TilingHomomorphism, induced_code_set, size_mismatch_report, verify_tiling
 
@@ -159,27 +167,22 @@ def _cmd_verify(args) -> int:
 
 def _cmd_analyze(args) -> int:
     phi = _load_homomorphism(args.map)
-    n = phi.n
-    code = induced_code_set(phi)
+    try:  # every section is about a group of order 2n^2+1
+        n = _tiling_dimension(phi.spec, phi.n)
+    except OrderMismatchError as exc:
+        raise UsageError(f"analyze: {exc}") from None
     payload = {"n": n, "group": phi.spec.as_dict()}
     try:
-        code = as_code_set(code)
+        code = as_code_set(induced_code_set(phi))
     except ValueError as exc:
         payload["code_set_error"] = str(exc)
         _emit(payload, args.out)
         return 0
-    sections = {
-        "tiling_conditions": lambda: check_tiling_conditions(code, n).as_dict(),
-        "spectrum": lambda: spectrum_identity_checks(code, n).as_dict(),
-        "cube_multiplicity": lambda: cube_multiplicity_check(code).as_dict(),
-        "congruences": lambda: congruence_check(code, n).as_dict(),
-        "partial_difference_set": lambda: check_pds(star(code), tiling_pds_parameters(n)).as_dict(),
-    }
-    for name, compute in sections.items():
-        try:
-            payload[name] = compute()
-        except (ValueError, ArithmeticError) as exc:
-            payload[name] = {"error": str(exc)}
+    payload["tiling_conditions"] = check_tiling_conditions(code, n).as_dict()
+    payload["spectrum"] = spectrum_identity_checks(code, n).as_dict()
+    payload["cube_multiplicity"] = cube_multiplicity_check(code).as_dict()
+    payload["congruences"] = congruence_check(code, n).as_dict()
+    payload["partial_difference_set"] = check_pds(star(code), tiling_pds_parameters(n)).as_dict()
     _emit(payload, args.out)
     return 0
 

@@ -77,7 +77,7 @@ are counted with the node's other rejections.  The rule is necessary, not
 sufficient, so the leaf keeps its full orbit test.
 
 Every table a scan reads (the layout's shifts and folds, the doubled
-ranks, the multiplier permutations, the floors and the pairs they allow,
+ranks, the multiplier permutations, the pairs the orbit floors allow,
 the subtree counts) comes from one read-only object per group, n and
 reduction setting, made at its first use in a process and kept for the
 next scans: a parallel run's tasks, or a forked worker whose parent split
@@ -284,7 +284,6 @@ class ScanTables(NamedTuple):
 
     pair_ranks: tuple[tuple[int, int], ...]  # pair j = {x, -x}: the ranks of x and -x
     perms: tuple[tuple[int, ...], ...]  # the multipliers' pair permutations, or the identity
-    floors: tuple[int, ...]  # pair j's orbit floor
     plus: tuple[int, ...]  # the shift that translates a chosen mask by pair j's x
     minus: tuple[int, ...]  # and by -x
     pair_bits: tuple[int, ...]  # the chosen bits of x and -x
@@ -322,7 +321,6 @@ def scan_tables(spec: GroupSpec, n: int, reduce_orbits: bool, /) -> ScanTables:
     return ScanTables(
         pair_ranks=pair_ranks,
         perms=perms,
-        floors=tuple(floors),
         plus=tuple(shifts[g] for g, _ in pair_ranks),
         minus=tuple(shifts[h] for _, h in pair_ranks),
         pair_bits=tuple(1 << shifts[g] | 1 << shifts[h] for g, h in pair_ranks),

@@ -18,7 +18,6 @@ from latile.certify import (
     certificate_parameters,
     certify_nonexistence,
     is_prime,
-    multiplicative_order,
     representable,
     validate_certificate,
 )
@@ -91,25 +90,6 @@ class TestPrimes:
         # two primes above 2n+1 would multiply to more than 2n^2+1
         for n in range(3, 5001):
             assert len(admissible_primes(n)) <= 1, n
-
-    def test_multiplicative_order(self):
-        assert multiplicative_order(4, 19) == 9
-        assert multiplicative_order(4, 11) == 5
-        assert multiplicative_order(4, 17) == 4
-        assert multiplicative_order(4, 7) == 3
-
-    def test_order_agrees_with_stepping(self):
-        for p in filter(is_prime, range(2000)):
-            for base in (2, 3, 4, 5, 10):
-                if base % p == 0:
-                    with pytest.raises(ArithmeticError):
-                        multiplicative_order(base, p)
-                else:
-                    assert multiplicative_order(base, p) == stepping_order(base, p), (base, p)
-
-    def test_order_needs_a_prime_modulus(self):
-        with pytest.raises(ValueError):
-            multiplicative_order(4, 9)
 
 
 class TestParameters:

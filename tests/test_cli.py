@@ -231,6 +231,19 @@ class TestAnalyzeCommand:
         assert stdout == ""
         assert stderr == "latile: error: MemoryError\n"
 
+    def test_group_order_is_checked_before_the_code_set_is_built(self, capsys, tmp_path):
+        # Z_(10^15) is not of order 2*3^2+1; the dense code set, one
+        # coefficient per element, would not fit in memory.
+        out = tmp_path / "map.json"
+        out.write_text(
+            json.dumps({"n": 3, "group": {"invariant_factors": [10**15]}, "images": [[1], [2], [4]]})
+        )
+        code, stdout, stderr = run(capsys, "analyze", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("latile: error: ")
+        assert "2*3^2+1 = 19" in stderr
+
 
 class TestBallCommand:
     def test_small_ball(self, capsys):
@@ -333,6 +346,28 @@ class TestBadInput:
         else:
             assert code in (0, 1)
             assert json.loads(stdout.getvalue())["bijective"] is (code == 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(map_documents)
+    def test_analyze_on_arbitrary_json_reports_or_exits_2(self, document):
+        """A document the loader accepts, over a group of order 2n^2+1, gets
+        a report (exit 0); any other exits 2 with a message.  The order is
+        checked first, so factors of any size are safe.  Never exit 3."""
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(json.dumps(document))):
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(["analyze", "-"])
+        try:
+            phi = TilingHomomorphism.from_dict(document)
+        except ValueError:
+            phi = None
+        if phi is not None and phi.spec.order == 2 * phi.n**2 + 1:
+            assert code == 0
+            assert json.loads(stdout.getvalue())["n"] == phi.n
+        else:
+            assert code == 2
+            assert stdout.getvalue() == ""
+            assert stderr.getvalue().startswith("latile: error: ")
 
     @settings(max_examples=300, deadline=None)
     @given(

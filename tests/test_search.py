@@ -420,7 +420,7 @@ class TestPrefixScan:
         # the identity's floors), counted here one candidate at a time.
         spec = GroupSpec((51,))
         tables = latile.search.scan_tables(spec, 4, reduce_orbits)
-        floors = tables.floors
+        floors = tuple(orbit_floors(tables.perms))
         assert (floors == tuple(range(25))) != reduce_orbits
 
         def weight(c, j):
@@ -573,7 +573,7 @@ class TestPrefixScan:
             lambda perms, candidate: orbits.append(candidate) or real(perms, candidate),
         )
         spec = GroupSpec((51,))
-        floors = latile.search.scan_tables(spec, 3, True).floors
+        floors = tuple(orbit_floors(latile.search.scan_tables(spec, 3, True).perms))
         assert floors[2] == 2 and floors[3] < 2
         tested, leaves = scan_prefixes(spec, 3, [(2, 3)], reduce_orbits=False)
         assert tested == 21 and leaves
