@@ -2,11 +2,9 @@
 """Tabulate the certificate verdict for a range of dimensions.
 
 For each n the script builds the certificate and prints its conclusion.
-The primes column lists the admissible primes: 2n^2 + 1 has at most one,
-the certificate's p, so the column is read off the certificate rather than
-factoring 2n^2 + 1 again.  Useful for spotting which dimensions the modular
-criterion leaves open (INAPPLICABLE rows have no prime factor above 2n+1;
-INCONCLUSIVE rows have one that fails to decide).
+Useful for spotting which dimensions the modular criterion leaves open
+(INAPPLICABLE rows have no prime factor above 2n+1; INCONCLUSIVE rows have
+one that fails to decide).
 The summary line adds the open fraction, (INAPPLICABLE + INCONCLUSIVE) over
 all n in the range, and the run's seconds.
 """
@@ -26,7 +24,7 @@ def main() -> int:
     if args.start < 3 or args.stop < args.start:
         parser.error("need 3 <= start <= stop")
 
-    header = f"{'n':>5} {'2n^2+1':>10} {'primes':>18} {'p':>6} {'a':>9} {'b':>5}  conclusion"
+    header = f"{'n':>5} {'2n^2+1':>10} {'p':>6} {'a':>9} {'b':>5}  conclusion"
     print(header)
     print("-" * len(header))
     counts = {"NONEXISTENCE": 0, "INCONCLUSIVE": 0, "INAPPLICABLE": 0}
@@ -36,12 +34,12 @@ def main() -> int:
         cert = certify_nonexistence(n)
         if cert is None:
             counts["INAPPLICABLE"] += 1
-            print(f"{n:>5} {order:>10} {'[]':>18} {'-':>6} {'-':>9} {'-':>5}  INAPPLICABLE")
+            print(f"{n:>5} {order:>10} {'-':>6} {'-':>9} {'-':>5}  INAPPLICABLE")
             continue
         counts[cert.conclusion] += 1
         a_str = "inf" if cert.a == INFINITE else str(cert.a)
         print(
-            f"{n:>5} {order:>10} {str([cert.p]):>18} {cert.p:>6} {a_str:>9} {cert.b:>5}"
+            f"{n:>5} {order:>10} {cert.p:>6} {a_str:>9} {cert.b:>5}"
             f"  {cert.conclusion}"
         )
     seconds = time.perf_counter() - started

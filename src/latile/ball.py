@@ -9,6 +9,8 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 
+from .abelian import as_integers
+
 
 @dataclass(frozen=True)
 class ErrorBall:
@@ -31,18 +33,21 @@ class ErrorBall:
         }
 
 
-def _validate(n: int, t: int, k_plus: int, k_minus: int) -> None:
+def _validate(n: int, t: int, k_plus: int, k_minus: int) -> tuple[int, int, int, int]:
+    """The parameters as ints, once they are checked to name a ball."""
+    n, t, k_plus, k_minus = as_integers((n, t, k_plus, k_minus), "ball parameters")
     if not n >= t >= 0:
         raise ValueError(f"need n >= t >= 0, got n={n}, t={t}")
     if not k_plus >= k_minus >= 0:
         raise ValueError(f"need k_plus >= k_minus >= 0, got {k_plus}, {k_minus}")
     if t >= 1 and k_plus < 1:
         raise ValueError("k_plus must be >= 1 when t >= 1")
+    return n, t, k_plus, k_minus
 
 
 def generate_ball(n: int, t: int, k_plus: int, k_minus: int) -> ErrorBall:
     """Enumerate the ball exactly; vectors come out sorted and distinct."""
-    _validate(n, t, k_plus, k_minus)
+    n, t, k_plus, k_minus = _validate(n, t, k_plus, k_minus)
     nonzero_values = [v for v in range(-k_minus, k_plus + 1) if v != 0]
     vectors = []
     for weight in range(t + 1):
@@ -58,6 +63,6 @@ def generate_ball(n: int, t: int, k_plus: int, k_minus: int) -> ErrorBall:
 
 def ball_size(n: int, t: int, k_plus: int, k_minus: int) -> int:
     """Closed-form count: sum over weights i of C(n,i) * (k+ + k-)^i."""
-    _validate(n, t, k_plus, k_minus)
+    n, t, k_plus, k_minus = _validate(n, t, k_plus, k_minus)
     span = k_plus + k_minus
     return sum(comb(n, i) * span**i for i in range(t + 1))

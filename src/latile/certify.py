@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass
 from math import isqrt
 from typing import Optional, Union
 
-from .abelian import factorize
+from .abelian import as_integers, factorize
 
 INFINITE = float("inf")
 
@@ -68,6 +68,7 @@ def admissible_primes(n: int) -> list[int]:
     admissible.  A composite d divides nothing left: each of its prime
     factors is a smaller wheel value, already divided out, or 5 or 7 mod 8.
     """
+    (n,) = as_integers((n,), "dimensions")
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     m = 2 * n * n + 1
@@ -83,6 +84,7 @@ def admissible_primes(n: int) -> list[int]:
 def certificate_parameters(n: int, p: int) -> tuple[Union[int, float], int]:
     """(a, b) for the certificate: b = ord_p(4), a = least k >= 0 with
     4^k = 4n+2 (mod p), else INFINITE."""
+    n, p = as_integers((n, p), "n and p")
     if p == 2:
         raise ValueError("p must not divide 4")
     if not is_prime(p):
@@ -200,12 +202,15 @@ def _ell_bound(n: int, m: int) -> int:
 
 
 def build_certificate(n: int, p: int) -> NonexistenceCertificate:
-    """Evaluate the criterion for one admissible prime."""
+    """Evaluate the criterion for one admissible prime.
+
+    certificate_parameters checks that n and p are integers and p is prime
+    before anything divides by p."""
+    a, b = certificate_parameters(n, p)
     order = 2 * n * n + 1
     if order % p != 0:
         raise ValueError(f"{p} does not divide 2*{n}^2+1 = {order}")
     m = order // p
-    a, b = certificate_parameters(n, p)
     if a == 0:
         raise ValueError(
             f"a = 0 means {p} divides 4n+1 and 2n^2+1, hence 18: p = {p} is not admissible"

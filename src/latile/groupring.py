@@ -206,7 +206,6 @@ def as_code_set(code: CodeSetLike) -> GroupRingElement:
             raise ValueError(
                 f"not a set: coefficient {c} at rank {r} (multiplicities must be 0 or 1)"
             )
-    return normalized
 
 
 @dataclass(frozen=True)

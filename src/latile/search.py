@@ -77,34 +77,34 @@ are counted with the node's other rejections.  The rule is necessary, not
 sufficient, so the leaf keeps its full orbit test.
 
 Every table a scan reads (the layout's shifts and folds, the doubled
-ranks, the multiplier permutations, the pairs the orbit floors allow,
-the subtree counts) comes from one read-only object per group, n and
-reduction setting, made at its first use in a process and kept for the
-next scans: a parallel run's tasks, or a forked worker whose parent split
-the run by the same tables.  A scan without reduction never makes the
-multiplier permutations.
+ranks, the multiplier permutations, the pairs the orbit floors allow and
+the first pairs they leave, the subtree counts) comes from one read-only
+object per group, n and reduction setting, made at its first use in a
+process and kept for the next scans: a parallel run's tasks, or a forked
+worker whose parent split the run by the same tables.  A scan without
+reduction never makes the multiplier permutations.
 
 The scan's unit of work is a prefix of pair indices, walked by the same
 node rule as the pairs below it: at a prefix depth the only index is the
 prefix's own, and a rejection there, by the packing or by the allowed
 pairs, drops the prefix's whole count.  So a planted prefix checks the
-scan's own rule.  A serial run scans the empty prefix; parallel runs cut
-the space into runs of prefixes with similar counts of the candidates the
-floors leave, and merge them in prefix order, so the output is identical
-to a serial run.
+scan's own rule.  A serial run scans the empty prefix; a parallel run
+starts a run of two-pair prefixes at each one the orbit floors leave
+alive, hands the runs to the pool in about eight chunks per worker, and
+merges them in prefix order, so the output is identical to a serial run.
 """
 
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from math import comb, gcd
+from math import comb, gcd, log10
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .abelian import (
     GroupElement,
     GroupSpec,
+    as_integers,
     digit_columns,
     element_at,
     enumerate_abelian_groups,
@@ -116,7 +116,13 @@ from .groupring import check_tiling_conditions
 from .tiling import TilingHomomorphism, induced_code_set, verify_tiling
 
 DEFAULT_BUDGET = 10**9
-_TASKS_PER_WORKER = 8  # parallel tasks per worker and group, for load balance
+_TASKS_PER_WORKER = 8  # pool chunks per worker, for load balance
+
+
+def _magnitude(count: int) -> str:
+    """The count in full up to 20 digits, else as a power of ten: Python
+    refuses to print an int of over 4300 digits."""
+    return str(count) if count < 10**20 else f"about 10^{log10(count):.1f}"
 
 
 class BudgetExceededError(RuntimeError):
@@ -124,7 +130,8 @@ class BudgetExceededError(RuntimeError):
 
     def __init__(self, candidate_count: int, budget: int):
         super().__init__(
-            f"search space holds {candidate_count} candidates, over the budget of {budget}"
+            f"search space holds {_magnitude(candidate_count)} candidates, "
+            f"over the budget of {_magnitude(budget)}"
         )
         self.candidate_count = candidate_count
         self.budget = budget
@@ -278,8 +285,9 @@ class ScanTables(NamedTuple):
 
     The masks follow _padded_layout: a chosen mask holds one bit per
     element and a covered mask 2^k.  The orbit floors reach the scan only
-    through `allowed`: allowed[c] lists the pairs that may follow a first
-    pair c, and is empty when a multiplier maps c itself lower.
+    through `allowed` and the roots read off it: allowed[c] lists the pairs
+    that may follow a first pair c, and is empty when a multiplier maps c
+    itself lower.
     """
 
     pair_ranks: tuple[tuple[int, int], ...]  # pair j = {x, -x}: the ranks of x and -x
@@ -290,6 +298,7 @@ class ScanTables(NamedTuple):
     double_bits: tuple[int, ...]  # a covered bit of 2x
     folds: tuple[tuple[int, int, int], ...]  # turn shifted chosen masks into covered ones
     allowed: tuple[tuple[int, ...], ...]  # the j > c with floors[j] >= c, if floors[c] == c
+    roots: tuple[int, ...]  # the first pairs c whose allowed[c] can fill a candidate
     subtree: tuple[tuple[int, ...], ...]  # subtree[r][i]: candidates below last pair i, r short
 
 
@@ -317,6 +326,10 @@ def scan_tables(spec: GroupSpec, n: int, reduce_orbits: bool, /) -> ScanTables:
     else:
         perms = (tuple(range(num_pairs)),)
     floors = orbit_floors(perms)
+    allowed = tuple(
+        tuple(j for j in range(c + 1, num_pairs) if floors[j] >= c) if floors[c] == c else ()
+        for c in range(num_pairs)
+    )
     shifts = layout.shifts
     return ScanTables(
         pair_ranks=pair_ranks,
@@ -326,10 +339,8 @@ def scan_tables(spec: GroupSpec, n: int, reduce_orbits: bool, /) -> ScanTables:
         pair_bits=tuple(1 << shifts[g] | 1 << shifts[h] for g, h in pair_ranks),
         double_bits=tuple(1 << shifts[doubled[g]] for g, _ in pair_ranks),
         folds=layout.folds,
-        allowed=tuple(
-            tuple(j for j in range(c + 1, num_pairs) if floors[j] >= c) if floors[c] == c else ()
-            for c in range(num_pairs)
-        ),
+        allowed=allowed,
+        roots=tuple(c for c, after in enumerate(allowed) if len(after) >= n - 1),
         subtree=tuple(
             tuple(comb(num_pairs - 1 - i, r) for i in range(num_pairs)) for r in range(n)
         ),
@@ -354,8 +365,6 @@ def scan_prefixes(
     pair_ranks, num_pairs = tables.pair_ranks, len(tables.pair_ranks)
     plus, minus, pair_bits, folds = tables.plus, tables.minus, tables.pair_bits, tables.folds
     double_bits, allowed, subtree = tables.double_bits, tables.allowed, tables.subtree
-    # the first pairs that head at least one candidate the floors allow
-    roots = [c for c, after in enumerate(allowed) if len(after) >= n - 1]
     chosen: list[int] = []
     tested = 0
     solutions: list[SearchSolution] = []
@@ -434,37 +443,30 @@ def scan_prefixes(
         count = comb(num_pairs - 1 - (prefix[-1] if prefix else -1), below_prefix)
         prefix_count = dict.fromkeys(prefix, count)
         # the identity, and no pair sums yet
-        extend(1, 0, count, n, roots)
+        extend(1, 0, count, n, tables.roots)
     return tested, solutions
 
 
-def _prefix_tasks(tables: ScanTables, n: int, parts: int) -> list[list[tuple[int, ...]]]:
-    """All two-pair prefixes in scan order, cut into about `parts` runs of
-    similar work.  A prefix (c, j) holds C(P - 1 - j, n - 2) candidates, but
-    the scan enters only the pairs after j that allowed[c] lists, and none at
-    all when it does not list j, so it weighs C(#such pairs, n - 2)."""
+def _prefix_tasks(tables: ScanTables, n: int) -> list[list[tuple[int, int]]]:
+    """All two-pair prefixes in scan order, in runs that each start at a
+    prefix (c, j) the orbit floors leave alive: allowed[c] lists j and at
+    least n - 2 pairs after it.  The scan enters no pair below any other
+    prefix, so those ride along with the run before them."""
     ends = len(tables.allowed) - n + 2
-    prefixes = list(combinations(range(ends), 2))
-    weights = []
+    tasks: list[list[tuple[int, int]]] = []
     for c in range(ends - 1):
-        # left[j]: how many pairs allowed[c] lists after j
-        left = {j: len(tables.allowed[c]) - 1 - i for i, j in enumerate(tables.allowed[c])}
-        weights += [comb(left[j], n - 2) if j in left else 0 for j in range(c + 1, ends)]
-    target = sum(weights) / parts
-    tasks: list[list[tuple[int, ...]]] = [[]]
-    carried = 0
-    for prefix, weight in zip(prefixes, weights):
-        if carried >= target:
-            tasks.append([])
-            carried = 0
-        tasks[-1].append(prefix)
-        carried += weight
+        after = tables.allowed[c]
+        live = set(after[: max(len(after) - n + 2, 0)])
+        for j in range(c + 1, ends):
+            if j in live or not tasks:
+                tasks.append([])
+            tasks[-1].append((c, j))
     return tasks
 
 
 def _prefix_worker(args) -> tuple[int, list[SearchSolution]]:
-    factors, n, reduce_orbits, prefixes = args
-    return scan_prefixes(GroupSpec(factors), n, prefixes, reduce_orbits=reduce_orbits)
+    spec, n, reduce_orbits, prefixes = args
+    return scan_prefixes(spec, n, prefixes, reduce_orbits=reduce_orbits)
 
 
 def search_tilings(
@@ -481,6 +483,7 @@ def search_tilings(
     space exceeds the budget.  Zero solutions from a completed run is a
     nonexistence proof for the dimension.
     """
+    n, budget, threads = as_integers((n, budget, threads), "n, budget and threads")
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     groups = enumerate_abelian_groups(2 * n * n + 1)
@@ -490,15 +493,12 @@ def search_tilings(
     if total > budget:
         raise BudgetExceededError(total, budget)
     started = time.perf_counter()
-    parts = threads * _TASKS_PER_WORKER
     runs = [
-        [[()]]
-        if threads <= 1
-        else _prefix_tasks(scan_tables(spec, n, reduce_orbits), n, parts)
+        [[()]] if threads <= 1 else _prefix_tasks(scan_tables(spec, n, reduce_orbits), n)
         for spec in groups
     ]
     tasks = [
-        (spec.invariant_factors, n, reduce_orbits, prefixes)
+        (spec, n, reduce_orbits, prefixes)
         for spec, group_runs in zip(groups, runs)
         for prefixes in group_runs
     ]
@@ -510,7 +510,8 @@ def search_tilings(
             import multiprocessing
 
             pool = stack.enter_context(multiprocessing.Pool(threads))
-            outcomes = pool.imap(_prefix_worker, tasks)
+            chunksize = max(1, len(tasks) // (threads * _TASKS_PER_WORKER))
+            outcomes = pool.imap(_prefix_worker, tasks, chunksize)
         for spec, group_runs in zip(groups, runs):
             tested = found = 0
             for _ in group_runs:

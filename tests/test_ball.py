@@ -107,6 +107,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             generate_ball(3, 1, 0, 0)
 
+    @pytest.mark.parametrize("function", [generate_ball, ball_size])
+    @pytest.mark.parametrize("args", [(3, 2, 1.5, 1), (3.0, 2, 1, 1), (3, 2, 1, "1")])
+    def test_rejects_non_integer_parameters(self, function, args):
+        with pytest.raises(ValueError, match="must be integers"):
+            function(*args)
+
     def test_dataclass_dict_shape(self):
         ball = generate_ball(2, 1, 1, 1)
         d = ball.as_dict()

@@ -219,6 +219,11 @@ class TestBuildCertificate:
         with pytest.raises(ValueError):
             build_certificate(3, 23)
 
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_rejects_p_below_two(self, p):
+        with pytest.raises(ValueError, match=f"{p} is not prime"):
+            build_certificate(5, p)
+
     def test_a_zero_is_an_invariant_error(self):
         # 4n+2 = 22 = 1 (mod 3) gives a = 0; 3 divides 51 but 3 <= 2n+1
         with pytest.raises(ValueError, match="a = 0"):
@@ -243,6 +248,23 @@ class TestBuildCertificate:
             "representable": False,
             "witness": None,
         }
+
+
+@pytest.mark.parametrize(
+    "function, args",
+    [
+        (admissible_primes, (5.0,)),
+        (admissible_primes, (3.5,)),
+        (certify_nonexistence, (5.0,)),
+        (certificate_parameters, (5, 17.0)),
+        (build_certificate, (5, 17.0)),
+        (build_certificate, (5.0, 17)),
+    ],
+    ids=lambda value: getattr(value, "__name__", repr(value)),
+)
+def test_non_integer_arguments_rejected(function, args):
+    with pytest.raises(ValueError, match="must be integers"):
+        function(*args)
 
 
 class TestCertify:

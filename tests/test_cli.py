@@ -136,6 +136,14 @@ class TestSearchCommand:
         assert code == 3
         assert "budget" in stderr.lower()
 
+    @pytest.mark.parametrize("n", ["1222", "2000"])
+    def test_budget_refusal_of_a_count_too_long_to_print(self, capsys, n):
+        # from n = 1222 on, C(n^2, n) has more digits than Python prints
+        code, stdout, stderr = run(capsys, "search", "-n", n)
+        assert code == 3
+        assert stdout == ""
+        assert "budget" in stderr.lower()
+
     def test_writes_to_file(self, capsys, tmp_path):
         out = tmp_path / "search.json"
         code, _, _ = run(capsys, "search", "-n", "3", "-o", str(out))

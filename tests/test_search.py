@@ -349,6 +349,19 @@ class TestSearch:
         with pytest.raises(ValueError):
             search_tilings(3, budget=0)
 
+    @pytest.mark.parametrize("options", [{"budget": 84.5}, {"threads": 2.0}])
+    def test_non_integer_arguments_rejected(self, options):
+        with pytest.raises(ValueError, match="must be integers"):
+            search_tilings(3, **options)
+
+    def test_refusal_gives_a_short_count_in_full_and_a_long_one_as_a_power(self):
+        with pytest.raises(BudgetExceededError, match="holds 4426165368 candidates"):
+            search_tilings(8)
+        with pytest.raises(BudgetExceededError, match=r"holds about 10\^7468\.7 candidates") as exc:
+            search_tilings(2000)
+        # two groups of order 2 * 2000^2 + 1 = 3^2 * 67 * 13267
+        assert exc.value.candidate_count == 2 * comb(4_000_000, 2000)
+
     def test_result_dict_shape(self):
         d = search_tilings(3).as_dict()
         assert d["n"] == 3
@@ -414,10 +427,11 @@ class TestPrefixScan:
         assert tested == comb(9, 3)
 
     @pytest.mark.parametrize("reduce_orbits", [False, True])
-    def test_prefix_tasks_weigh_the_candidates_the_floors_leave(self, reduce_orbits):
-        # Each task of Z_51 at n = 4 closes once its prefixes hold a sixth
-        # of the candidates left after the orbit floors (all of them with
-        # the identity's floors), counted here one candidate at a time.
+    def test_prefix_tasks_start_a_run_at_each_live_prefix(self, reduce_orbits):
+        # The runs of Z_51 at n = 4 cover every two-pair prefix in scan
+        # order, and each starts at the one prefix in it that holds a
+        # candidate the orbit floors leave (all of them with the identity's
+        # floors), counted here one candidate at a time.
         spec = GroupSpec((51,))
         tables = latile.search.scan_tables(spec, 4, reduce_orbits)
         floors = tuple(orbit_floors(tables.perms))
@@ -429,12 +443,12 @@ class TestPrefixScan:
                 for rest in combinations(range(j + 1, 25), 2)
             )
 
-        tasks = latile.search._prefix_tasks(tables, 4, 6)
+        tasks = latile.search._prefix_tasks(tables, 4)
         assert [prefix for task in tasks for prefix in task] == list(combinations(range(23), 2))
-        target = sum(weight(*prefix) for task in tasks for prefix in task) / 6
-        for task in tasks[:-1]:
+        for task in tasks:
             weights = [weight(*prefix) for prefix in task]
-            assert sum(weights[:-1]) < target <= sum(weights)
+            assert weights[0] > 0
+            assert not any(weights[1:])
 
     @pytest.mark.parametrize("prefix", [(1, 0), (0, 0), (9,), (-1,), (0, 1, 2, 3)])
     def test_malformed_prefix_rejected(self, prefix):
@@ -660,8 +674,8 @@ class TestPrefixScan:
             )
         spec = GroupSpec(factors)
         tables = latile.search.scan_tables(spec, n, True)
-        tasks = latile.search._prefix_tasks(tables, n, 2 * latile.search._TASKS_PER_WORKER)
-        outcomes = [latile.search._prefix_worker((factors, n, True, task)) for task in tasks]
+        tasks = latile.search._prefix_tasks(tables, n)
+        outcomes = [latile.search._prefix_worker((spec, n, True, task)) for task in tasks]
         assert len(tasks) > 2
         assert made == [spec, spec]
         tested, solutions = scan_prefixes(spec, n, [()])
