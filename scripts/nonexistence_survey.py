@@ -24,7 +24,8 @@ def main() -> int:
     if args.start < 3 or args.stop < args.start:
         parser.error("need 3 <= start <= stop")
 
-    header = f"{'n':>5} {'2n^2+1':>10} {'p':>6} {'a':>9} {'b':>5}  conclusion"
+    # wide enough for n <= 10^5, where 2n^2+1, p, a and b reach 11 digits
+    header = f"{'n':>6} {'2n^2+1':>11} {'p':>11} {'a':>11} {'b':>11}  conclusion"
     print(header)
     print("-" * len(header))
     counts = {"NONEXISTENCE": 0, "INCONCLUSIVE": 0, "INAPPLICABLE": 0}
@@ -34,12 +35,12 @@ def main() -> int:
         cert = certify_nonexistence(n)
         if cert is None:
             counts["INAPPLICABLE"] += 1
-            print(f"{n:>5} {order:>10} {'-':>6} {'-':>9} {'-':>5}  INAPPLICABLE")
+            print(f"{n:>6} {order:>11} {'-':>11} {'-':>11} {'-':>11}  INAPPLICABLE")
             continue
         counts[cert.conclusion] += 1
         a_str = "inf" if cert.a == INFINITE else str(cert.a)
         print(
-            f"{n:>5} {order:>10} {cert.p:>6} {a_str:>9} {cert.b:>5}"
+            f"{n:>6} {order:>11} {cert.p:>11} {a_str:>11} {cert.b:>11}"
             f"  {cert.conclusion}"
         )
     seconds = time.perf_counter() - started

@@ -8,10 +8,12 @@ layer, so the radix convention here is part of the file-format contract.
 """
 
 import operator
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate, chain, compress, count, cycle
 from itertools import product as cartesian_product
-from math import gcd, lcm, prod
-from typing import Iterable, Sequence
+from math import gcd, isqrt, lcm, prod
+from typing import Iterable, Iterator, Sequence
 
 
 def as_integers(values: Iterable, what: str) -> tuple[int, ...]:
@@ -223,16 +225,64 @@ def elements(spec: GroupSpec):
         yield _element(spec, decode_rank(spec, rank))
 
 
+# Trial division reads one table of primes, sieved on demand by doubling up
+# to a fixed cap (a multiple of 8) and continued past it by a wheel, so
+# memory stays bounded for any number; nothing is sieved at import.  The
+# table is one tuple, replaced whole, so no thread sees an end its arrays
+# do not reach: (end, the primes below end, those that are 1 or 3 mod 8).
+_TABLE_CAP = 1 << 20
+_table = (0, array("I"), array("I"))
+
+
+def _sieve(end: int) -> tuple[int, array, array]:
+    """The table of the primes below end, by a sieve of Eratosthenes."""
+    sieve = bytearray([1]) * end
+    sieve[:2] = b"\0\0"
+    for i in range(2, isqrt(end - 1) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, end, i)))
+    primes = array("I", compress(range(end), sieve))
+    return end, primes, array("I", (q for q in primes if q % 8 in (1, 3)))
+
+
+def trial_divisors(limit: int, one_or_three_mod_8: bool = False) -> Iterator[int]:
+    """Ascending candidates d for trial division, among them every prime
+    d <= limit; callers stop at the first d above their limit.
+
+    The primes of the table, or only those that are 1 or 3 mod 8, grown
+    first (at least doubling its end) to cover limit.  When limit reaches
+    the cap they go on past it with every odd d, or every d that is 1 or 3
+    mod 8.
+    """
+    global _table
+    end, primes, primes_1_3_mod_8 = _table
+    if end <= limit and end < _TABLE_CAP:
+        _table = end, primes, primes_1_3_mod_8 = _sieve(
+            min(max(limit + 1, 2 * end, 1 << 10), _TABLE_CAP)
+        )
+    table = primes_1_3_mod_8 if one_or_three_mod_8 else primes
+    if limit < _TABLE_CAP:
+        return iter(table)
+    if one_or_three_mod_8:
+        return chain(table, accumulate(cycle((2, 6)), initial=_TABLE_CAP + 1))
+    return chain(table, count(_TABLE_CAP + 1, 2))
+
+
 def factorize(m: int) -> dict[int, int]:
     """{prime: exponent} for m >= 1, primes ascending, by trial division
-    by 2 and then by odd d."""
+    over trial_divisors."""
     factors: dict[int, int] = {}
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            m //= d
-        d += 1 if d == 2 else 2
+    limit = isqrt(max(m, 0))
+    for d in trial_divisors(limit):
+        if d > limit:
+            break
+        if m % d == 0:
+            e = 0
+            while m % d == 0:
+                m //= d
+                e += 1
+            factors[d] = e
+            limit = isqrt(m)
     if m > 1:
         factors[m] = 1
     return factors

@@ -16,7 +16,14 @@ the certificate is INCONCLUSIVE (it proves nothing either way).  When
 2n^2+1 has at most one admissible prime: two prime factors above 2n+1
 would multiply to more than (2n+1)^2.  Its prime factors are 1 or 3 mod 8
 (-2 = (2n)^2 is a square mod each), so admissible_primes trial-divides by
-those d only, a mod-8 wheel, and keeps the cofactor.
+those primes only and keeps the cofactor.  Trial division, here and in
+factorize, reads one table of primes (abelian.trial_divisors) that is
+sieved on demand, doubling, up to a fixed cap of 2^20; past the cap the
+candidates go on by a mod-8 wheel, so any n works in bounded memory.  When
+the division passes the square root of what is left, the cofactor is 1 or
+prime, so certify_nonexistence builds on it without a second primality
+proof.  The public certificate_parameters and build_certificate still
+check that p is prime.
 
 The builder finds (a, b) in O(sqrt(p)) steps.  b comes from the factors
 of p-1.  <4> is the only subgroup of order b, so a = INFINITE exactly when
@@ -30,16 +37,17 @@ ValueError if it ever sees a = 0.  Primality is established by
 deterministic trial division, never by a probabilistic test.
 
 Certificates are meant to be re-checked from scratch: validate_certificate
-shares no code with the builder's parameter search.  It re-derives b and a
-by one O(p) walk over the powers of 4, and every other field independently,
-and returns a list of discrepancies.
+shares no code with the builder's parameter search and does not read the
+prime table.  It re-proves p prime with its own is_prime, re-derives b and
+a by one O(p) walk over the powers of 4, and every other field
+independently, and returns a list of discrepancies.
 """
 
 from dataclasses import asdict, dataclass
 from math import isqrt
 from typing import Optional, Union
 
-from .abelian import as_integers, factorize
+from .abelian import as_integers, factorize, trial_divisors
 
 INFINITE = float("inf")
 
@@ -63,32 +71,49 @@ def is_prime(p: int) -> bool:
 def admissible_primes(n: int) -> list[int]:
     """Prime divisors p of 2n^2+1 with p > 2n+1: a list of at most one.
 
-    Trial division by d = 3, 9, 11, 17, ... (1 or 3 mod 8) while d^2 <= m.
-    Each d that divides is below 2n+1, so only the cofactor can be
-    admissible.  A composite d divides nothing left: each of its prime
-    factors is a smaller wheel value, already divided out, or 5 or 7 mod 8.
+    Trial division by the primes that are 1 or 3 mod 8, from the shared
+    prime table (abelian.trial_divisors), while d^2 <= what is left.  Each
+    d that divides is below 2n+1, so only the cofactor can be admissible.
+    When the loop ends at d the cofactor is 1 or prime: every prime factor
+    of 2n^2+1 is 1 or 3 mod 8, those below d are divided out, and the
+    cofactor is below d^2.  Past the table's cap the candidates are every
+    d that is 1 or 3 mod 8; a composite one divides nothing left, since
+    each of its prime factors is a smaller candidate or 5 or 7 mod 8.
     """
     (n,) = as_integers((n,), "dimensions")
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     m = 2 * n * n + 1
-    d, step = 3, 6
-    while d * d <= m:
-        while m % d == 0:
+    limit = isqrt(m)
+    for d in trial_divisors(limit, one_or_three_mod_8=True):
+        if d > limit:
+            break
+        if m % d == 0:
             m //= d
-        d += step
-        step = 8 - step
+            while m % d == 0:
+                m //= d
+            limit = isqrt(m)
     return [m] if m > 2 * n + 1 else []
 
 
-def certificate_parameters(n: int, p: int) -> tuple[Union[int, float], int]:
-    """(a, b) for the certificate: b = ord_p(4), a = least k >= 0 with
-    4^k = 4n+2 (mod p), else INFINITE."""
+def _checked(n: int, p: int) -> tuple[int, int]:
+    """n and p as ints, after checking that p is an odd prime."""
     n, p = as_integers((n, p), "n and p")
     if p == 2:
         raise ValueError("p must not divide 4")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    return n, p
+
+
+def certificate_parameters(n: int, p: int) -> tuple[Union[int, float], int]:
+    """(a, b) for the certificate: b = ord_p(4), a = least k >= 0 with
+    4^k = 4n+2 (mod p), else INFINITE."""
+    return _parameters(*_checked(n, p))
+
+
+def _parameters(n: int, p: int) -> tuple[Union[int, float], int]:
+    """certificate_parameters for an odd prime p, which is not checked."""
     b = p - 1
     b_factors = factorize(p - 1)
     for q in b_factors:
@@ -204,13 +229,18 @@ def _ell_bound(n: int, m: int) -> int:
 def build_certificate(n: int, p: int) -> NonexistenceCertificate:
     """Evaluate the criterion for one admissible prime.
 
-    certificate_parameters checks that n and p are integers and p is prime
-    before anything divides by p."""
-    a, b = certificate_parameters(n, p)
+    n and p are checked to be integers and p an odd prime before anything
+    divides by p."""
+    return _build(*_checked(n, p))
+
+
+def _build(n: int, p: int) -> NonexistenceCertificate:
+    """build_certificate for an odd prime p, which is not checked."""
     order = 2 * n * n + 1
     if order % p != 0:
         raise ValueError(f"{p} does not divide 2*{n}^2+1 = {order}")
     m = order // p
+    a, b = _parameters(n, p)
     if a == 0:
         raise ValueError(
             f"a = 0 means {p} divides 4n+1 and 2n^2+1, hence 18: p = {p} is not admissible"
@@ -238,9 +268,15 @@ def build_certificate(n: int, p: int) -> NonexistenceCertificate:
 
 def certify_nonexistence(n: int) -> Optional[NonexistenceCertificate]:
     """The certificate for n's admissible prime, or None when there is
-    none.  There is at most one: two would multiply to more than 2n^2+1."""
+    none.  There is at most one: two would multiply to more than 2n^2+1.
+
+    The admissible prime is not re-proved prime here: admissible_primes
+    returns a cofactor left when trial division passed its square root,
+    which is prime.  validate_certificate re-proves it with its own
+    is_prime, independently of the prime table.
+    """
     primes = admissible_primes(n)
-    return build_certificate(n, primes[0]) if primes else None
+    return _build(n, primes[0]) if primes else None
 
 
 def validate_certificate(cert: NonexistenceCertificate) -> list[str]:

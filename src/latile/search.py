@@ -444,6 +444,9 @@ def scan_prefixes(
         prefix_count = dict.fromkeys(prefix, count)
         # the identity, and no pair sums yet
         extend(1, 0, count, n, tables.roots)
+    # extend's closure holds its own cell; unbinding it frees the call's
+    # closures and lists now rather than at the next cycle collection
+    del extend
     return tested, solutions
 
 

@@ -25,6 +25,21 @@ from latile.groupring import (
 from latile.tiling import VerificationReport, apply_homomorphism
 
 
+def naive_factorize(m: int) -> dict[int, int]:
+    """Reference factorization: trial division by every d >= 2, no prime
+    table and no wheel."""
+    factors: dict[int, int] = {}
+    d = 2
+    while d * d <= m:
+        while m % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            m //= d
+        d += 1
+    if m > 1:
+        factors[m] = 1
+    return factors
+
+
 def naive_multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
     """Reference convolution: the full |G|^2 double loop, no support tricks."""
     spec = a.spec

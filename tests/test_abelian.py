@@ -14,6 +14,7 @@ from latile.abelian import (
     elements,
     encode_residues,
     enumerate_abelian_groups,
+    factorize,
     identity,
     negate,
     rank_of,
@@ -23,7 +24,12 @@ from latile.abelian import (
     sum_columns,
 )
 
-from helpers import all_specs_up_to
+from helpers import all_specs_up_to, naive_factorize
+
+
+def test_factorize_agrees_with_trial_division_by_every_d():
+    for m in range(1, 20001):
+        assert factorize(m) == naive_factorize(m), m
 
 
 def partition_count(k: int) -> int:

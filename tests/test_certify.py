@@ -1,11 +1,19 @@
 """Tests for modular nonexistence certificates and their validator."""
 
 import dataclasses
+import importlib.util
+import os
+import re
+import subprocess
+import sys
 import time
+from array import array
 from math import isqrt
 
 import pytest
 
+import latile
+from latile import abelian
 from latile.abelian import factorize
 from latile.certify import (
     INCONCLUSIVE,
@@ -21,6 +29,8 @@ from latile.certify import (
     representable,
     validate_certificate,
 )
+
+from helpers import naive_factorize
 
 
 def stepping_order(base, p):
@@ -81,15 +91,104 @@ class TestPrimes:
             admissible_primes(2)
 
     def test_wheel_agrees_with_full_factorization(self):
-        # the mod-8 wheel against trial division by every odd d
+        # the primes 1 or 3 mod 8 against trial division by every d >= 2
         for n in range(3, 5001):
-            reference = [p for p in factorize(2 * n * n + 1) if p > 2 * n + 1]
+            reference = [p for p in naive_factorize(2 * n * n + 1) if p > 2 * n + 1]
             assert admissible_primes(n) == reference, n
+
+    def test_admissible_prime_passes_the_validators_primality_test(self):
+        # certify_nonexistence builds on the cofactor without re-proving
+        # it prime; is_prime is the validator's own check
+        for n in range(3, 5001):
+            for p in admissible_primes(n):
+                assert is_prime(p), (n, p)
+
+    def test_factorize_p_minus_one(self):
+        for n in range(3, 5001):
+            for p in admissible_primes(n):
+                assert factorize(p - 1) == naive_factorize(p - 1), (n, p)
 
     def test_at_most_one_admissible_prime(self):
         # two primes above 2n+1 would multiply to more than 2n^2+1
         for n in range(3, 5001):
             assert len(admissible_primes(n)) <= 1, n
+
+
+def empty_table(monkeypatch):
+    """Empty the prime table, as in a new process; monkeypatch puts the
+    shared one back after the test."""
+    monkeypatch.setattr(abelian, "_table", (0, array("I"), array("I")))
+
+
+def table_results(ns):
+    return {
+        n: (
+            admissible_primes(n),
+            factorize(2 * n * n + 1),
+            None if (cert := certify_nonexistence(n)) is None else cert.as_dict(),
+        )
+        for n in ns
+    }
+
+
+class TestPrimeTable:
+    NS = [3, 5, 11, 282, 1000, 4999, 20000, 99991, 123456, 700001]
+
+    def test_order_of_requests_does_not_matter(self, monkeypatch):
+        empty_table(monkeypatch)
+        large_first = table_results(sorted(self.NS, reverse=True))
+        grown_to = abelian._table[0]
+        empty_table(monkeypatch)
+        small_first = table_results(sorted(self.NS))
+        assert small_first == large_first
+        assert abelian._table[0] == grown_to
+        for n, (primes, factors, _) in small_first.items():
+            assert factors == naive_factorize(2 * n * n + 1), n
+            assert primes == [p for p in factors if p > 2 * n + 1], n
+
+    def test_table_covers_the_square_root(self, monkeypatch):
+        # 1031 is prime and past the first sieve's end of 1024
+        empty_table(monkeypatch)
+        assert factorize(1031**2) == {1031: 2}
+        assert abelian._table[0] > 1031
+
+    def test_past_the_cap(self, monkeypatch):
+        # a cap of 64 (a multiple of 8) sends most candidates to the wheels
+        empty_table(monkeypatch)
+        monkeypatch.setattr(abelian, "_TABLE_CAP", 64)
+        for m in list(range(1, 5001)) + [2**31 - 1, 1000003 * 999983, 3**20 * 1009**2]:
+            assert factorize(m) == naive_factorize(m), m
+        for n in range(3, 1001):
+            reference = [p for p in naive_factorize(2 * n * n + 1) if p > 2 * n + 1]
+            assert admissible_primes(n) == reference, n
+        end, primes, _ = abelian._table
+        assert end == 64
+        assert primes[-1] == 61
+
+    def test_capped_table_for_a_prime_order(self, monkeypatch):
+        # 2n^2+1 is prime: admissible_primes divides up to its square root,
+        # about 1.4 * 10^7, past the cap of 2^20
+        empty_table(monkeypatch)
+        n = 10000014
+        assert admissible_primes(n) == [2 * n * n + 1]
+        end, primes, primes_1_3_mod_8 = abelian._table
+        assert end == abelian._TABLE_CAP == 1 << 20
+        assert len(primes) == 82025
+        assert list(primes_1_3_mod_8) == [q for q in primes if q % 8 in (1, 3)]
+
+    def test_import_sieves_nothing(self):
+        src = os.path.dirname(os.path.dirname(latile.__file__))
+        probe = (
+            "import latile, latile.cli, latile.certify, latile.search\n"
+            "from latile import abelian\n"
+            "end, primes, primes_1_3_mod_8 = abelian._table\n"
+            "print(end, len(primes), len(primes_1_3_mod_8))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.stdout.split() == ["0", "0", "0"]
 
 
 class TestParameters:
@@ -125,7 +224,7 @@ class TestParameters:
 
     def test_b_a_prime_power(self):
         # b = 81 = 3^4: Pohlig-Hellman reads a mod 81 as four base-3 digits
-        assert factorize(163 - 1) == {2: 1, 3: 4}
+        assert naive_factorize(163 - 1) == {2: 1, 3: 4}
         assert certificate_parameters(9, 163) == (63, 3**4) == scanned_parameters(9, 163)
 
     @pytest.mark.parametrize(
@@ -388,6 +487,37 @@ def test_survey_of_applicable_n_up_to_sixty():
         else:
             assert cert.conclusion == NONEXISTENCE, n
     assert gaps == expected_gaps
+
+
+def run_survey(monkeypatch, capsys, *args):
+    """Run scripts/nonexistence_survey.py's main; its stdout lines."""
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts", "nonexistence_survey.py")
+    spec = importlib.util.spec_from_file_location("nonexistence_survey", path)
+    survey = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(survey)
+    monkeypatch.setattr(sys, "argv", ["nonexistence_survey.py", *args])
+    assert survey.main() == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_survey_script_summary_to_sixty(monkeypatch, capsys):
+    lines = run_survey(monkeypatch, capsys, "--stop", "60")
+    assert len(lines) == 2 + 58 + 2
+    assert re.match(
+        r"NONEXISTENCE: 45 +INCONCLUSIVE: 0 +INAPPLICABLE: 13 +open: 0\.2241 +seconds: ", lines[-1]
+    )
+
+
+def test_survey_script_columns_stay_aligned_near_a_hundred_thousand(monkeypatch, capsys):
+    # n has 6 digits at 10^5 and 2n^2+1 has 11; p, a and b can too.  The
+    # conclusions are two characters longer than the header's "conclusion"
+    lines = run_survey(monkeypatch, capsys, "--start", "99980", "--stop", "100000")
+    header, rule, *rows, _, summary = lines
+    assert rule == "-" * len(header)
+    assert len(rows) == 21
+    assert {len(row) for row in rows} == {len(header) + 2}
+    assert rows[-1].split()[:2] == ["100000", "20000000001"]
+    assert summary.startswith("NONEXISTENCE: ")
 
 
 def test_survey_up_to_two_thousand():

@@ -1,5 +1,6 @@
 """Tests for the exhaustive small-dimension tiling search."""
 
+import gc
 import multiprocessing
 import random
 import time
@@ -420,6 +421,20 @@ class TestPrefixScan:
                 assert pair_indices_of(spec, solutions) == [
                     leaf for leaf in leaves if leaf[:k] == prefix
                 ]
+
+    def test_scan_leaves_no_reference_cycle(self):
+        # each call's closures and lists are freed when it returns, not left
+        # for the cycle collector
+        spec = GroupSpec((73,))
+        scan_prefixes(spec, 6, [(0, 1)], reduce_orbits=False)
+        gc.collect()
+        gc.disable()
+        try:
+            for prefix in [(0, 1), (2, 9), (5, 30)]:
+                scan_prefixes(spec, 6, [prefix], reduce_orbits=False)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_prefixes_partition_the_space(self):
         spec = GroupSpec((19,))
