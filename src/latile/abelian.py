@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, cycle
 from itertools import product as cartesian_product
 from math import gcd, isqrt, lcm, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 def as_integers(values: Iterable, what: str) -> tuple[int, ...]:
@@ -245,35 +245,36 @@ def _sieve(end: int) -> tuple[int, array, array]:
     return end, primes, array("I", (q for q in primes if q % 8 in (1, 3)))
 
 
-def trial_divisors(limit: int, one_or_three_mod_8: bool = False) -> Iterator[int]:
-    """Ascending candidates d for trial division, among them every prime
-    d <= limit; callers stop at the first d above their limit.
+def trial_division(m: int, one_or_three_mod_8: bool = False) -> tuple[dict[int, int], int]:
+    """The primes that trial division takes out of m >= 1, ascending, with
+    their exponents, and the cofactor left, which is 1 or prime.
 
-    The primes of the table, or only those that are 1 or 3 mod 8, grown
-    first (at least doubling its end) to cover limit.  When limit reaches
-    the cap they go on past it with every odd d, or every d that is 1 or 3
-    mod 8.
+    The candidates are the table's primes, or with one_or_three_mod_8 only
+    those that are 1 or 3 mod 8, after the table is grown (at least doubling
+    its end) to cover isqrt(m).  When isqrt(m) reaches the cap they go on
+    past it with every odd d, or every d that is 1 or 3 mod 8.  Division
+    stops at the first d whose square exceeds what is left.  The cofactor is
+    then 1 or prime: every prime factor below d has been divided out, so a
+    composite cofactor would be at least d^2.  A composite candidate past
+    the cap divides nothing, as its prime factors are smaller candidates,
+    already divided out.  With one_or_three_mod_8 this holds only when every
+    prime factor of m is 1 or 3 mod 8: then the primes left out divide
+    nothing, nor does a composite candidate with a factor 5 or 7 mod 8.
     """
     global _table
+    limit = isqrt(m)
     end, primes, primes_1_3_mod_8 = _table
     if end <= limit and end < _TABLE_CAP:
         _table = end, primes, primes_1_3_mod_8 = _sieve(
             min(max(limit + 1, 2 * end, 1 << 10), _TABLE_CAP)
         )
-    table = primes_1_3_mod_8 if one_or_three_mod_8 else primes
-    if limit < _TABLE_CAP:
-        return iter(table)
-    if one_or_three_mod_8:
-        return chain(table, accumulate(cycle((2, 6)), initial=_TABLE_CAP + 1))
-    return chain(table, count(_TABLE_CAP + 1, 2))
-
-
-def factorize(m: int) -> dict[int, int]:
-    """{prime: exponent} for m >= 1, primes ascending, by trial division
-    over trial_divisors."""
+    candidates: Iterable[int] = primes_1_3_mod_8 if one_or_three_mod_8 else primes
+    if limit >= _TABLE_CAP and one_or_three_mod_8:
+        candidates = chain(candidates, accumulate(cycle((2, 6)), initial=_TABLE_CAP + 1))
+    elif limit >= _TABLE_CAP:
+        candidates = chain(candidates, count(_TABLE_CAP + 1, 2))
     factors: dict[int, int] = {}
-    limit = isqrt(max(m, 0))
-    for d in trial_divisors(limit):
+    for d in candidates:
         if d > limit:
             break
         if m % d == 0:
@@ -283,8 +284,15 @@ def factorize(m: int) -> dict[int, int]:
                 e += 1
             factors[d] = e
             limit = isqrt(m)
-    if m > 1:
-        factors[m] = 1
+    return factors, m
+
+
+def factorize(m: int) -> dict[int, int]:
+    """{prime: exponent} for m >= 1, primes ascending: the primes
+    trial_division takes out, and its cofactor when that is above 1."""
+    factors, cofactor = trial_division(max(m, 1))
+    if cofactor > 1:
+        factors[cofactor] = 1
     return factors
 
 

@@ -61,9 +61,6 @@ class IdentityCheck:
     right: int
     holds: bool
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class SpectrumReport:
@@ -156,9 +153,6 @@ class CongruenceCheck:
     scalars: dict[str, int]
     holds: bool
     first_mismatch_rank: Optional[int]
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

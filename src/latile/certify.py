@@ -16,14 +16,13 @@ the certificate is INCONCLUSIVE (it proves nothing either way).  When
 2n^2+1 has at most one admissible prime: two prime factors above 2n+1
 would multiply to more than (2n+1)^2.  Its prime factors are 1 or 3 mod 8
 (-2 = (2n)^2 is a square mod each), so admissible_primes trial-divides by
-those primes only and keeps the cofactor.  Trial division, here and in
-factorize, reads one table of primes (abelian.trial_divisors) that is
-sieved on demand, doubling, up to a fixed cap of 2^20; past the cap the
-candidates go on by a mod-8 wheel, so any n works in bounded memory.  When
-the division passes the square root of what is left, the cofactor is 1 or
-prime, so certify_nonexistence builds on it without a second primality
-proof.  The public certificate_parameters and build_certificate still
-check that p is prime.
+those primes only and keeps the cofactor.  The builder factors and proves
+primes by one function, abelian.trial_division, over one table of primes
+sieved on demand up to a fixed cap of 2^20 and continued past it by a
+wheel, so any n works in bounded memory.  Its cofactor is 1 or prime, so
+certify_nonexistence builds on the admissible prime without a second
+primality proof; the public certificate_parameters and build_certificate
+check that p is prime by the same function.
 
 The builder finds (a, b) in O(sqrt(p)) steps.  b comes from the factors
 of p-1.  <4> is the only subgroup of order b, so a = INFINITE exactly when
@@ -37,17 +36,17 @@ ValueError if it ever sees a = 0.  Primality is established by
 deterministic trial division, never by a probabilistic test.
 
 Certificates are meant to be re-checked from scratch: validate_certificate
-shares no code with the builder's parameter search and does not read the
-prime table.  It re-proves p prime with its own is_prime, re-derives b and
-a by one O(p) walk over the powers of 4, and every other field
-independently, and returns a list of discrepancies.
+shares no code with the builder and does not read the prime table.  It
+re-proves p prime with its own is_prime, re-derives b and a by one O(p)
+walk over the powers of 4, and every other field independently, and
+returns a list of discrepancies.
 """
 
 from dataclasses import asdict, dataclass
 from math import isqrt
 from typing import Optional, Union
 
-from .abelian import as_integers, factorize, trial_divisors
+from .abelian import as_integers, factorize, trial_division
 
 INFINITE = float("inf")
 
@@ -56,6 +55,7 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 
 def is_prime(p: int) -> bool:
+    """The validator's primality test: trial division by 2 and every odd d."""
     if p < 2:
         return False
     if p < 4:
@@ -71,37 +71,24 @@ def is_prime(p: int) -> bool:
 def admissible_primes(n: int) -> list[int]:
     """Prime divisors p of 2n^2+1 with p > 2n+1: a list of at most one.
 
-    Trial division by the primes that are 1 or 3 mod 8, from the shared
-    prime table (abelian.trial_divisors), while d^2 <= what is left.  Each
-    d that divides is below 2n+1, so only the cofactor can be admissible.
-    When the loop ends at d the cofactor is 1 or prime: every prime factor
-    of 2n^2+1 is 1 or 3 mod 8, those below d are divided out, and the
-    cofactor is below d^2.  Past the table's cap the candidates are every
-    d that is 1 or 3 mod 8; a composite one divides nothing left, since
-    each of its prime factors is a smaller candidate or 5 or 7 mod 8.
+    The cofactor that trial_division leaves after dividing by the primes
+    that are 1 or 3 mod 8, if it is above 2n+1: it is 1 or prime, and each
+    prime divided out is at most sqrt(2n^2+1) < 2n+1.
     """
     (n,) = as_integers((n,), "dimensions")
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
-    m = 2 * n * n + 1
-    limit = isqrt(m)
-    for d in trial_divisors(limit, one_or_three_mod_8=True):
-        if d > limit:
-            break
-        if m % d == 0:
-            m //= d
-            while m % d == 0:
-                m //= d
-            limit = isqrt(m)
-    return [m] if m > 2 * n + 1 else []
+    _, cofactor = trial_division(2 * n * n + 1, one_or_three_mod_8=True)
+    return [cofactor] if cofactor > 2 * n + 1 else []
 
 
 def _checked(n: int, p: int) -> tuple[int, int]:
-    """n and p as ints, after checking that p is an odd prime."""
+    """n and p as ints, after checking that p is an odd prime: one that
+    trial_division leaves whole."""
     n, p = as_integers((n, p), "n and p")
     if p == 2:
         raise ValueError("p must not divide 4")
-    if not is_prime(p):
+    if p < 2 or trial_division(p)[1] != p:
         raise ValueError(f"{p} is not prime")
     return n, p
 
@@ -270,10 +257,9 @@ def certify_nonexistence(n: int) -> Optional[NonexistenceCertificate]:
     """The certificate for n's admissible prime, or None when there is
     none.  There is at most one: two would multiply to more than 2n^2+1.
 
-    The admissible prime is not re-proved prime here: admissible_primes
-    returns a cofactor left when trial division passed its square root,
-    which is prime.  validate_certificate re-proves it with its own
-    is_prime, independently of the prime table.
+    The admissible prime is not re-proved prime here: it is the cofactor
+    that trial_division leaves, which is 1 or prime.  validate_certificate
+    re-proves it with its own is_prime, independently of the prime table.
     """
     primes = admissible_primes(n)
     return _build(n, primes[0]) if primes else None
@@ -340,10 +326,8 @@ def validate_certificate(cert: NonexistenceCertificate) -> list[str]:
             any_representable = True
             if row.witness is None:
                 problems.append(f"row ell={row.ell}: representable but no witness")
-            else:
-                x, y = row.witness
-                if x < 0 or y < 0 or a == INFINITE or a * (x + 1) + b * y != row.target:
-                    problems.append(f"row ell={row.ell}: witness {row.witness} invalid")
+            elif not _witness_solves(row.witness, a, b, row.target):
+                problems.append(f"row ell={row.ell}: witness {row.witness!r} invalid")
         elif row.witness is not None:
             problems.append(f"row ell={row.ell}: witness given for unrepresentable target")
     expected_conclusion = INCONCLUSIVE if any_representable else NONEXISTENCE
@@ -352,6 +336,16 @@ def validate_certificate(cert: NonexistenceCertificate) -> list[str]:
             f"conclusion {cert.conclusion} inconsistent with rows ({expected_conclusion})"
         )
     return problems
+
+
+def _witness_solves(witness, a: Union[int, float], b: int, target: int) -> bool:
+    """Is witness a pair (x, y) of ints, not bools, with x, y >= 0 and
+    a*(x+1) + b*y = target?"""
+    if not isinstance(witness, (tuple, list)) or len(witness) != 2:
+        return False
+    x, y = witness
+    ints = type(x) is int and type(y) is int
+    return ints and x >= 0 and y >= 0 and a != INFINITE and a * (x + 1) + b * y == target
 
 
 def _exhaustive_representable(a: Union[int, float], b: int, target: int) -> bool:

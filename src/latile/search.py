@@ -245,7 +245,6 @@ def dual_verify_candidate(phi: TilingHomomorphism, ball: ErrorBall) -> bool:
 class _Layout(NamedTuple):
     """Where each element sits in the scan's two masks (see _padded_layout)."""
 
-    size: int  # the bits the elements span
     shifts: tuple[int, ...]  # shifts[r]: rank r's bit in a chosen mask, the shift that adds r
     folds: tuple[tuple[int, int, int], ...]  # per coordinate: low half, high half, shift
 
@@ -277,7 +276,7 @@ def _padded_layout(spec: GroupSpec) -> _Layout:
         shift = d * stride
         low = sum(((1 << shift) - 1) << start for start in range(0, size, 2 * shift))
         folds.append((low, (1 << size) - 1 ^ low, shift))
-    return _Layout(size, tuple(sum_columns(columns, spec.order)), tuple(folds))
+    return _Layout(tuple(sum_columns(columns, spec.order)), tuple(folds))
 
 
 class ScanTables(NamedTuple):

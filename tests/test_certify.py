@@ -13,7 +13,7 @@ from math import isqrt
 import pytest
 
 import latile
-from latile import abelian
+from latile import abelian, certify
 from latile.abelian import factorize
 from latile.certify import (
     INCONCLUSIVE,
@@ -442,6 +442,57 @@ class TestValidator:
         cert = dataclasses.replace(cert, rows=tuple(rows))
         assert validate_certificate(cert)
 
+    @pytest.mark.parametrize(
+        "witness, problem",
+        [
+            (None, "representable but no witness"),
+            ((1,), "witness (1,) invalid"),
+            ((1, 2, 3), "witness (1, 2, 3) invalid"),
+            ("ab", "witness 'ab' invalid"),
+            ((1.0, 0.0), "witness (1.0, 0.0) invalid"),
+            ((True, 0), "witness (True, 0) invalid"),
+        ],
+        ids=["none", "one-int", "three-ints", "str", "floats", "bool"],
+    )
+    def test_rejects_missing_or_malformed_witness(self, witness, problem):
+        # a witness must be a pair of ints, not bools, that solves the row;
+        # (1.0, 0.0) and (True, 0) solve it as numbers, the others cannot
+        cert = build_certificate(282, 761)
+        hit = next(i for i, row in enumerate(cert.rows) if row.representable)
+        rows = list(cert.rows)
+        assert rows[hit].witness == (1, 0)
+        rows[hit] = dataclasses.replace(rows[hit], witness=witness)
+        cert = dataclasses.replace(cert, rows=tuple(rows))
+        assert validate_certificate(cert) == [f"row ell={rows[hit].ell}: {problem}"]
+
+    # each forgery of build_certificate(3, 19) below reaches exactly one
+    # problem branch, and nothing else
+    @pytest.mark.parametrize(
+        "forged, message",
+        [
+            ({"order": 20}, "order 20 != 2*3^2+1 = 19"),
+            ({"p_exceeds_2n_plus_1": False}, "certificate does not assert p > 2n+1"),
+            ({"p": 23}, "p = 23 does not divide 19"),
+            ({"ell_max": 1}, "ell_max = 1 != 0"),
+        ],
+        ids=["order", "p-not-asserted-above", "p-not-a-divisor", "ell-max"],
+    )
+    def test_rejects_forged_field(self, forged, message):
+        assert validate_certificate(dataclasses.replace(self.base(), **forged)) == [message]
+
+    @pytest.mark.parametrize(
+        "forged, message",
+        [
+            ({"target": 4}, "row ell=0: target 4 != 3"),
+            ({"witness": (0, 0)}, "row ell=0: witness given for unrepresentable target"),
+        ],
+        ids=["target", "witness-on-unrepresentable"],
+    )
+    def test_rejects_forged_row(self, forged, message):
+        cert = self.base()
+        rows = (dataclasses.replace(cert.rows[0], **forged),)
+        assert validate_certificate(dataclasses.replace(cert, rows=rows)) == [message]
+
     def test_rejects_nonprime_p(self):
         cert = dataclasses.replace(self.base(), p=21)
         assert validate_certificate(cert)
@@ -473,6 +524,43 @@ class TestValidator:
             "row ell=1: representable=False, recheck says True",
             "row ell=2: representable=False, recheck says True",
         ]
+
+
+class TestBuilderAndValidatorApart:
+    """The builder proves primes by trial_division over the prime table,
+    and the validator by its own is_prime: neither needs the other's."""
+
+    def test_validator_reads_no_table(self, monkeypatch):
+        certs = [cert for n in range(3, 201) if (cert := certify_nonexistence(n))]
+
+        def refuse(end):
+            raise AssertionError("the validator sieved")
+
+        empty_table(monkeypatch)
+        monkeypatch.setattr(abelian, "_sieve", refuse)
+        for cert in certs:
+            assert validate_certificate(cert) == [], cert.n
+
+    def test_builder_calls_no_is_prime(self, monkeypatch):
+        expected = {n: certify_nonexistence(n) for n in range(3, 201)}
+
+        def refuse(p):
+            raise AssertionError("the builder called is_prime")
+
+        monkeypatch.setattr(certify, "is_prime", refuse)
+        assert {n: certify_nonexistence(n) for n in range(3, 201)} == expected
+        assert build_certificate(3, 19).conclusion == NONEXISTENCE
+        assert certificate_parameters(9, 163) == (63, 81)
+
+    def test_builder_and_validator_agree_on_primality(self):
+        for p in range(-5, 5001):
+            if p == 2:
+                continue
+            if is_prime(p):
+                certificate_parameters(3, p)
+            else:
+                with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+                    certificate_parameters(3, p)
 
 
 def test_survey_of_applicable_n_up_to_sixty():

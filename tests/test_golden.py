@@ -4,7 +4,8 @@ Each file is the full stdout of one run: `latile analyze -` and
 `latile verify -` on the Golay map (`latile construct golay11 | latile
 analyze -`) and on the Golay map with one image swapped, and `latile
 certify -n N` for N = 3 (a infinite), 14 (a = 26), 282 (INCONCLUSIVE, with a
-witness) and 11 (INAPPLICABLE).  The swapped map's verify file pins the
+witness), 11 (INAPPLICABLE) and 10000014 (2n^2+1 prime, so trial division
+runs past the prime table's cap).  The swapped map's verify file pins the
 first collision witness and the order of the uncovered elements, and that
 run exits 1.  A change that alters one of them changes the JSON that users
 read.
@@ -54,7 +55,7 @@ def test_verify_output_is_golden(capsys, monkeypatch, name, phi, exit_code):
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
 
 
-@pytest.mark.parametrize("n", [3, 11, 14, 282])
+@pytest.mark.parametrize("n", [3, 11, 14, 282, 10000014])
 def test_certify_output_is_golden(capsys, n):
     golden = (GOLDEN / f"certify_n{n}.json").read_text()
     assert stdout_of(capsys, ["certify", "-n", str(n)]) == golden

@@ -1,13 +1,14 @@
 """Tests for the exhaustive small-dimension tiling search."""
 
 import gc
+import json
 import multiprocessing
 import random
 import time
 from dataclasses import replace
 from functools import cache
 from itertools import combinations
-from math import comb, gcd
+from math import comb, gcd, prod
 
 import pytest
 
@@ -384,6 +385,14 @@ class TestPrefixScan:
         golay_elements = tuple(sorted(elements_of(spec, golay), key=rank_of))
         found = [sol.elements for sol in solutions]
         assert golay_elements in found
+        # the JSON `latile search` prints for the solution
+        record = solutions[found.index(golay_elements)].as_dict()
+        assert record["group"] == {"invariant_factors": [3, 3, 3, 3, 3]}
+        assert record["elements"] == [list(g.residues) for g in golay_elements]
+        assert len(record["elements"]) == 23
+        assert record["elements"][0] == [0, 0, 0, 0, 0]
+        assert record["orbit_size"] == 1
+        assert json.loads(json.dumps(record)) == record
         # both verifiers accept the planted set on their own
         assert check_tiling_conditions(from_multiset(spec, golay_elements), 11).passed
         pairs = inverse_pairs(spec)
@@ -704,11 +713,13 @@ class TestPrefixScan:
     )
     def test_one_shift_translates_a_chosen_mask(self, factors):
         # For every x and seeded random sets S, the chosen mask of S shifted
-        # by x stays within the layout's bits and meets the covered mask of a
-        # single element c exactly when c is in S + x, and folded once per
-        # coordinate it is the covered mask of S + x.
+        # by x stays within the layout's bits, a radix of 2d per coordinate,
+        # and meets the covered mask of a single element c exactly when c is
+        # in S + x, and folded once per coordinate it is the covered mask of
+        # S + x.
         spec = GroupSpec(factors)
         layout = latile.search._padded_layout(spec)
+        span = prod(2 * d for d in factors)
 
         def folded(mask):
             for low, high, shift in layout.folds:
@@ -726,7 +737,7 @@ class TestPrefixScan:
                     rank_of(add(element_at(spec, s), element_at(spec, x))) for s in chosen
                 }
                 shifted = mask << layout.shifts[x]
-                assert shifted >> layout.size == 0
+                assert shifted >> span == 0
                 assert {c for c in range(spec.order) if shifted & covered[c]} == translated
                 assert folded(shifted) == sum(covered[c] for c in translated)
 
