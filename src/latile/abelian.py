@@ -5,15 +5,19 @@ so every isomorphism class appears exactly once.  Elements are reduced
 residue tuples.  A dense rank <-> element bijection (mixed radix, most
 significant factor first) underpins coefficient indexing in the group-ring
 layer, so the radix convention here is part of the file-format contract.
+A second, padded mixed radix (radix 2d per coordinate, see padded_layout)
+lets a sum of two elements be one integer addition: the group-ring product
+and the search's bit masks both read it.
 """
 
 import operator
 from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, chain, compress, count, cycle
 from itertools import product as cartesian_product
 from math import gcd, isqrt, lcm, prod
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 def as_integers(values: Iterable, what: str) -> tuple[int, ...]:
@@ -217,6 +221,42 @@ def scaled_ranks(spec: GroupSpec, ranks: Sequence[int], t: int) -> list[int]:
         for digits, d, w in zip(digit_columns(spec, ranks), factors, rank_weights(spec))
     ]
     return list(sum_columns(columns, len(ranks)))
+
+
+class PaddedLayout(NamedTuple):
+    """A group's padded mixed radix (see padded_layout)."""
+
+    strides: tuple[int, ...]  # per coordinate: the product of the later radices 2d
+    positions: tuple[int, ...]  # positions[r]: where the element of rank r sits
+    fold: tuple[int, ...]  # fold[p]: the rank of position p's digits reduced mod d
+
+
+# layouts a process keeps: room for the eleven groups of orders 51, 73, 99
+# and 243 (n = 5, 6, 7, 11) that the map checks cycle through
+_LAYOUTS_KEPT = 11
+
+
+@lru_cache(maxsize=_LAYOUTS_KEPT)
+def padded_layout(spec: GroupSpec, /) -> PaddedLayout:
+    """The group laid out in a padded mixed radix, made once per process.
+
+    A coordinate of factor d gets radix 2d, most significant first, and an
+    element sits at the sum of its residues times the coordinate strides.
+    The sum of two positions has digits below 2d, so it carries nowhere,
+    and the fold table maps each of the prod 2d positions to the rank of
+    its digits reduced mod d: fold[positions[g] + positions[h]] is the rank
+    of g + h.  The tables grow from the least significant coordinate: a
+    coordinate of factor d in front repeats them once per digit, and the
+    fold table's digits d..2d-1 repeat its digits 0..d-1.
+    """
+    strides, positions, fold = (), [0], [0]
+    stride = weight = 1
+    for d in reversed(spec.invariant_factors):
+        strides = (stride, *strides)
+        positions = [v * stride + p for v in range(d) for p in positions]
+        fold = [v * weight + f for v in range(d) for f in fold] * 2
+        stride, weight = 2 * d * stride, d * weight
+    return PaddedLayout(strides, tuple(positions), tuple(fold))
 
 
 def elements(spec: GroupSpec):

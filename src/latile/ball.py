@@ -5,8 +5,8 @@ each nonzero entry lying in [-k-, k+].  The family of interest here is
 B(n,2,1,1), of size 2n^2+1, but the generator is generic.
 """
 
-from dataclasses import dataclass
-from itertools import combinations, product
+from dataclasses import dataclass, field
+from itertools import combinations, compress, count, product
 from math import comb
 
 from .abelian import as_integers
@@ -14,11 +14,26 @@ from .abelian import as_integers
 
 @dataclass(frozen=True)
 class ErrorBall:
+    """A ball's parameters and its vectors.
+
+    `entries` lists every nonzero entry of the vectors once, as (vector
+    index, position, value) in vector order, when the ball is made, so a
+    verifier that maps every vector reads them without re-scanning the
+    zeros.
+    """
+
     n: int
     t: int
     k_plus: int
     k_minus: int
     vectors: tuple[tuple[int, ...], ...]
+    entries: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        entries = [
+            (i, p, vec[p]) for i, vec in enumerate(self.vectors) for p in compress(count(), vec)
+        ]
+        object.__setattr__(self, "entries", tuple(entries))
 
     def __len__(self) -> int:
         return len(self.vectors)

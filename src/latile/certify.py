@@ -271,9 +271,14 @@ def validate_certificate(cert: NonexistenceCertificate) -> list[str]:
     An empty list means the certificate is sound.  The validator shares no
     state with the builder: primality, b and a (from one walk over the
     powers of 4 mod p), the ell range, and every row's representability are
-    recomputed from scratch.
+    recomputed from scratch.  First every integer field, and each row's ell
+    and target, must be an int and not a bool (a may also be infinite):
+    when one is not, those problems are the whole list, since a float would
+    compare equal to the int it stands for or fail in the arithmetic.
     """
-    problems = []
+    problems = _field_type_problems(cert)
+    if problems:
+        return problems
     n = cert.n
     order = 2 * n * n + 1
     if cert.order != order:
@@ -335,6 +340,24 @@ def validate_certificate(cert: NonexistenceCertificate) -> list[str]:
         problems.append(
             f"conclusion {cert.conclusion} inconsistent with rows ({expected_conclusion})"
         )
+    return problems
+
+
+def _field_type_problems(cert: NonexistenceCertificate) -> list[str]:
+    """The integer fields of the certificate and its rows that are not ints."""
+    problems = [
+        f"{name} = {value!r} is not an int"
+        for name in ("n", "order", "p", "m", "b", "ell_max")
+        if type(value := getattr(cert, name)) is not int
+    ]
+    if type(cert.a) is not int and cert.a != INFINITE:
+        problems.append(f"a = {cert.a!r} is neither an int nor infinite")
+    problems += [
+        f"row {index}: {name} = {value!r} is not an int"
+        for index, row in enumerate(cert.rows)
+        for name in ("ell", "target")
+        if type(value := getattr(row, name)) is not int
+    ]
     return problems
 
 

@@ -6,11 +6,11 @@ coefficients checked, and the scalars, multipliers and moduli passed to the
 operations are checked once per call, so a non-integer raises ValueError
 naming it.  Results of the ring's own operations are integers by
 construction and are not re-validated.
-The product works on ranks one coordinate column at a time: a rank is the
-sum over coordinates of residue times weight, so the ranks of g + supp(b)
-are the element-wise sum of one shifted column of supp(b) per coordinate of
-g, and each shifted column is made once per product for each residue that
-occurs.  Python integers are unbounded, so coefficient overflow cannot
+The product reads the group's padded layout (abelian.padded_layout): each
+element has a position whose digits are its residues in radix 2d, so the
+position of g + h is fold[pos(g) + pos(h)], one addition and one table
+lookup per pair of support elements, in cyclic and non-cyclic groups
+alike.  Python integers are unbounded, so coefficient overflow cannot
 occur for any group order or product degree.
 
 The module also houses the perfect-code condition checker: a candidate code
@@ -30,11 +30,9 @@ from .abelian import (
     GroupSpec,
     as_integers,
     decode_rank,
-    digit_columns,
+    padded_layout,
     rank_of,
-    rank_weights,
     scaled_ranks,
-    sum_columns,
 )
 
 
@@ -126,34 +124,20 @@ def linear_combine(
 
 
 def multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    """Convolution product, translating the denser operand's support by each
-    element of the sparser one's."""
+    """Convolution product over the padded layout: every pair of a term of
+    the sparser operand and a term of the denser one adds its coefficient
+    product at fold[pos_a + pos_b], the rank of the sum of their elements."""
     _require_same_ring(a, b)
     spec = a.spec
-    sup_a = [(r, c) for r, c in enumerate(a.coefficients) if c != 0]
-    sup_b = [(r, c) for r, c in enumerate(b.coefficients) if c != 0]
+    _, positions, fold = padded_layout(spec)
+    sup_a = [(positions[r], c) for r, c in enumerate(a.coefficients) if c]
+    sup_b = [(positions[r], c) for r, c in enumerate(b.coefficients) if c]
     if len(sup_a) > len(sup_b):
         sup_a, sup_b = sup_b, sup_a
-    coeffs_b = [c for _, c in sup_b]
-    coordinates = list(
-        zip(
-            spec.invariant_factors,
-            rank_weights(spec),
-            digit_columns(spec, [r for r, _ in sup_b]),
-            [{} for _ in spec.invariant_factors],  # shifted columns by residue
-        )
-    )
     out = [0] * spec.order
-    for r, ca in sup_a:
-        columns = []
-        for d, w, digits, shifted in coordinates:
-            v = r // w % d
-            column = shifted.get(v)
-            if column is None:
-                column = shifted[v] = [(h + v) % d * w for h in digits]
-            columns.append(column)
-        for s, cb in zip(sum_columns(columns, len(coeffs_b)), coeffs_b):
-            out[s] += ca * cb
+    for pos_a, ca in sup_a:
+        for pos_b, cb in sup_b:
+            out[fold[pos_a + pos_b]] += ca * cb
     return _ring(spec, out)
 
 

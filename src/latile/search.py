@@ -25,16 +25,18 @@ simpler tests decide the node:
   2x in covered.
 
 A tested pair therefore costs a one-bit test (is 2x in covered?) and one
-shift.  The masks lay the elements out in a padded mixed radix, 2d per
-coordinate of factor d (see _padded_layout), so that S+x is the chosen mask
-shifted left by x's digits in cyclic and non-cyclic groups alike, and it
-meets covered exactly when S+x does.  S-x is made only when the scan
-descends, and the two sums are folded into covered's layout once per
-coordinate.  Sums are never removed, so a rejection drops the whole
-subtree at once, counted exactly by binomial completion counts
-(candidates_tested is always C(n^2, n) per group).  Depth n without a
-rejection is a tiling: its C(2n+1, 2) - n = 2n^2 distinct non-identity
-sums fill G minus e.
+shift.  The masks lay the elements out in the padded mixed radix that the
+group-ring product also reads (abelian.padded_layout, radix 2d per
+coordinate of factor d; see _padded_layout): an element's bit is its
+position there, so S+x is the chosen mask shifted left by x's position in
+cyclic and non-cyclic groups alike, and it meets covered exactly when S+x
+does.  S-x is made only when the scan descends, and the two sums are
+folded into covered's layout once per coordinate by bit masks that only
+the search keeps; the product's fold table is not read here.  Sums are
+never removed, so a rejection drops the whole subtree at once, counted
+exactly by binomial completion counts (candidates_tested is always
+C(n^2, n) per group).  Depth n without a rejection is a tiling: its
+C(2n+1, 2) - n = 2n^2 distinct non-identity sums fill G minus e.
 
 Below the first pair S and covered only grow, so a rejection there holds
 for the whole subtree.  The scan looks ahead (forward checking, Haralick
@@ -105,11 +107,10 @@ from .abelian import (
     GroupElement,
     GroupSpec,
     as_integers,
-    digit_columns,
     element_at,
     enumerate_abelian_groups,
+    padded_layout,
     scaled_ranks,
-    sum_columns,
 )
 from .ball import ErrorBall, generate_ball
 from .groupring import check_tiling_conditions
@@ -250,7 +251,7 @@ class _Layout(NamedTuple):
 
 
 def _padded_layout(spec: GroupSpec) -> _Layout:
-    """Lay elements out in a padded mixed radix, so that S + x is one shift.
+    """Lay elements out in abelian.padded_layout, so that S + x is one shift.
 
     A coordinate of factor d gets radix 2d.  An element with digits v (its
     residues) sits at v in a chosen mask, and at v + e*d for every e in
@@ -262,21 +263,14 @@ def _padded_layout(spec: GroupSpec) -> _Layout:
     covered, a shifted mask is folded once per coordinate: the bits whose
     digit there is below d are copied up by d, and the others down by d.
     """
-    factors = spec.invariant_factors
-    strides = []  # each coordinate's bit stride: the product of the later radices
-    size = 1
-    for d in reversed(factors):
-        strides.append(size)
-        size *= 2 * d
-    strides.reverse()
-    digits = digit_columns(spec, range(spec.order))
-    columns = [[v * stride for v in column] for column, stride in zip(digits, strides)]
+    strides, positions, fold = padded_layout(spec)
+    size = len(fold)
     folds = []
-    for d, stride in zip(factors, strides):
+    for d, stride in zip(spec.invariant_factors, strides):
         shift = d * stride
         low = sum(((1 << shift) - 1) << start for start in range(0, size, 2 * shift))
         folds.append((low, (1 << size) - 1 ^ low, shift))
-    return _Layout(tuple(sum_columns(columns, spec.order)), tuple(folds))
+    return _Layout(positions, tuple(folds))
 
 
 class ScanTables(NamedTuple):

@@ -4,9 +4,9 @@ A candidate tiling is a homomorphism phi determined by the images
 a_1, ..., a_n of the standard basis vectors.  The ball B(n,2,1,1) tiles Z^n
 by the kernel lattice of phi exactly when phi restricted to the ball is a
 bijection onto G, which is what verify_tiling checks by direct counting.
-It works column-wise, for any ErrorBall: the ball's nonzero entries are
-listed once, every vector's residues are accumulated one group coordinate
-at a time over them, and the ranks they give are counted.
+It works column-wise, for any ErrorBall: over the nonzero entries the ball
+lists when it is made, every vector's residues are accumulated one group
+coordinate at a time, and the ranks they give are counted.
 
 kernel_basis exports the lattice ker(phi) as an integer row basis in its
 Hermite normal form, which is unique, so the output is suitable for
@@ -143,12 +143,15 @@ def size_mismatch_report(order: int, size: int) -> VerificationReport:
 def verify_tiling(phi: TilingHomomorphism, ball: ErrorBall) -> VerificationReport:
     """Check that phi restricted to the ball is a bijection onto G.
 
-    The ball's nonzero entries are listed once as (vector index, position,
-    value).  Image residues are accumulated over those entries one group
-    coordinate at a time, and each vector's rank is the sum over coordinates
-    of (residue mod d) times the coordinate's rank weight.  Only the first
-    collision witness in ball order is kept (plus the total count of excess
-    vectors); the uncovered list is complete, in rank order.
+    The ball lists its nonzero entries once, as (vector index, position,
+    value), when it is made (ErrorBall.entries).  Image residues are
+    accumulated over those entries one group coordinate at a time, and each
+    vector's rank is the sum over coordinates of (residue mod d) times the
+    coordinate's rank weight.  This is residue arithmetic of its own, not
+    the group-ring product's padded layout, so the two tiling criteria stay
+    independent routes.  Only the first collision witness in ball order is
+    kept (plus the total count of excess vectors); the uncovered list is
+    complete, in rank order.
     """
     if ball.n != phi.n:
         raise ValueError(f"ball dimension {ball.n} != homomorphism dimension {phi.n}")
@@ -157,12 +160,11 @@ def verify_tiling(phi: TilingHomomorphism, ball: ErrorBall) -> VerificationRepor
     vectors = ball.vectors
     if order != len(vectors):
         return size_mismatch_report(order, len(vectors))
-    entries = [(i, p, v) for i, vec in enumerate(vectors) for p, v in enumerate(vec) if v]
     ranks = [0] * order
     for k, (d, w) in enumerate(zip(spec.invariant_factors, rank_weights(spec))):
         column = [g.residues[k] for g in phi.images]
         acc = [0] * order
-        for i, p, v in entries:
+        for i, p, v in ball.entries:
             acc[i] += v * column[p]
         ranks = [r + a % d * w for r, a in zip(ranks, acc)]
     covered = set(ranks)

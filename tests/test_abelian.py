@@ -1,5 +1,7 @@
 """Tests for finite abelian group arithmetic and enumeration."""
 
+from math import prod
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,6 +19,7 @@ from latile.abelian import (
     factorize,
     identity,
     negate,
+    padded_layout,
     rank_of,
     rank_weights,
     scalar_mul,
@@ -223,6 +226,34 @@ class TestRanking:
             expected = [rank_of(scalar_mul(t, g)) for g in elements(spec)]
             assert scaled_ranks(spec, range(spec.order), t) == expected
             assert scaled_ranks(spec, [], t) == []
+
+    @pytest.mark.parametrize(
+        "specs",
+        [
+            all_specs_up_to(40),
+            [GroupSpec(()), GroupSpec((3, 33)), GroupSpec((3, 3, 3, 3, 3))],
+        ],
+        ids=["orders-1-to-40", "trivial-Z3xZ33-Z3^5"],
+    )
+    def test_padded_layout_folds_every_sum_to_its_rank(self, specs):
+        # fold[pos[g] + pos[h]] is the rank of g + h for every pair, the
+        # strides weight the residues into the positions, and the table
+        # holds one entry per padded position, 2d per coordinate
+        for spec in specs:
+            strides, positions, fold = padded_layout(spec)
+            group = list(elements(spec))
+            assert len(fold) == prod(2 * d for d in spec.invariant_factors)
+            assert list(positions) == [
+                sum(v * s for v, s in zip(g.residues, strides)) for g in group
+            ]
+            for g in group:
+                assert [fold[positions[rank_of(g)] + positions[rank_of(h)]] for h in group] == [
+                    rank_of(add(g, h)) for h in group
+                ]
+
+    def test_padded_layout_is_made_once_per_group(self):
+        spec = GroupSpec((3, 33))
+        assert padded_layout(spec) is padded_layout(GroupSpec((3, 33)))
 
 
 SPECS = all_specs_up_to(36)

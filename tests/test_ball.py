@@ -61,6 +61,33 @@ class TestGenerate:
         assert (2, 0, 0) in vecs and (-2, 0, 0) not in vecs
 
 
+class TestEntries:
+    def test_entries_are_the_nonzero_entries_of_the_vectors(self):
+        # (vector index, position, value) for every nonzero entry, in
+        # vector order and position order within a vector
+        for n in range(1, 6):
+            for t in range(0, min(n, 3) + 1):
+                for kp in range(0 if t == 0 else 1, 4):
+                    for km in range(0, kp + 1):
+                        ball = generate_ball(n, t, kp, km)
+                        expected = [
+                            (i, p, vec[p])
+                            for i, vec in enumerate(ball.vectors)
+                            for p in range(n)
+                            if vec[p] != 0
+                        ]
+                        assert list(ball.entries) == expected
+                        assert len(expected) == sum(
+                            sum(1 for x in v if x) for v in brute_force_vectors(n, t, kp, km)
+                        )
+
+    def test_entries_stay_out_of_the_dict_and_the_comparison(self):
+        ball = generate_ball(3, 2, 1, 1)
+        assert "entries" not in ball.as_dict()
+        same = ErrorBall(3, 2, 1, 1, ball.vectors)
+        assert same == ball and same.entries == ball.entries
+
+
 class TestSize:
     @pytest.mark.parametrize(
         "n,expected",

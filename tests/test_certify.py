@@ -493,6 +493,44 @@ class TestValidator:
         rows = (dataclasses.replace(cert.rows[0], **forged),)
         assert validate_certificate(dataclasses.replace(cert, rows=rows)) == [message]
 
+    # a float in an integer field compares equal to the int it stands for,
+    # or fails in isqrt; either way it is listed, and only it
+    @pytest.mark.parametrize(
+        "forged, message",
+        [
+            ({"n": 3.0}, "n = 3.0 is not an int"),
+            ({"order": 19.0}, "order = 19.0 is not an int"),
+            ({"p": 19.0}, "p = 19.0 is not an int"),
+            ({"m": 1.0}, "m = 1.0 is not an int"),
+            ({"b": 9.0}, "b = 9.0 is not an int"),
+            ({"b": True}, "b = True is not an int"),
+            ({"ell_max": 0.0}, "ell_max = 0.0 is not an int"),
+            ({"a": 2.0}, "a = 2.0 is neither an int nor infinite"),
+            ({"a": False}, "a = False is neither an int nor infinite"),
+        ],
+        ids=["n", "order", "p", "m", "b", "b-bool", "ell-max", "a", "a-bool"],
+    )
+    def test_rejects_field_of_wrong_type(self, forged, message):
+        assert validate_certificate(dataclasses.replace(self.base(), **forged)) == [message]
+
+    @pytest.mark.parametrize(
+        "forged, messages",
+        [
+            ({"ell": 0.0}, ["row 0: ell = 0.0 is not an int"]),
+            ({"target": 3.0}, ["row 0: target = 3.0 is not an int"]),
+            (
+                {"ell": 0.0, "target": 3.0},
+                ["row 0: ell = 0.0 is not an int", "row 0: target = 3.0 is not an int"],
+            ),
+            ({"target": True}, ["row 0: target = True is not an int"]),
+        ],
+        ids=["ell", "target", "both", "target-bool"],
+    )
+    def test_rejects_row_field_of_wrong_type(self, forged, messages):
+        cert = self.base()
+        rows = (dataclasses.replace(cert.rows[0], **forged),)
+        assert validate_certificate(dataclasses.replace(cert, rows=rows)) == messages
+
     def test_rejects_nonprime_p(self):
         cert = dataclasses.replace(self.base(), p=21)
         assert validate_certificate(cert)

@@ -2,13 +2,14 @@
 
 Each file is the full stdout of one run: `latile analyze -` and
 `latile verify -` on the Golay map (`latile construct golay11 | latile
-analyze -`) and on the Golay map with one image swapped, and `latile
+analyze -`), on the Golay map with one image swapped and on an n = 7 map
+over Z_3 x Z_33 (a non-cyclic group whose map does not tile), and `latile
 certify -n N` for N = 3 (a infinite), 14 (a = 26), 282 (INCONCLUSIVE, with a
 witness), 11 (INAPPLICABLE) and 10000014 (2n^2+1 prime, so trial division
 runs past the prime table's cap).  The swapped map's verify file pins the
 first collision witness and the order of the uncovered elements, and that
-run exits 1.  A change that alters one of them changes the JSON that users
-read.
+run exits 1, as does the Z_3 x Z_33 one.  A change that alters one of them
+changes the JSON that users read.
 """
 
 import io
@@ -20,9 +21,22 @@ import pytest
 from latile.certify import certify_nonexistence
 from latile.cli import main
 from latile.construct import golay11_tiling
+from latile.tiling import TilingHomomorphism
 from test_search import golay_with_one_image_swapped
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def z3xz33_n7_map() -> TilingHomomorphism:
+    """An n = 7 map over Z_3 x Z_33 whose code set exists (its 14 images
+    and their negations are distinct and non-zero); it does not tile."""
+    return TilingHomomorphism.from_dict(
+        {
+            "n": 7,
+            "group": {"invariant_factors": [3, 33]},
+            "images": [[0, 1], [1, 2], [2, 5], [0, 7], [1, 11], [2, 14], [1, 20]],
+        }
+    )
 
 
 def stdout_of(capsys, argv) -> str:
@@ -35,6 +49,7 @@ def stdout_of(capsys, argv) -> str:
     [
         ("analyze_golay11.json", golay11_tiling),
         ("analyze_golay11_one_image_swapped.json", golay_with_one_image_swapped),
+        ("analyze_z3xz33_n7.json", z3xz33_n7_map),
     ],
 )
 def test_analyze_output_is_golden(capsys, monkeypatch, name, phi):
@@ -47,6 +62,7 @@ def test_analyze_output_is_golden(capsys, monkeypatch, name, phi):
     [
         ("verify_golay11.json", golay11_tiling, 0),
         ("verify_golay11_one_image_swapped.json", golay_with_one_image_swapped, 1),
+        ("verify_z3xz33_n7.json", z3xz33_n7_map, 1),
     ],
 )
 def test_verify_output_is_golden(capsys, monkeypatch, name, phi, exit_code):

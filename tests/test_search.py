@@ -12,6 +12,7 @@ from math import comb, gcd, prod
 
 import pytest
 
+import latile.groupring
 import latile.search
 from latile.abelian import (
     GroupElement,
@@ -248,6 +249,15 @@ class TestDualVerify:
         for phi in (golay11_tiling(), golay_with_one_image_swapped()):
             with pytest.raises(RuntimeError, match="disagree"):
                 dual_verify_candidate(phi, generate_ball(11, 2, 1, 1))
+
+    def test_ball_route_does_not_read_the_fold_table(self, monkeypatch):
+        # A fold table off by one breaks the group-ring product, and with it
+        # the ring check, but not the ball verifier, so the two disagree.
+        real = latile.groupring.padded_layout(GroupSpec((3, 3, 3, 3, 3)))
+        broken = real._replace(fold=real.fold[1:] + real.fold[:1])
+        monkeypatch.setattr(latile.groupring, "padded_layout", lambda spec: broken)
+        with pytest.raises(RuntimeError, match="disagree"):
+            dual_verify_candidate(golay11_tiling(), generate_ball(11, 2, 1, 1))
 
 
 class TestSearch:
