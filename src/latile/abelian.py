@@ -6,8 +6,9 @@ residue tuples.  A dense rank <-> element bijection (mixed radix, most
 significant factor first) underpins coefficient indexing in the group-ring
 layer, so the radix convention here is part of the file-format contract.
 A second, padded mixed radix (radix 2d per coordinate, see padded_layout)
-lets a sum of two elements be one integer addition: the group-ring product
-and the search's bit masks both read it.
+lets a sum of two elements be one integer addition and one lookup in its
+fold table: the group-ring product, the multiples t*g (scaled_ranks, by
+doubling and adding) and the search's bit masks all read it.
 """
 
 import operator
@@ -187,42 +188,6 @@ def rank_weights(spec: GroupSpec) -> tuple[int, ...]:
     return tuple(weights)
 
 
-def digit_columns(spec: GroupSpec, ranks: Sequence[int]) -> list[list[int]]:
-    """The residues of the ranks, one column per coordinate."""
-    return [
-        [r // w % d for r in ranks]
-        for d, w in zip(spec.invariant_factors, rank_weights(spec))
-    ]
-
-
-def sum_columns(columns: Sequence[Sequence[int]], length: int) -> Iterable[int]:
-    """The element-wise sum of rank columns of the given length.
-
-    A rank is the sum of its coordinates' residue-times-weight columns; a
-    group with no coordinates has only rank 0.
-    """
-    if not columns:
-        return [0] * length
-    total = columns[0]
-    for column in columns[1:]:
-        total = map(operator.add, total, column)
-    return total
-
-
-def scaled_ranks(spec: GroupSpec, ranks: Sequence[int], t: int) -> list[int]:
-    """The rank of t*g for each rank g in `ranks` (t may be any integer).
-
-    Each digit column is scaled by t mod its factor and weighted back, then
-    the columns are summed.
-    """
-    factors = spec.invariant_factors
-    columns = [
-        [t * h % d * w for h in digits]
-        for digits, d, w in zip(digit_columns(spec, ranks), factors, rank_weights(spec))
-    ]
-    return list(sum_columns(columns, len(ranks)))
-
-
 class PaddedLayout(NamedTuple):
     """A group's padded mixed radix (see padded_layout)."""
 
@@ -257,6 +222,28 @@ def padded_layout(spec: GroupSpec, /) -> PaddedLayout:
         fold = [v * weight + f for v in range(d) for f in fold] * 2
         stride, weight = 2 * d * stride, d * weight
     return PaddedLayout(strides, tuple(positions), tuple(fold))
+
+
+def scaled_ranks(spec: GroupSpec, ranks: Sequence[int], t: int) -> list[int]:
+    """The rank of t*g for each rank g in `ranks` (t may be any integer).
+
+    t is reduced mod the exponent (the last invariant factor), then its
+    bits are walked from the top through the padded layout's fold table:
+    a doubling is fold[pos + pos] and adding g is fold[pos + positions[g]],
+    so no residue is decoded or encoded.
+    """
+    factors = spec.invariant_factors
+    t %= factors[-1] if factors else 1
+    if not t:
+        return [0] * len(ranks)
+    _, positions, fold = padded_layout(spec)
+    steps = [positions[g] for g in ranks]
+    scaled = list(ranks)
+    for bit in bin(t)[3:]:
+        scaled = [fold[2 * positions[s]] for s in scaled]
+        if bit == "1":
+            scaled = [fold[positions[s] + step] for s, step in zip(scaled, steps)]
+    return scaled
 
 
 def elements(spec: GroupSpec):

@@ -19,7 +19,8 @@ class ErrorBall:
     `entries` lists every nonzero entry of the vectors once, as (vector
     index, position, value) in vector order, when the ball is made, so a
     verifier that maps every vector reads them without re-scanning the
-    zeros.
+    zeros.  Vectors with more than t nonzero entries, or an entry outside
+    [-k-, k+], raise ValueError.
     """
 
     n: int
@@ -33,6 +34,13 @@ class ErrorBall:
         entries = [
             (i, p, vec[p]) for i, vec in enumerate(self.vectors) for p in compress(count(), vec)
         ]
+        # verify_tiling sizes its bit fields from t, k+ and k-, so they must
+        # bound the vectors
+        values = [v for _, _, v in entries]
+        low, high = min(values, default=0), max(values, default=0)
+        weight = max((len(vec) - vec.count(0) for vec in self.vectors), default=0)
+        if low < -self.k_minus or high > self.k_plus or weight > self.t:
+            raise ValueError(f"vectors outside B({self.n},{self.t},{self.k_plus},{self.k_minus})")
         object.__setattr__(self, "entries", tuple(entries))
 
     def __len__(self) -> int:

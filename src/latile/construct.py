@@ -19,6 +19,7 @@ prints the derivation for inspection.
 """
 
 from dataclasses import asdict, dataclass
+from itertools import compress, count
 
 from .abelian import GroupElement, GroupSpec, as_integers, scaled_ranks
 from .groupring import CodeSetLike, OrderMismatchError, as_code_set, multiply
@@ -139,7 +140,7 @@ def check_pds(code: CodeSetLike, params: PdsParameters) -> PdsReport:
     if spec.order != params.v:
         raise OrderMismatchError(f"group order {spec.order} != v = {params.v}")
     k, lam, mu = as_integers((params.k, params.lam, params.mu), "PDS parameters")
-    ranks = [r for r, c in enumerate(d.coefficients) if c]
+    ranks = list(compress(count(), d.coefficients))
     identity_excluded = d.coefficients[0] == 0
     symmetric = sorted(scaled_ranks(spec, ranks, -1)) == ranks
     size = len(ranks)

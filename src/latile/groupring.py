@@ -10,8 +10,10 @@ The product reads the group's padded layout (abelian.padded_layout): each
 element has a position whose digits are its residues in radix 2d, so the
 position of g + h is fold[pos(g) + pos(h)], one addition and one table
 lookup per pair of support elements, in cyclic and non-cyclic groups
-alike.  Python integers are unbounded, so coefficient overflow cannot
-occur for any group order or product degree.
+alike.  The power map reads the same table: abelian.scaled_ranks reaches
+t*g by doubling (fold[pos + pos]) and adding g along the bits of t.
+Python integers are unbounded, so coefficient overflow cannot occur for
+any group order or product degree.
 
 The module also houses the perfect-code condition checker: a candidate code
 set T tiles exactly when |T| = 2n+1, T contains the identity, T is closed
@@ -22,6 +24,7 @@ all-ones element.  The right-hand side is built from the support ranks of T:
 """
 
 from dataclasses import asdict, dataclass
+from itertools import compress, count
 from typing import Iterable, Sequence, Union
 
 from .abelian import (
@@ -144,15 +147,17 @@ def multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
 def power_map(a: GroupRingElement, t: int) -> GroupRingElement:
     """Push coefficients forward along g -> t*g (t may be any integer).
 
-    A t that is not an integer, such as a float or a string, raises a
-    ValueError naming it.
+    The support's ranks are scaled by abelian.scaled_ranks, which doubles
+    and adds through the padded layout's fold table.  A t that is not an
+    integer, such as a float or a string, raises a ValueError naming it.
     """
     (t,) = as_integers((t,), "multipliers")
     spec = a.spec
-    ranks = [r for r, c in enumerate(a.coefficients) if c != 0]
+    coefficients = a.coefficients
+    ranks = list(compress(count(), coefficients))
     out = [0] * spec.order
-    for s, r in zip(scaled_ranks(spec, ranks, t), ranks):
-        out[s] += a.coefficients[r]
+    for s, c in zip(scaled_ranks(spec, ranks, t), compress(coefficients, coefficients)):
+        out[s] += c
     return _ring(spec, out)
 
 
@@ -229,7 +234,7 @@ def check_tiling_conditions(code: CodeSetLike, n: int) -> TilingConditionReport:
     t = as_code_set(code)
     spec = t.spec
     n = _tiling_dimension(spec, n)
-    ranks = [r for r, c in enumerate(t.coefficients) if c]
+    ranks = list(compress(count(), t.coefficients))
     size = len(ranks)
     size_ok = size == 2 * n + 1
     contains_identity = t.coefficients[0] == 1

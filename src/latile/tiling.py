@@ -4,9 +4,10 @@ A candidate tiling is a homomorphism phi determined by the images
 a_1, ..., a_n of the standard basis vectors.  The ball B(n,2,1,1) tiles Z^n
 by the kernel lattice of phi exactly when phi restricted to the ball is a
 bijection onto G, which is what verify_tiling checks by direct counting.
-It works column-wise, for any ErrorBall: over the nonzero entries the ball
-lists when it is made, every vector's residues are accumulated one group
-coordinate at a time, and the ranks they give are counted.
+It works for any ErrorBall in one pass over the nonzero entries the ball
+lists when it is made: each image's residues are packed into one int, a
+bit field per group coordinate, so every vector's image is one sum of
+packed ints, and the ranks read off its fields are counted.
 
 kernel_basis exports the lattice ker(phi) as an integer row basis in its
 Hermite normal form, which is unique, so the output is suitable for
@@ -22,6 +23,7 @@ from typing import Optional
 from .abelian import (
     GroupElement,
     GroupSpec,
+    as_integers,
     element_at,
     identity,
     negate,
@@ -40,8 +42,10 @@ class TilingHomomorphism:
     images: tuple[GroupElement, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
+        (n,) = as_integers((self.n,), "dimensions")
+        object.__setattr__(self, "n", n)
+        if n < 1:
+            raise ValueError(f"dimension must be >= 1, got {n}")
         images = tuple(self.images)
         object.__setattr__(self, "images", images)
         if len(images) != self.n:
@@ -144,14 +148,18 @@ def verify_tiling(phi: TilingHomomorphism, ball: ErrorBall) -> VerificationRepor
     """Check that phi restricted to the ball is a bijection onto G.
 
     The ball lists its nonzero entries once, as (vector index, position,
-    value), when it is made (ErrorBall.entries).  Image residues are
-    accumulated over those entries one group coordinate at a time, and each
-    vector's rank is the sum over coordinates of (residue mod d) times the
-    coordinate's rank weight.  This is residue arithmetic of its own, not
-    the group-ring product's padded layout, so the two tiling criteria stay
-    independent routes.  Only the first collision witness in ball order is
-    kept (plus the total count of excess vectors); the uncovered list is
-    complete, in rank order.
+    value), when it is made (ErrorBall.entries).  Each image's residues are
+    packed into one int, one bit field per group coordinate, and a vector's
+    image is accumulated in one pass over the entries.  Each field is wide
+    enough for t * max(k+, k-) * (d - 1), the most a coordinate's sum can
+    reach from the ball's parameters, on either side of an offset that is
+    a multiple of d, so (acc >> shift & mask) % d is the residue.  A
+    vector's rank is then the sum over coordinates of that residue times
+    the coordinate's rank weight.  This is residue arithmetic of its own,
+    not the group-ring product's padded layout, so the two tiling criteria
+    stay independent routes.  Only the first collision witness in ball
+    order is kept (plus the total count of excess vectors); the uncovered
+    list is complete, in rank order.
     """
     if ball.n != phi.n:
         raise ValueError(f"ball dimension {ball.n} != homomorphism dimension {phi.n}")
@@ -160,13 +168,23 @@ def verify_tiling(phi: TilingHomomorphism, ball: ErrorBall) -> VerificationRepor
     vectors = ball.vectors
     if order != len(vectors):
         return size_mismatch_report(order, len(vectors))
+    # each field ends in [0, 2 * offset], so no field borrows from the next
+    reach = ball.t * max(ball.k_plus, ball.k_minus)
+    fields = []
+    shift = offsets = 0
+    for d in spec.invariant_factors:
+        offset = -(-reach * (d - 1) // d) * d
+        width = (2 * offset).bit_length()
+        fields.append((shift, (1 << width) - 1, d))
+        offsets += offset << shift
+        shift += width
+    packed = [sum(r << s for r, (s, _, _) in zip(g.residues, fields)) for g in phi.images]
+    acc = [offsets] * order
+    for i, p, v in ball.entries:
+        acc[i] += v * packed[p]
     ranks = [0] * order
-    for k, (d, w) in enumerate(zip(spec.invariant_factors, rank_weights(spec))):
-        column = [g.residues[k] for g in phi.images]
-        acc = [0] * order
-        for i, p, v in ball.entries:
-            acc[i] += v * column[p]
-        ranks = [r + a % d * w for r, a in zip(ranks, acc)]
+    for (s, mask, d), w in zip(fields, rank_weights(spec)):
+        ranks = [r + (a >> s & mask) % d * w for r, a in zip(ranks, acc)]
     covered = set(ranks)
     if len(covered) == order:
         return VerificationReport(bijective=True)

@@ -10,7 +10,6 @@ from latile.abelian import (
     GroupSpec,
     add,
     decode_rank,
-    digit_columns,
     element_at,
     element_order,
     elements,
@@ -24,7 +23,6 @@ from latile.abelian import (
     rank_weights,
     scalar_mul,
     scaled_ranks,
-    sum_columns,
 )
 
 from helpers import all_specs_up_to, naive_factorize
@@ -211,21 +209,25 @@ class TestRanking:
             assert residues == element_at(spec, r).residues
             assert encode_residues(spec, residues) == r
 
-    def test_rank_columns_agree_with_decode(self):
+    def test_rank_weights_weigh_the_residues_into_the_rank(self):
         for spec in all_specs_up_to(40) + [GroupSpec((3, 3, 27))]:
-            ranks = list(range(spec.order))
-            columns = digit_columns(spec, ranks)
-            decoded = [tuple(column[r] for column in columns) for r in ranks]
-            assert decoded == [decode_rank(spec, r) for r in ranks]
-            weighted = [[h * w for h in col] for col, w in zip(columns, rank_weights(spec))]
-            assert list(sum_columns(weighted, spec.order)) == ranks
+            weights = rank_weights(spec)
+            assert [
+                sum(h * w for h, w in zip(decode_rank(spec, r), weights))
+                for r in range(spec.order)
+            ] == list(range(spec.order))
 
     @pytest.mark.parametrize("t", [-1, 0, 1, 2, 3, 4, 244, -10**20])
     def test_scaled_ranks_match_scalar_mul(self, t):
-        for spec in all_specs_up_to(40) + [GroupSpec((3, 81))]:
-            expected = [rank_of(scalar_mul(t, g)) for g in elements(spec)]
-            assert scaled_ranks(spec, range(spec.order), t) == expected
-            assert scaled_ranks(spec, [], t) == []
+        # t itself, and around each group's exponent e, where scaled_ranks
+        # reduces its multiplier
+        larger = [GroupSpec(f) for f in [(3, 81), (3, 33), (99,), (3,) * 5, (9, 27)]]
+        for spec in all_specs_up_to(40) + larger:
+            e = spec.invariant_factors[-1] if spec.invariant_factors else 1
+            for s in (t, e - 1, e, e + 1, -e):
+                expected = [rank_of(scalar_mul(s, g)) for g in elements(spec)]
+                assert scaled_ranks(spec, range(spec.order), s) == expected, (spec, s)
+                assert scaled_ranks(spec, [], s) == []
 
     @pytest.mark.parametrize(
         "specs",

@@ -87,6 +87,14 @@ class TestEntries:
         same = ErrorBall(3, 2, 1, 1, ball.vectors)
         assert same == ball and same.entries == ball.entries
 
+    @pytest.mark.parametrize(
+        "vectors", [((-5,), (0,), (5,)), ((0, 0), (1, 0), (1, 1)), ((0,), (-1,), (1,))]
+    )
+    def test_vectors_outside_the_parameters_raise(self, vectors):
+        with pytest.raises(ValueError) as info:
+            ErrorBall(len(vectors[0]), 1, 1, 0, vectors)
+        assert str(info.value) == f"vectors outside B({len(vectors[0])},1,1,0)"
+
 
 class TestSize:
     @pytest.mark.parametrize(

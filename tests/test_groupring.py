@@ -214,8 +214,8 @@ SMALL_SPECS = [s for s in all_specs_up_to(30) if s.order >= 2]
 
 
 @st.composite
-def ring_pairs(draw, count=2, low=-4, high=4):
-    spec = draw(st.sampled_from(SMALL_SPECS))
+def ring_pairs(draw, count=2, low=-4, high=4, specs=SMALL_SPECS):
+    spec = draw(st.sampled_from(specs))
     out = []
     for _ in range(count):
         coeffs = draw(
@@ -258,6 +258,15 @@ def test_power_map_is_a_ring_homomorphism(pair, t):
     assert power_map(linear_combine(1, a, 1, b), t) == linear_combine(
         1, power_map(a, t), 1, power_map(b, t)
     )
+
+
+@given(
+    ring_pairs(count=1, low=-(2**70), high=2**70, specs=[GroupSpec(())] + SMALL_SPECS),
+    st.integers(-(10**20), 10**20),
+)
+def test_power_map_matches_naive_oracle(args, t):
+    (a,) = args
+    assert power_map(a, t) == naive_power_map(a, t)
 
 
 @given(ring_pairs(count=1), st.integers(0, 5), st.integers(0, 5))

@@ -138,11 +138,19 @@ class TestVerify:
             (hom(GroupSpec(()), [(), ()]), (2, 0, 0, 0)),
             (hom(GroupSpec(()), [()]), (1, 1, 1, 0)),
             (hom(GroupSpec((5,)), [(1,), (2,), (3,)]), (3, 2, 1, 1)),
+            # images of residue d - 1, so that a coordinate's sum reaches
+            # both ends of its bit field, t * max(k+, k-) * (d - 1) either way
+            (hom(GroupSpec((121,)), [(120,)] * 2), (2, 2, 5, 5)),
+            (hom(GroupSpec((11, 11)), [(10, 10)] * 2), (2, 2, 5, 5)),
+            (hom(GroupSpec((43,)), [(42,)] * 3), (3, 1, 7, 7)),
+            (hom(GroupSpec((3, 33)), [(2, 32)] * 7), (7, 2, 1, 1)),
+            (hom(GroupSpec((99,)), [(98,)] * 7), (7, 2, 1, 1)),
         ],
     )
     def test_known_maps_match_the_naive_oracle(self, phi, ball):
         """Bijections, collisions and an order mismatch, in cyclic,
-        non-cyclic and trivial groups."""
+        non-cyclic and trivial groups, and coordinate sums at both ends of
+        the verifier's bit fields."""
         ball = generate_ball(*ball)
         assert verify_tiling(phi, ball) == naive_verify_tiling(phi, ball)
 
@@ -164,6 +172,22 @@ class TestVerify:
         images = [tuple(data.draw(r) for r in residues) for _ in range(n)]
         phi = hom(spec, images)
         assert verify_tiling(phi, ball) == naive_verify_tiling(phi, ball)
+
+
+class TestDimension:
+    @pytest.mark.parametrize(
+        "n, message",
+        [(3.0, "dimensions must be integers, got 3.0"), ("3", "dimensions must be integers, got '3'")],
+    )
+    def test_non_integer_dimension_raises_naming_it(self, n, message):
+        images = tuple(GroupElement(GroupSpec((19,)), (r,)) for r in (1, 7, 8))
+        with pytest.raises(ValueError) as info:
+            TilingHomomorphism(n, GroupSpec((19,)), images)
+        assert str(info.value) == message
+
+    def test_dimension_is_stored_as_an_int(self):
+        phi = TilingHomomorphism(True, Z3, (GroupElement(Z3, (1,)),))
+        assert type(phi.n) is int and phi.as_dict()["n"] == 1
 
 
 class TestSerialization:
