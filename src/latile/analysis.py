@@ -16,6 +16,7 @@ values valid for one residue class would silently break the others.
 
 from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import compress, count
 from typing import Optional
 
 from .abelian import as_integers
@@ -45,9 +46,10 @@ def code_beta(code: CodeSetLike) -> int:
 
 
 def _beta(t: GroupRingElement, t2: GroupRingElement) -> int:
-    """code_beta of the code set t, given its image t2 = T^(2)."""
+    """code_beta of the code set t, given its image t2 = T^(2): the ranks
+    of T's support, not all of G, are looked up in T^(2)."""
     doubled = t2.coefficients
-    common = sum(1 for r, c in enumerate(t.coefficients) if r and c and doubled[r])
+    common = sum(1 for r in compress(count(), t.coefficients) if r and doubled[r])
     if common % 2 != 0:
         raise ArithmeticError(
             f"|supp(T*) ∩ supp(T^(2)*)| = {common} is odd; T is not symmetric"

@@ -19,8 +19,8 @@ class ErrorBall:
     `entries` lists every nonzero entry of the vectors once, as (vector
     index, position, value) in vector order, when the ball is made, so a
     verifier that maps every vector reads them without re-scanning the
-    zeros.  Vectors with more than t nonzero entries, or an entry outside
-    [-k-, k+], raise ValueError.
+    zeros.  A vector that does not have n entries, or has more than t
+    nonzero entries, or an entry outside [-k-, k+], raises ValueError.
     """
 
     n: int
@@ -31,6 +31,12 @@ class ErrorBall:
     entries: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for vec in self.vectors:
+            if len(vec) != self.n:
+                raise ValueError(
+                    f"vector {vec!r} of B({self.n},{self.t},{self.k_plus},{self.k_minus})"
+                    f" does not have {self.n} entries"
+                )
         entries = [
             (i, p, vec[p]) for i, vec in enumerate(self.vectors) for p in compress(count(), vec)
         ]

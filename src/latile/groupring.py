@@ -10,8 +10,9 @@ The product reads the group's padded layout (abelian.padded_layout): each
 element has a position whose digits are its residues in radix 2d, so the
 position of g + h is fold[pos(g) + pos(h)], one addition and one table
 lookup per pair of support elements, in cyclic and non-cyclic groups
-alike.  The power map reads the same table: abelian.scaled_ranks reaches
-t*g by doubling (fold[pos + pos]) and adding g along the bits of t.
+alike; a square takes each unordered pair once.  The power map reads the
+same table: abelian.scaled_ranks reaches t*g by doubling (fold[pos + pos])
+and adding g along the bits of t.
 Python integers are unbounded, so coefficient overflow cannot occur for
 any group order or product degree.
 
@@ -129,15 +130,27 @@ def linear_combine(
 def multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
     """Convolution product over the padded layout: every pair of a term of
     the sparser operand and a term of the denser one adds its coefficient
-    product at fold[pos_a + pos_b], the rank of the sum of their elements."""
+    product at fold[pos_a + pos_b], the rank of the sum of their elements.
+
+    A square (b is a) walks the support's unordered pairs once instead:
+    c_i^2 at 2*g_i, and 2*c_i*c_j at g_i + g_j for each pair i != j.
+    """
     _require_same_ring(a, b)
     spec = a.spec
     _, positions, fold = padded_layout(spec)
+    out = [0] * spec.order
     sup_a = [(positions[r], c) for r, c in enumerate(a.coefficients) if c]
+    if b is a:
+        while sup_a:
+            pos_a, ca = sup_a.pop()
+            out[fold[pos_a + pos_a]] += ca * ca
+            ca += ca
+            for pos_b, cb in sup_a:
+                out[fold[pos_a + pos_b]] += ca * cb
+        return _ring(spec, out)
     sup_b = [(positions[r], c) for r, c in enumerate(b.coefficients) if c]
     if len(sup_a) > len(sup_b):
         sup_a, sup_b = sup_b, sup_a
-    out = [0] * spec.order
     for pos_a, ca in sup_a:
         for pos_b, cb in sup_b:
             out[fold[pos_a + pos_b]] += ca * cb

@@ -9,6 +9,11 @@ lists when it is made: each image's residues are packed into one int, a
 bit field per group coordinate, so every vector's image is one sum of
 packed ints, and the ranks read off its fields are counted.
 
+induced_code_set gives the ring's side of the same question, the code set
+T = e + sum_i (a_i + (-a_i)) that groupring.check_tiling_conditions tests.
+It is counted from ranks: each image's rank, its negation's rank through
+the padded layout's fold table, and the identity.
+
 kernel_basis exports the lattice ker(phi) as an integer row basis in its
 Hermite normal form, which is unique, so the output is suitable for
 golden-file comparison.  It is found by one row elimination: Euclid's
@@ -25,12 +30,12 @@ from .abelian import (
     GroupSpec,
     as_integers,
     element_at,
-    identity,
-    negate,
+    encode_residues,
     rank_weights,
+    scaled_ranks,
 )
 from .ball import ErrorBall
-from .groupring import GroupRingElement, from_multiset
+from .groupring import GroupRingElement, _ring
 
 
 @dataclass(frozen=True)
@@ -107,14 +112,19 @@ def apply_homomorphism(phi: TilingHomomorphism, vector) -> GroupElement:
 def induced_code_set(phi: TilingHomomorphism) -> GroupRingElement:
     """The ring element e + sum_i (a_i + (-a_i)).
 
-    Coefficients exceed 1 when images collide; that is reported as-is so the
-    caller can see the defect rather than have it silently collapsed.
+    It is counted from ranks: the images' ranks, their negations' ranks
+    (abelian.scaled_ranks with t = -1, through the fold table), and 1 at
+    the identity.  Coefficients exceed 1 when images collide; that is
+    reported as-is so the caller can see the defect rather than have it
+    silently collapsed.
     """
-    members = [identity(phi.spec)]
-    for g in phi.images:
-        members.append(g)
-        members.append(negate(g))
-    return from_multiset(phi.spec, members)
+    spec = phi.spec
+    ranks = [encode_residues(spec, g.residues) for g in phi.images]
+    coefficients = [0] * spec.order
+    coefficients[0] = 1
+    for r in ranks + scaled_ranks(spec, ranks, -1):
+        coefficients[r] += 1
+    return _ring(spec, coefficients)
 
 
 @dataclass(frozen=True)

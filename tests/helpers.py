@@ -8,6 +8,8 @@ from latile.abelian import (
     elements,
     encode_residues,
     enumerate_abelian_groups,
+    identity,
+    negate,
 )
 from latile.analysis import CongruenceCheck, CongruenceReport
 from latile.construct import PdsReport
@@ -16,6 +18,7 @@ from latile.groupring import (
     TilingConditionReport,
     all_ones,
     as_code_set,
+    from_multiset,
     linear_combine,
     multiply,
     one,
@@ -62,6 +65,15 @@ def naive_power_map(a: GroupRingElement, t: int) -> GroupRingElement:
         image = tuple(t * x % d for x, d in zip(decode_rank(spec, r), factors))
         out[encode_residues(spec, image)] += c
     return GroupRingElement(spec, tuple(out))
+
+
+def naive_induced_code_set(phi) -> GroupRingElement:
+    """Reference code set: the identity, each image and each negated image
+    as group elements, counted by from_multiset."""
+    members = [identity(phi.spec)]
+    for g in phi.images:
+        members += [g, negate(g)]
+    return from_multiset(phi.spec, members)
 
 
 def all_specs_up_to(max_order: int) -> list[GroupSpec]:

@@ -95,6 +95,19 @@ class TestEntries:
             ErrorBall(len(vectors[0]), 1, 1, 0, vectors)
         assert str(info.value) == f"vectors outside B({len(vectors[0])},1,1,0)"
 
+    @pytest.mark.parametrize(
+        "n,vectors,message",
+        [
+            (1, ((0, 0), (0, 1), (0, -1)), "vector (0, 0) of B(1,1,1,1) does not have 1 entries"),
+            (2, ((0, 0), (1,), (0, 1)), "vector (1,) of B(2,1,1,1) does not have 2 entries"),
+            (2, ((0, 0), (0, 0, 1)), "vector (0, 0, 1) of B(2,1,1,1) does not have 2 entries"),
+        ],
+    )
+    def test_vectors_of_the_wrong_length_raise_naming_the_ball(self, n, vectors, message):
+        with pytest.raises(ValueError) as info:
+            ErrorBall(n, 1, 1, 1, vectors)
+        assert str(info.value) == message
+
 
 class TestSize:
     @pytest.mark.parametrize(

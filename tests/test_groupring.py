@@ -235,6 +235,18 @@ def test_multiply_matches_naive_oracle(pair):
     assert multiply(a, b) == naive_multiply(a, b)
 
 
+def scaled(a, scale):
+    return GroupRingElement(a.spec, tuple(c * scale for c in a.coefficients))
+
+
+@given(ring_pairs(count=1, specs=[GroupSpec(())] + SMALL_SPECS), st.sampled_from([1, 2**64 + 1]))
+def test_square_matches_naive_oracle(args, scale):
+    """multiply(a, a) takes the square's unordered-pair route; coefficients
+    are negative, zero and, scaled, above 2^64."""
+    a = scaled(args[0], scale)
+    assert multiply(a, a) == naive_multiply(a, a)
+
+
 @given(ring_pairs())
 def test_multiplication_commutes(pair):
     a, b = pair
@@ -291,6 +303,8 @@ def test_multiply_matches_naive_oracle_at_order_243(spec):
     assert multiply(a, b) == naive_multiply(a, b)
     a, b = random_ring_element(rng, spec), random_ring_element(rng, spec)
     assert multiply(a, b) == naive_multiply(a, b)
+    for a in (golay_sized_set(rng, spec), scaled(random_ring_element(rng, spec), 2**64 + 1)):
+        assert multiply(a, a) == naive_multiply(a, a)
 
 
 def test_multiply_over_the_trivial_group():

@@ -27,11 +27,19 @@ from latile.tiling import (
     verify_tiling,
 )
 
-from helpers import all_specs_up_to, map_documents, naive_verify_tiling
+from helpers import (
+    all_specs_up_to,
+    map_documents,
+    naive_induced_code_set,
+    naive_verify_tiling,
+)
 from test_search import golay_with_one_image_swapped
 
 Z3 = GroupSpec((3,))
 SMALL_SPECS = all_specs_up_to(40)
+# the trivial group, the two groups of order 99 (n = 7) and two of order
+# 243 (n = 11)
+CODE_SET_SPECS = [GroupSpec(f) for f in [(), (3, 33), (99,), (3, 3, 3, 3, 3), (9, 27)]]
 
 
 def hom(spec, image_residues):
@@ -77,6 +85,28 @@ class TestInducedCodeSet:
         assert code.coefficients[18] == 2
         assert code.coefficients[4] == 1
         assert code.coefficients[0] == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_the_naive_oracle(self, data):
+        """Repeated images, zero images and images that are each other's
+        negation, so that coefficients above 1 show up."""
+        spec = data.draw(st.sampled_from(CODE_SET_SPECS), label="group")
+        factors = spec.invariant_factors
+        residues = st.tuples(*(st.integers(min_value=-2 * d, max_value=2 * d) for d in factors))
+        drawn = data.draw(st.lists(residues, min_size=1, max_size=12), label="drawn")
+        images = []
+        for r in drawn:
+            kind = data.draw(st.sampled_from(["new", "zero", "repeat", "negation"]))
+            if kind == "zero":
+                r = (0,) * len(factors)
+            elif kind != "new" and images:
+                r = data.draw(st.sampled_from(images))
+                if kind == "negation":
+                    r = tuple(-x for x in r)
+            images.append(r)
+        phi = hom(spec, images)
+        assert induced_code_set(phi) == naive_induced_code_set(phi)
 
 
 class TestVerify:
