@@ -196,8 +196,9 @@ class PaddedLayout(NamedTuple):
     fold: tuple[int, ...]  # fold[p]: the rank of position p's digits reduced mod d
 
 
-# layouts a process keeps: room for the eleven groups of orders 51, 73, 99
-# and 243 (n = 5, 6, 7, 11) that the map checks cycle through
+# layouts a process keeps, and tiling's chunk tables too: room for the
+# eleven groups of orders 51, 73, 99 and 243 (n = 5, 6, 7, 11) that the map
+# checks cycle through
 _LAYOUTS_KEPT = 11
 
 

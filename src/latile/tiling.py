@@ -7,7 +7,9 @@ bijection onto G, which is what verify_tiling checks by direct counting.
 It works for any ErrorBall in one pass over the nonzero entries the ball
 lists when it is made: each image's residues are packed into one int, a
 bit field per group coordinate, so every vector's image is one sum of
-packed ints, and the ranks read off its fields are counted.
+packed ints.  The fields are read back in chunks of at most 12 bits, each
+through a table from its bits to its part of the rank, made once per
+process for each group and reach, and the ranks are counted.
 
 induced_code_set gives the ring's side of the same question, the code set
 T = e + sum_i (a_i + (-a_i)) that groupring.check_tiling_conditions tests.
@@ -16,16 +18,18 @@ the padded layout's fold table, and the identity.
 
 kernel_basis exports the lattice ker(phi) as an integer row basis in its
 Hermite normal form, which is unique, so the output is suitable for
-golden-file comparison.  It is found by one row elimination: Euclid's
-algorithm down the group columns of the rows (a_i | e_i) and (d_j e_j | 0)
-leaves a basis of the kernel, and the same step down the x columns, last
-to first, makes it triangular.
+golden-file comparison.  The rows (a_i | e_i) are eliminated one at a time
+against pivots over the group columns, which start as (d_j e_j | 0), by
+extended-gcd steps; what is left of row i is kernel row i, with support
+x_0..x_i, and reducing it against the earlier rows gives the normal form.
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
+from typing import NamedTuple, Optional
 
 from .abelian import (
+    _LAYOUTS_KEPT,
     GroupElement,
     GroupSpec,
     as_integers,
@@ -154,22 +158,76 @@ def size_mismatch_report(order: int, size: int) -> VerificationReport:
     return VerificationReport(bijective=False, reason=f"group order {order} != ball size {size}")
 
 
+# a chunk table has at most 2 ** _CHUNK_BITS entries
+_CHUNK_BITS = 12
+
+
+class _Decoder(NamedTuple):
+    """How verify_tiling packs residues and reads ranks back (see _decoder)."""
+
+    shifts: tuple[int, ...]  # per coordinate: where its bit field starts
+    offsets: int  # every field's offset, packed: where each accumulator starts
+    tables: tuple[tuple[int, int, tuple[int, ...]], ...]  # (shift, mask, rank part per value)
+    wide: tuple[tuple[int, int, int, int], ...]  # (shift, mask, d, weight) per wide field
+
+
+@lru_cache(maxsize=_LAYOUTS_KEPT)
+def _decoder(spec: GroupSpec, reach: int, /) -> _Decoder:
+    """verify_tiling's bit fields and chunk tables, made once per process.
+
+    Each coordinate of factor d gets a field wide enough for reach * (d - 1),
+    the most its sum can reach, on either side of an offset that is a
+    multiple of d, so the field ends in [0, 2 * offset] and borrows from
+    no other.  The fields are grouped, from the least significant, into
+    chunks of at most _CHUNK_BITS bits, and a chunk's table maps its bits to
+    the sum of each field's value mod d times its rank weight.  A field
+    wider than a chunk stands alone, with no table, and is read by % d * w.
+    """
+    shifts, tables, wide = [], [], []
+    shift = offsets = 0
+    start, table = 0, [0]  # the open chunk
+
+    def close():
+        if len(table) > 1:
+            tables.append((start, len(table) - 1, tuple(table)))
+
+    for d, w in zip(spec.invariant_factors, rank_weights(spec)):
+        offset = -(-reach * (d - 1) // d) * d
+        width = (2 * offset).bit_length()
+        shifts.append(shift)
+        offsets += offset << shift
+        if width > _CHUNK_BITS:
+            close()
+            wide.append((shift, (1 << width) - 1, d, w))
+            start, table = shift + width, [0]
+        else:
+            if (len(table) << width) > 1 << _CHUNK_BITS:
+                close()
+                start, table = shift, [0]
+            table = [v % d * w + t for v in range(1 << width) for t in table]
+        shift += width
+    close()
+    # verify_tiling's first pass reads two tables; a table of one zero reads 0
+    tables += [(0, 0, (0,))] * (2 - len(tables))
+    return _Decoder(tuple(shifts), offsets, tuple(tables), tuple(wide))
+
+
 def verify_tiling(phi: TilingHomomorphism, ball: ErrorBall) -> VerificationReport:
     """Check that phi restricted to the ball is a bijection onto G.
 
     The ball lists its nonzero entries once, as (vector index, position,
     value), when it is made (ErrorBall.entries).  Each image's residues are
-    packed into one int, one bit field per group coordinate, and a vector's
-    image is accumulated in one pass over the entries.  Each field is wide
-    enough for t * max(k+, k-) * (d - 1), the most a coordinate's sum can
-    reach from the ball's parameters, on either side of an offset that is
-    a multiple of d, so (acc >> shift & mask) % d is the residue.  A
-    vector's rank is then the sum over coordinates of that residue times
-    the coordinate's rank weight.  This is residue arithmetic of its own,
-    not the group-ring product's padded layout, so the two tiling criteria
-    stay independent routes.  Only the first collision witness in ball
-    order is kept (plus the total count of excess vectors); the uncovered
-    list is complete, in rank order.
+    packed into one int, one bit field per group coordinate (see _decoder),
+    and a vector's image is accumulated in one pass over the entries.  Its
+    rank is read back through the chunk tables: one list pass reads the
+    first two chunks, and each further chunk, or field wider than a chunk,
+    takes one more pass, so under B(n, 2, 1, 1) every group of order
+    2n^2 + 1 with n <= 22, Z_3^5 included, takes one.  No fold table is
+    read: this is residue arithmetic of its own, not the group-ring
+    product's padded layout, so the two tiling criteria stay independent
+    routes.
+    Only the first collision witness in ball order is kept (plus the total
+    count of excess vectors); the uncovered list is complete, in rank order.
     """
     if ball.n != phi.n:
         raise ValueError(f"ball dimension {ball.n} != homomorphism dimension {phi.n}")
@@ -178,22 +236,16 @@ def verify_tiling(phi: TilingHomomorphism, ball: ErrorBall) -> VerificationRepor
     vectors = ball.vectors
     if order != len(vectors):
         return size_mismatch_report(order, len(vectors))
-    # each field ends in [0, 2 * offset], so no field borrows from the next
-    reach = ball.t * max(ball.k_plus, ball.k_minus)
-    fields = []
-    shift = offsets = 0
-    for d in spec.invariant_factors:
-        offset = -(-reach * (d - 1) // d) * d
-        width = (2 * offset).bit_length()
-        fields.append((shift, (1 << width) - 1, d))
-        offsets += offset << shift
-        shift += width
-    packed = [sum(r << s for r, (s, _, _) in zip(g.residues, fields)) for g in phi.images]
+    shifts, offsets, tables, wide = _decoder(spec, ball.t * max(ball.k_plus, ball.k_minus))
+    packed = [sum(r << s for r, s in zip(g.residues, shifts)) for g in phi.images]
     acc = [offsets] * order
     for i, p, v in ball.entries:
         acc[i] += v * packed[p]
-    ranks = [0] * order
-    for (s, mask, d), w in zip(fields, rank_weights(spec)):
+    (s0, m0, t0), (s1, m1, t1), *tables = tables
+    ranks = [t0[a >> s0 & m0] + t1[a >> s1 & m1] for a in acc]
+    for s, mask, table in tables:
+        ranks = [r + table[a >> s & mask] for r, a in zip(ranks, acc)]
+    for s, mask, d, w in wide:
         ranks = [r + (a >> s & mask) % d * w for r, a in zip(ranks, acc)]
     covered = set(ranks)
     if len(covered) == order:
@@ -214,23 +266,13 @@ def verify_tiling(phi: TilingHomomorphism, ball: ErrorBall) -> VerificationRepor
     )
 
 
-def _reduce_column(active: list[list[int]], col: int) -> list[int]:
-    """Euclid down one column: subtract multiples of the row with the least
-    non-zero |entry| in col until one row is non-zero there; remove that row
-    from active and return it."""
-    while True:
-        nonzero = [row for row in active if row[col]]
-        if len(nonzero) <= 1:
-            break
-        nonzero.sort(key=lambda row: abs(row[col]))
-        base = nonzero[0]
-        for row in nonzero[1:]:
-            q = row[col] // base[col]
-            for j, b in enumerate(base):
-                row[j] -= q * b
-    pivot = nonzero[0]
-    active.remove(pivot)
-    return pivot
+def _bezout(p: int, q: int) -> tuple[int, int, int]:
+    """(g, u, v) with u * p + v * q = g = gcd(p, q) > 0."""
+    u, v, u1, v1 = 1, 0, 0, 1
+    while q:
+        m, rest = divmod(p, q)
+        p, q, u, v, u1, v1 = q, rest, u1, v1, u - m * u1, v - m * v1
+    return (p, u, v) if p > 0 else (-p, -u, -v)
 
 
 def kernel_basis(phi: TilingHomomorphism) -> list[list[int]]:
@@ -239,31 +281,65 @@ def kernel_basis(phi: TilingHomomorphism) -> list[list[int]]:
     below the diagonal in [0, pivot).  The absolute determinant equals the
     size of the image subgroup, so it is |G| exactly when phi is surjective.
 
-    The rows (a_i | e_i) and (d_j e_j | 0) span {(A x + D y | x)}; clearing
-    the k group columns leaves n rows (0 | x) spanning ker(phi), and
-    clearing the x columns from last to first makes them triangular.
+    The rows (a_i | e_i) are inserted one at a time into an echelon over the
+    k group columns.  Column c's pivot starts as (d_c e_c | 0) and keeps a
+    positive entry at c that divides d_c.  A row's entry at c is cleared by
+    a multiple of the pivot when the pivot's entry divides it, and otherwise
+    the two are replaced by their Bezout combination (the new pivot, whose
+    entry at c is their gcd h) and the combination that clears c, which
+    keeps the row's x_i positive: it starts at 1 and is multiplied by p / h.
+    Every step is unimodular and the pivots stay triangular in the group
+    columns, so the row left once they are all clear is kernel row i.  Its
+    support is x_0..x_i, so rows are only that long; it is reduced against
+    the earlier kernel rows, which are kept sparse for that, and so is each
+    new pivot, which keeps the entries small.
     """
-    n = phi.n
     factors = phi.spec.invariant_factors
     k = len(factors)
-    active = [list(g.residues) + [int(i == j) for j in range(n)] for i, g in enumerate(phi.images)]
-    active += [[d * (i == j) for j in range(k + n)] for i, d in enumerate(factors)]
-    for col in range(k):
-        _reduce_column(active, col)
-    active = [row[k:] for row in active]
-    # every column has a pivot: ker(phi) contains d_k * Z^n, so it has full rank
-    basis: list[Optional[list[int]]] = [None] * n
-    for col in range(n - 1, -1, -1):
-        pivot = _reduce_column(active, col)
-        basis[col] = pivot if pivot[col] > 0 else [-x for x in pivot]
-    # reduce below-diagonal entries against earlier pivots, rightmost first
-    for i in range(n):
-        for j in range(i - 1, -1, -1):
-            q = basis[i][j] // basis[j][j]
-            if q:
-                for col in range(j + 1):
-                    basis[i][col] -= q * basis[j][col]
-    return basis
+    pivots = [[d * (c == j) for j in range(k)] for c, d in enumerate(factors)]
+    echelon: list[tuple[int, list[tuple[int, int]]]] = []
+    basis = []
+    for i, g in enumerate(phi.images):
+        row = [*g.residues, *[0] * i, 1]
+        for c, pivot in enumerate(pivots):
+            q = row[c]
+            if not q:
+                continue
+            p = pivot[c]
+            if q % p:
+                h, u, v = _bezout(p, q)
+                new = _combine(u, pivot, v, row)
+                pivots[c] = new[:k] + _reduced(new[k:], echelon)
+                row = _combine(-q // h, pivot, p // h, row)
+            else:
+                q //= p
+                row[: len(pivot)] = [b - q * a for a, b in zip(pivot, row)]
+        x = _reduced(row[k:], echelon)
+        echelon.append((x[i], [(j, b) for j, b in enumerate(x[:i]) if b]))
+        basis.append(x)
+    n = phi.n
+    return [x + [0] * (n - len(x)) for x in basis]
+
+
+def _combine(s: int, short: list[int], t: int, long: list[int]) -> list[int]:
+    """s * short + t * long, short padded with zeros to long's length."""
+    out = [t * b for b in long]
+    out[: len(short)] = [s * a + b for a, b in zip(short, out)]
+    return out
+
+
+def _reduced(x: list[int], echelon) -> list[int]:
+    """x with each entry x_j, rightmost first, brought into [0, h_j) by
+    subtracting a multiple of kernel row j, given as its diagonal h_j and
+    its non-zero entries left of it."""
+    for j in range(len(echelon) - 1, -1, -1):
+        h, tail = echelon[j]
+        q = x[j] // h
+        if q:
+            x[j] -= q * h
+            for col, b in tail:
+                x[col] -= q * b
+    return x
 
 
 def kernel_determinant(basis: list[list[int]]) -> int:

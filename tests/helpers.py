@@ -122,6 +122,52 @@ def naive_verify_tiling(phi, ball) -> VerificationReport:
     )
 
 
+def _reduce_column(active: list[list[int]], col: int) -> list[int]:
+    """Euclid down one column: subtract multiples of the row with the least
+    non-zero |entry| in col until one row is non-zero there; remove that row
+    from active and return it."""
+    while True:
+        nonzero = [row for row in active if row[col]]
+        if len(nonzero) <= 1:
+            break
+        nonzero.sort(key=lambda row: abs(row[col]))
+        base = nonzero[0]
+        for row in nonzero[1:]:
+            q = row[col] // base[col]
+            for j, b in enumerate(base):
+                row[j] -= q * b
+    pivot = nonzero[0]
+    active.remove(pivot)
+    return pivot
+
+
+def naive_kernel_basis(phi) -> list[list[int]]:
+    """Reference kernel lattice in Hermite normal form, by one row
+    elimination: Euclid down the group columns of all the rows (a_i | e_i)
+    and (d_j e_j | 0) at once leaves n rows (0 | x) spanning ker(phi), the
+    same step down the x columns, last to first, makes them triangular, and
+    the entries below the diagonal are reduced against earlier pivots."""
+    n = phi.n
+    factors = phi.spec.invariant_factors
+    k = len(factors)
+    active = [list(g.residues) + [int(i == j) for j in range(n)] for i, g in enumerate(phi.images)]
+    active += [[d * (i == j) for j in range(k + n)] for i, d in enumerate(factors)]
+    for col in range(k):
+        _reduce_column(active, col)
+    active = [row[k:] for row in active]
+    basis = [None] * n
+    for col in range(n - 1, -1, -1):
+        pivot = _reduce_column(active, col)
+        basis[col] = pivot if pivot[col] > 0 else [-x for x in pivot]
+    for i in range(n):
+        for j in range(i - 1, -1, -1):
+            q = basis[i][j] // basis[j][j]
+            if q:
+                for col in range(j + 1):
+                    basis[i][col] -= q * basis[j][col]
+    return basis
+
+
 def dense_check_tiling_conditions(code, n: int) -> TilingConditionReport:
     """Reference tiling-condition check with the right-hand side built by
     dense linear_combine calls: 2G + T^(2) + (2n-2)e."""

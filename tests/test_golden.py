@@ -8,8 +8,10 @@ certify -n N` for N = 3 (a infinite), 14 (a = 26), 282 (INCONCLUSIVE, with a
 witness), 11 (INAPPLICABLE) and 10000014 (2n^2+1 prime, so trial division
 runs past the prime table's cap).  The swapped map's verify file pins the
 first collision witness and the order of the uncovered elements, and that
-run exits 1, as does the Z_3 x Z_33 one.  A change that alters one of them
-changes the JSON that users read.
+run exits 1, as does the Z_3 x Z_33 one.  `latile verify --ball 1,1,60,60`
+on the one-image map x -> 11x into Z_121 exits 1 too; its accumulators
+need a 14-bit field, wider than the verifier's 12-bit chunks.  A change
+that alters one of them changes the JSON that users read.
 """
 
 import io
@@ -57,6 +59,12 @@ def test_analyze_output_is_golden(capsys, monkeypatch, name, phi):
     assert stdout_of(capsys, ["analyze", "-"]) == (GOLDEN / name).read_text()
 
 
+def z121_map() -> TilingHomomorphism:
+    return TilingHomomorphism.from_dict(
+        {"n": 1, "group": {"invariant_factors": [121]}, "images": [[11]]}
+    )
+
+
 @pytest.mark.parametrize(
     "name, phi, exit_code",
     [
@@ -69,6 +77,12 @@ def test_verify_output_is_golden(capsys, monkeypatch, name, phi, exit_code):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(phi().as_dict())))
     assert main(["verify", "-"]) == exit_code
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+def test_verify_with_a_14_bit_field_is_golden(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(z121_map().as_dict())))
+    assert main(["verify", "--ball", "1,1,60,60", "-"]) == 1
+    assert capsys.readouterr().out == (GOLDEN / "verify_z121_wide_field.json").read_text()
 
 
 @pytest.mark.parametrize("n", [3, 11, 14, 282, 10000014])

@@ -2,6 +2,7 @@
 
 import json
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,10 @@ from latile.abelian import (
 from latile.ball import generate_ball
 from latile.construct import golay11_tiling
 from latile.tiling import (
+    _CHUNK_BITS,
     TilingHomomorphism,
+    _bezout,
+    _decoder,
     apply_homomorphism,
     induced_code_set,
     kernel_basis,
@@ -31,6 +35,7 @@ from helpers import (
     all_specs_up_to,
     map_documents,
     naive_induced_code_set,
+    naive_kernel_basis,
     naive_verify_tiling,
 )
 from test_search import golay_with_one_image_swapped
@@ -40,6 +45,31 @@ SMALL_SPECS = all_specs_up_to(40)
 # the trivial group, the two groups of order 99 (n = 7) and two of order
 # 243 (n = 11)
 CODE_SET_SPECS = [GroupSpec(f) for f in [(), (3, 33), (99,), (3, 3, 3, 3, 3), (9, 27)]]
+# the trivial group, a prime too large for any table, and groups with two,
+# three and five coordinates of unequal and equal factors
+KERNEL_SPECS = [
+    GroupSpec(f)
+    for f in [(), (10**9 + 7,), (5, 25, 125), (9, 27), (3, 3, 3, 3, 3), (3, 33)]
+]
+
+
+def drawn_images(data, spec, max_size):
+    """Images drawn new, zero, repeated or negated, so that maps with
+    collisions and degenerate maps come up."""
+    factors = spec.invariant_factors
+    residues = st.tuples(*(st.integers(min_value=-2 * d, max_value=2 * d) for d in factors))
+    drawn = data.draw(st.lists(residues, min_size=1, max_size=max_size), label="drawn")
+    images = []
+    for r in drawn:
+        kind = data.draw(st.sampled_from(["new", "zero", "repeat", "negation"]))
+        if kind == "zero":
+            r = (0,) * len(factors)
+        elif kind != "new" and images:
+            r = data.draw(st.sampled_from(images))
+            if kind == "negation":
+                r = tuple(-x for x in r)
+        images.append(r)
+    return images
 
 
 def hom(spec, image_residues):
@@ -92,20 +122,7 @@ class TestInducedCodeSet:
         """Repeated images, zero images and images that are each other's
         negation, so that coefficients above 1 show up."""
         spec = data.draw(st.sampled_from(CODE_SET_SPECS), label="group")
-        factors = spec.invariant_factors
-        residues = st.tuples(*(st.integers(min_value=-2 * d, max_value=2 * d) for d in factors))
-        drawn = data.draw(st.lists(residues, min_size=1, max_size=12), label="drawn")
-        images = []
-        for r in drawn:
-            kind = data.draw(st.sampled_from(["new", "zero", "repeat", "negation"]))
-            if kind == "zero":
-                r = (0,) * len(factors)
-            elif kind != "new" and images:
-                r = data.draw(st.sampled_from(images))
-                if kind == "negation":
-                    r = tuple(-x for x in r)
-            images.append(r)
-        phi = hom(spec, images)
+        phi = hom(spec, drawn_images(data, spec, 12))
         assert induced_code_set(phi) == naive_induced_code_set(phi)
 
 
@@ -175,14 +192,49 @@ class TestVerify:
             (hom(GroupSpec((43,)), [(42,)] * 3), (3, 1, 7, 7)),
             (hom(GroupSpec((3, 33)), [(2, 32)] * 7), (7, 2, 1, 1)),
             (hom(GroupSpec((99,)), [(98,)] * 7), (7, 2, 1, 1)),
+            # a 27-bit field, wider than a chunk, read by % d * w; images
+            # 1 and 2 tile, and 73 and 137 divide 10001 = 73 * 137
+            (hom(GroupSpec((10001,)), [(1,)]), (1, 1, 5000, 5000)),
+            (hom(GroupSpec((10001,)), [(2,)]), (1, 1, 5000, 5000)),
+            (hom(GroupSpec((10001,)), [(73,)]), (1, 1, 5000, 5000)),
+            (hom(GroupSpec((10001,)), [(137 * 5,)]), (1, 1, 5000, 5000)),
+            # fields of 7 and 11 bits, which fill two chunks
+            (hom(GroupSpec((3, 27)), [(1, 0), (0, 1)]), (2, 1, 20, 20)),
+            (hom(GroupSpec((3, 27)), [(1, 1), (2, 5)]), (2, 1, 20, 20)),
+            (hom(GroupSpec((3, 27)), [(2, 26), (2, 26)]), (2, 1, 20, 20)),
+            # the trivial group has no field, so no chunk, at the identity's ball
+            (hom(GroupSpec(()), [()]), (1, 0, 1, 1)),
         ],
     )
     def test_known_maps_match_the_naive_oracle(self, phi, ball):
         """Bijections, collisions and an order mismatch, in cyclic,
-        non-cyclic and trivial groups, and coordinate sums at both ends of
-        the verifier's bit fields."""
+        non-cyclic and trivial groups, coordinate sums at both ends of the
+        verifier's bit fields, a field wider than a chunk and fields that
+        fill two chunks."""
         ball = generate_ball(*ball)
         assert verify_tiling(phi, ball) == naive_verify_tiling(phi, ball)
+
+    def test_chunk_tables_are_made_once_per_group_and_reach(self):
+        golay, swapped = golay11_tiling(), golay_with_one_image_swapped()
+        z3xz27 = hom(GroupSpec((3, 27)), [(1, 1), (2, 5)])
+        balls = {11: generate_ball(11, 2, 1, 1), 2: generate_ball(2, 1, 20, 20)}
+        _decoder.cache_clear()
+        for _ in range(3):
+            for phi in (golay, swapped, z3xz27):
+                verify_tiling(phi, balls[phi.n])
+        info = _decoder.cache_info()
+        assert (info.misses, info.hits) == (2, 7)
+
+    def test_no_chunk_table_exceeds_4096_entries(self):
+        specs = all_specs_up_to(130) + [
+            GroupSpec(f) for f in [(3,) * 5, (3, 3, 3, 9), (10001,), (3, 27), (2,) * 8]
+        ]
+        for spec in specs:
+            for reach in (0, 1, 2, 5, 20, 60, 5000):
+                _, _, tables, wide = _decoder(spec, reach)
+                assert all(len(table) <= 4096 for _, _, table in tables)
+                assert all(len(table) == mask + 1 for _, mask, table in tables)
+                assert all(mask.bit_length() > _CHUNK_BITS for _, mask, _, _ in wide)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -345,6 +397,20 @@ class TestKernel:
         assert kernel_determinant(basis) == subgroup_size(phi)
         for row in basis:
             assert apply_homomorphism(phi, row) == identity(spec)
+
+    @given(st.integers(min_value=1, max_value=10**12), st.integers(-(10**12), 10**12))
+    def test_bezout_gives_the_positive_gcd(self, p, q):
+        h, u, v = _bezout(p, q)
+        assert h == gcd(p, q) == u * p + v * q
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_the_naive_oracle(self, data):
+        """n = 1..11 over groups of one to five coordinates, the trivial
+        group and a large prime, with zero, repeated and negated images."""
+        spec = data.draw(st.sampled_from(KERNEL_SPECS), label="group")
+        phi = hom(spec, drawn_images(data, spec, 11))
+        assert kernel_basis(phi) == naive_kernel_basis(phi)
 
     def test_random_sublattice_points_map_to_identity(self):
         rng = random.Random(11)
