@@ -12,6 +12,12 @@ multiplicity of the identity element in T^(3), and two mod-3 congruences
 obtained by cubing/squaring the defining product identity.  The congruence
 scalars are reduced per n (they depend on n mod 3); hard-coding the scalar
 values valid for one residue class would silently break the others.
+
+The sections work on support ranks, not dense ring elements: T^(t) is the
+list abelian.scaled_ranks gives for T's ranks, beta is read from the doubled
+ranks, the identity's multiplicity in T^(3) counts the tripled ranks that
+are 0, and each product is groupring._product over term lists, so T * T^(2)
+is a square whenever T^(2) = T (every symmetric T in a group of exponent 3).
 """
 
 from collections import Counter
@@ -19,14 +25,15 @@ from dataclasses import asdict, dataclass
 from itertools import compress, count
 from typing import Optional
 
-from .abelian import as_integers
+from .abelian import GroupSpec, as_integers, scaled_ranks
 from .groupring import (
     CodeSetLike,
     GroupRingElement,
+    _product,
+    _ring,
+    _terms,
     _tiling_dimension,
     as_code_set,
-    multiply,
-    power_map,
 )
 
 
@@ -35,21 +42,26 @@ def coefficient_partition(a: GroupRingElement) -> dict[int, int]:
     return dict(sorted(Counter(a.coefficients).items()))
 
 
+def _code_ranks(code: CodeSetLike) -> tuple[GroupSpec, list[int]]:
+    """The group of a code set and the ranks of its support."""
+    t = as_code_set(code)
+    return t.spec, list(compress(count(), t.coefficients))
+
+
 def code_beta(code: CodeSetLike) -> int:
     """Half the size of supp(T*) intersect supp(T^(2)*).
 
     The intersection is closed under negation whenever T is, so an odd
     intersection signals a corrupted input rather than a valid measurement.
     """
-    t = as_code_set(code)
-    return _beta(t, power_map(t, 2))
+    spec, ranks = _code_ranks(code)
+    return _beta(ranks, scaled_ranks(spec, ranks, 2))
 
 
-def _beta(t: GroupRingElement, t2: GroupRingElement) -> int:
-    """code_beta of the code set t, given its image t2 = T^(2): the ranks
-    of T's support, not all of G, are looked up in T^(2)."""
-    doubled = t2.coefficients
-    common = sum(1 for r in compress(count(), t.coefficients) if r and doubled[r])
+def _beta(ranks: list[int], doubled: list[int]) -> int:
+    """code_beta of the code set with support ranks `ranks`, given its
+    doubled ranks: supp(T^(2)) is the set of doubled ranks."""
+    common = len(set(doubled).intersection(ranks) - {0})
     if common % 2 != 0:
         raise ArithmeticError(
             f"|supp(T*) ∩ supp(T^(2)*)| = {common} is odd; T is not symmetric"
@@ -89,12 +101,13 @@ def spectrum_identity_checks(code: CodeSetLike, n: int) -> SpectrumReport:
       (3) sum of |X_i| over i >= 1    = 1 - beta + sum_{i>=3} (i-1)(i-2)/2 * |X_i|.
     All three are reported with both sides; nothing is asserted.
     """
-    t = as_code_set(code)
-    n = _tiling_dimension(t.spec, n)
+    spec, ranks = _code_ranks(code)
+    n = _tiling_dimension(spec, n)
     expected_order = 2 * n * n + 1
-    t2 = power_map(t, 2)
-    partition = coefficient_partition(multiply(t, t2))
-    beta = _beta(t, t2)
+    doubled = scaled_ranks(spec, ranks, 2)
+    product = _product(spec, _terms(spec, ranks), _terms(spec, doubled))
+    partition = coefficient_partition(_ring(spec, product))
+    beta = _beta(ranks, doubled)
     weighted_total = sum(i * count for i, count in partition.items())
     position_total = sum(partition.values())
     nonzero_total = sum(count for i, count in partition.items() if i >= 1)
@@ -138,9 +151,9 @@ def cube_multiplicity_check(code: CodeSetLike) -> CubeMultiplicityReport:
     each of the beta negation-pairs of order-3 elements contributes 2); for
     arbitrary symmetric T both values are simply reported.
     """
-    t = as_code_set(code)
-    beta = _beta(t, power_map(t, 2))
-    multiplicity = power_map(t, 3).coefficients[0]
+    spec, ranks = _code_ranks(code)
+    beta = _beta(ranks, scaled_ranks(spec, ranks, 2))
+    multiplicity = scaled_ranks(spec, ranks, 3).count(0)
     expected = 2 * beta + 1
     return CubeMultiplicityReport(
         multiplicity=multiplicity,
@@ -170,9 +183,10 @@ class CongruenceReport:
         return self.cubic.holds and self.quartic.holds
 
 
-def _first_rank_off_mod3(difference: list[int]) -> Optional[int]:
-    """The first rank where lhs - rhs is not 0 mod 3, or None."""
-    return next((r for r, x in enumerate(difference) if x % 3), None)
+def _first_rank_off_mod3(values: list[int], scalar: int) -> Optional[int]:
+    """The first rank r where values[r] - scalar is not 0 mod 3, or None
+    (scalar is in 0..2)."""
+    return next((r for r, x in enumerate(values) if x % 3 != scalar), None)
 
 
 def congruence_check(code: CodeSetLike, n: int) -> CongruenceReport:
@@ -185,32 +199,33 @@ def congruence_check(code: CodeSetLike, n: int) -> CongruenceReport:
     instead gives
         T * T^(3) = T^(4) + d_G * G + d_T * T^(2) + d_e * e  (mod 3),
     with d_G = 8n^2+16n+2, d_T = 4n-4, d_e = 4n^2-6n+2, all mod 3.
-    Each congruence is one pass over lhs - rhs, rank by rank.
+    Each congruence subtracts its sparse right-hand terms from the product
+    in place, then makes one pass over it for the first rank off by the
+    scalar of G.
     """
-    t = as_code_set(code)
+    spec, ranks = _code_ranks(code)
     (n,) = as_integers((n,), "dimensions")
-    t2 = power_map(t, 2)
-    t3 = power_map(t, 3)
+    terms = _terms(spec, ranks)
+    doubled = scaled_ranks(spec, ranks, 2)
+    tripled = scaled_ranks(spec, ranks, 3)
 
     c_g = (-(4 * n + 2)) % 3
     c_t = (-(2 * n - 2)) % 3
-    cubic = [
-        x - y - c_g - c_t * z
-        for x, y, z in zip(multiply(t2, t).coefficients, t3.coefficients, t.coefficients)
-    ]
-    cubic_rank = _first_rank_off_mod3(cubic)
+    cubic = _product(spec, _terms(spec, doubled), terms)
+    for s, r in zip(tripled, ranks):
+        cubic[s] -= 1
+        cubic[r] -= c_t
+    cubic_rank = _first_rank_off_mod3(cubic, c_g)
 
     d_g = (8 * n * n + 16 * n + 2) % 3
     d_t = (4 * n - 4) % 3
     d_e = (4 * n * n - 6 * n + 2) % 3
-    quartic = [
-        x - y - d_g - d_t * z
-        for x, y, z in zip(
-            multiply(t, t3).coefficients, power_map(t, 4).coefficients, t2.coefficients
-        )
-    ]
+    quartic = _product(spec, terms, _terms(spec, tripled))
+    for s, r in zip(scaled_ranks(spec, ranks, 4), doubled):
+        quartic[s] -= 1
+        quartic[r] -= d_t
     quartic[0] -= d_e
-    quartic_rank = _first_rank_off_mod3(quartic)
+    quartic_rank = _first_rank_off_mod3(quartic, d_g)
 
     return CongruenceReport(
         cubic=CongruenceCheck(

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 from itertools import compress, count
 
 from .abelian import GroupElement, GroupSpec, as_integers, scaled_ranks
-from .groupring import CodeSetLike, OrderMismatchError, as_code_set, multiply
+from .groupring import CodeSetLike, OrderMismatchError, _product, _terms, as_code_set
 from .tiling import TilingHomomorphism
 
 GOLAY11_CHECK_MATRIX: tuple[tuple[int, ...], ...] = (
@@ -149,7 +149,8 @@ def check_pds(code: CodeSetLike, params: PdsParameters) -> PdsReport:
     for r in ranks:
         rhs[r] += lam - mu
     rhs[0] += k - mu
-    equation_holds = multiply(d, d).coefficients == tuple(rhs)
+    terms = _terms(spec, ranks)
+    equation_holds = _product(spec, terms, terms) == rhs
     return PdsReport(
         identity_excluded=identity_excluded,
         symmetric=symmetric,

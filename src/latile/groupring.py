@@ -6,13 +6,16 @@ coefficients checked, and the scalars, multipliers and moduli passed to the
 operations are checked once per call, so a non-integer raises ValueError
 naming it.  Results of the ring's own operations are integers by
 construction and are not re-validated.
-The product reads the group's padded layout (abelian.padded_layout): each
-element has a position whose digits are its residues in radix 2d, so the
-position of g + h is fold[pos(g) + pos(h)], one addition and one table
-lookup per pair of support elements, in cyclic and non-cyclic groups
-alike; a square takes each unordered pair once.  The power map reads the
-same table: abelian.scaled_ranks reaches t*g by doubling (fold[pos + pos])
-and adding g along the bits of t.
+Products work on terms, (position, coefficient) pairs of the support in
+the group's padded layout (abelian.padded_layout): each element has a
+position whose digits are its residues in radix 2d, so the position of
+g + h is fold[pos(g) + pos(h)], one addition and one table lookup per pair
+of terms, in cyclic and non-cyclic groups alike.  One loop, _product,
+serves multiply, the checkers here and in construct, and the analysis
+sections; two term lists equal by value are a square, which takes each
+unordered pair once.  The power map reads the same table:
+abelian.scaled_ranks reaches t*g by doubling (fold[pos + pos]) and adding
+g along the bits of t, and the checkers take T^(t) as those rank lists.
 Python integers are unbounded, so coefficient overflow cannot occur for
 any group order or product degree.
 
@@ -24,6 +27,7 @@ all-ones element.  The right-hand side is built from the support ranks of T:
 2 everywhere, one more on each doubled rank, and 2n-2 more at the identity.
 """
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import compress, count
 from typing import Iterable, Sequence, Union
@@ -127,34 +131,48 @@ def linear_combine(
     return _ring(a.spec, [c1 * x + c2 * y for x, y in zip(a.coefficients, b.coefficients)])
 
 
-def multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    """Convolution product over the padded layout: every pair of a term of
-    the sparser operand and a term of the denser one adds its coefficient
-    product at fold[pos_a + pos_b], the rank of the sum of their elements.
+def _terms(spec: GroupSpec, ranks: Iterable[int]) -> list[tuple[int, int]]:
+    """(position, coefficient) terms in rank order, counting each rank as
+    often as it is listed: a code set's support ranks, or its scaled_ranks."""
+    positions = padded_layout(spec).positions
+    counts = Counter(ranks)
+    return [(positions[r], counts[r]) for r in sorted(counts)]
 
-    A square (b is a) walks the support's unordered pairs once instead:
-    c_i^2 at 2*g_i, and 2*c_i*c_j at g_i + g_j for each pair i != j.
-    """
-    _require_same_ring(a, b)
-    spec = a.spec
-    _, positions, fold = padded_layout(spec)
+
+def _product(spec: GroupSpec, a: list, b: list) -> list[int]:
+    """The product of two term lists as spec.order coefficients by rank:
+    each pair of a term of the shorter list and one of the longer adds
+    c_a * c_b at fold[pos_a + pos_b].  Lists equal by value (T * T^(2) when
+    T^(2) = T, too) are a square: c_i^2 at 2*g_i and 2*c_i*c_j at g_i + g_j
+    for each unordered pair i != j, once."""
+    _, _, fold = padded_layout(spec)
     out = [0] * spec.order
-    sup_a = [(positions[r], c) for r, c in enumerate(a.coefficients) if c]
-    if b is a:
-        while sup_a:
-            pos_a, ca = sup_a.pop()
+    if a == b:
+        rest = list(a)
+        while rest:
+            pos_a, ca = rest.pop()
             out[fold[pos_a + pos_a]] += ca * ca
             ca += ca
-            for pos_b, cb in sup_a:
+            for pos_b, cb in rest:
                 out[fold[pos_a + pos_b]] += ca * cb
-        return _ring(spec, out)
-    sup_b = [(positions[r], c) for r, c in enumerate(b.coefficients) if c]
-    if len(sup_a) > len(sup_b):
-        sup_a, sup_b = sup_b, sup_a
-    for pos_a, ca in sup_a:
-        for pos_b, cb in sup_b:
+        return out
+    if len(a) > len(b):
+        a, b = b, a
+    for pos_a, ca in a:
+        for pos_b, cb in b:
             out[fold[pos_a + pos_b]] += ca * cb
-    return _ring(spec, out)
+    return out
+
+
+def multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
+    """Convolution product: each operand's support is read once, as terms."""
+    _require_same_ring(a, b)
+    spec = a.spec
+    positions = padded_layout(spec).positions
+    x, y = a.coefficients, b.coefficients
+    terms_a = list(zip(compress(positions, x), compress(x, x)))
+    terms_b = terms_a if b is a else list(zip(compress(positions, y), compress(y, y)))
+    return _ring(spec, _product(spec, terms_a, terms_b))
 
 
 def power_map(a: GroupRingElement, t: int) -> GroupRingElement:
@@ -256,7 +274,8 @@ def check_tiling_conditions(code: CodeSetLike, n: int) -> TilingConditionReport:
     for s in scaled_ranks(spec, ranks, 2):
         rhs[s] += 1
     rhs[0] += 2 * n - 2
-    equation_holds = multiply(t, t).coefficients == tuple(rhs)
+    terms = _terms(spec, ranks)
+    equation_holds = _product(spec, terms, terms) == rhs
     return TilingConditionReport(
         n=n,
         size=size,

@@ -32,8 +32,9 @@ from .abelian import (
     _LAYOUTS_KEPT,
     GroupElement,
     GroupSpec,
+    _element,
     as_integers,
-    element_at,
+    decode_rank,
     encode_residues,
     rank_weights,
     scaled_ranks,
@@ -256,12 +257,15 @@ def verify_tiling(phi: TilingHomomorphism, ball: ErrorBall) -> VerificationRepor
         if rank in first:
             break
         first[rank] = i
-    witness = (vectors[first[rank]], vectors[i], element_at(spec, rank))
+    # every rank below is in range(order), so it decodes with no checks
+    witness = (vectors[first[rank]], vectors[i], _element(spec, decode_rank(spec, rank)))
     return VerificationReport(
         bijective=False,
         collisions=(witness,),
         collision_count=order - len(covered),
-        uncovered=tuple(element_at(spec, r) for r in range(order) if r not in covered),
+        uncovered=tuple(
+            _element(spec, decode_rank(spec, r)) for r in range(order) if r not in covered
+        ),
         reason="images of ball vectors do not cover G exactly once",
     )
 

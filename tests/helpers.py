@@ -1,5 +1,7 @@
 """Shared test utilities: reference oracles and input generators."""
 
+from collections import Counter
+
 from hypothesis import strategies as st
 
 from latile.abelian import (
@@ -11,7 +13,13 @@ from latile.abelian import (
     identity,
     negate,
 )
-from latile.analysis import CongruenceCheck, CongruenceReport
+from latile.analysis import (
+    CongruenceCheck,
+    CongruenceReport,
+    CubeMultiplicityReport,
+    IdentityCheck,
+    SpectrumReport,
+)
 from latile.construct import PdsReport
 from latile.groupring import (
     GroupRingElement,
@@ -245,6 +253,55 @@ def dense_congruence_check(code, n: int) -> CongruenceReport:
             {"G": d_g, "T2": d_t, "e": d_e}, quartic_rank is None, quartic_rank
         ),
     )
+
+
+def _dense_beta(t: GroupRingElement) -> int:
+    """Half the number of non-identity ranks where both T and the naive
+    T^(2) have a nonzero coefficient."""
+    t2 = naive_power_map(t, 2).coefficients
+    common = sum(1 for r in range(1, t.spec.order) if t.coefficients[r] and t2[r])
+    if common % 2 != 0:
+        raise ArithmeticError(
+            f"|supp(T*) ∩ supp(T^(2)*)| = {common} is odd; T is not symmetric"
+        )
+    return common // 2
+
+
+def dense_spectrum_identity_checks(code, n: int) -> SpectrumReport:
+    """Reference spectrum report: the histogram of naive_multiply(T,
+    naive_power_map(T, 2)) over all of G, and the three identities read
+    off it."""
+    t = as_code_set(code)
+    assert t.spec.order == 2 * n * n + 1
+    product = naive_multiply(t, naive_power_map(t, 2))
+    partition = dict(sorted(Counter(product.coefficients).items()))
+    beta = _dense_beta(t)
+    sides = {
+        "weighted_positions": (
+            sum(i * k for i, k in partition.items()),
+            (2 * n + 1) ** 2,
+        ),
+        "total_positions": (sum(partition.values()), 2 * n * n + 1),
+        "nonzero_position_balance": (
+            sum(k for i, k in partition.items() if i != 0),
+            1 - beta + sum((i - 1) * (i - 2) // 2 * k for i, k in partition.items() if i >= 3),
+        ),
+    }
+    return SpectrumReport(
+        partition=partition,
+        max_coefficient=max(partition),
+        beta=beta,
+        identity_checks={name: IdentityCheck(x, y, x == y) for name, (x, y) in sides.items()},
+    )
+
+
+def dense_cube_multiplicity_check(code) -> CubeMultiplicityReport:
+    """Reference cube report: the identity's coefficient in the naive T^(3)
+    against 2 beta + 1."""
+    t = as_code_set(code)
+    beta = _dense_beta(t)
+    multiplicity = naive_power_map(t, 3).coefficients[0]
+    return CubeMultiplicityReport(multiplicity, beta, 2 * beta + 1, multiplicity == 2 * beta + 1)
 
 
 def random_symmetric_set(rng, spec: GroupSpec, density: float = 0.5) -> GroupRingElement:

@@ -26,7 +26,13 @@ from latile.groupring import (
 )
 from latile.tiling import induced_code_set
 
-from helpers import all_specs_up_to, dense_congruence_check, random_symmetric_set
+from helpers import (
+    all_specs_up_to,
+    dense_congruence_check,
+    dense_cube_multiplicity_check,
+    dense_spectrum_identity_checks,
+    random_symmetric_set,
+)
 
 
 def golay_code():
@@ -197,3 +203,72 @@ class TestCongruences:
         assert set(d) == {"cubic", "quartic"}
         assert d["cubic"]["holds"] is True
         assert d["quartic"]["scalars"]["T2"] == 1
+
+
+# Groups of exponent 3 (Z_3, Z_3 x Z_3, Z_3^5), where 2g = -g makes T^(2) = T
+# for a symmetric T and the products take the square's route, and groups
+# where T^(2) and T differ (Z_9, Z_19, Z_33, Z_3 x Z_33), where they do not.
+LARGE_SPECS = [GroupSpec((3,) * 5), GroupSpec((3, 33))]
+TILING_ORDER_SPECS = {
+    spec: n
+    for spec in all_specs_up_to(40) + LARGE_SPECS
+    for n in range(1, 12)
+    if spec.order == 2 * n * n + 1
+}
+
+
+def outcome(check, *args):
+    """The report, or the type and message of what the check raised: in
+    groups of even order a symmetric T can meet T^(2) in an odd number of
+    elements, and both routes must then raise alike."""
+    try:
+        return check(*args)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+class TestDenseOracles:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(sorted(TILING_ORDER_SPECS, key=lambda s: s.invariant_factors)),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([0.1, 0.3, 0.6]),
+    )
+    def test_spectrum_matches_the_dense_oracle(self, spec, seed, density):
+        code = random_symmetric_set(random.Random(seed), spec, density)
+        n = TILING_ORDER_SPECS[spec]
+        assert outcome(spectrum_identity_checks, code, n) == outcome(
+            dense_spectrum_identity_checks, code, n
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(all_specs_up_to(40)) | st.sampled_from(LARGE_SPECS),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([0.1, 0.3, 0.6]),
+    )
+    def test_cube_matches_the_dense_oracle(self, spec, seed, density):
+        code = random_symmetric_set(random.Random(seed), spec, density)
+        assert outcome(cube_multiplicity_check, code) == outcome(
+            dense_cube_multiplicity_check, code
+        )
+
+    @pytest.mark.parametrize("code", [golay_code, corrupted_golay_code])
+    def test_golay_codes_match_the_dense_oracles(self, code):
+        assert spectrum_identity_checks(code(), 11) == dense_spectrum_identity_checks(code(), 11)
+        assert cube_multiplicity_check(code()) == dense_cube_multiplicity_check(code())
+
+    def test_asymmetric_input_keeps_its_message(self):
+        """T = {0, 1, 2} in Z_19 (n = 3): T^(2) = {0, 2, 4} meets T* in {2}."""
+        spec = GroupSpec((19,))
+        t = GroupRingElement(spec, (1, 1, 1) + (0,) * 16)
+        message = re.escape("|supp(T*) ∩ supp(T^(2)*)| = 1 is odd; T is not symmetric")
+        for check in (
+            code_beta,
+            cube_multiplicity_check,
+            lambda code: spectrum_identity_checks(code, 3),
+            dense_cube_multiplicity_check,
+            lambda code: dense_spectrum_identity_checks(code, 3),
+        ):
+            with pytest.raises(ArithmeticError, match=f"^{message}$"):
+                check(t)

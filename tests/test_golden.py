@@ -3,10 +3,12 @@
 Each file is the full stdout of one run: `latile analyze -` and
 `latile verify -` on the Golay map (`latile construct golay11 | latile
 analyze -`), on the Golay map with one image swapped and on an n = 7 map
-over Z_3 x Z_33 (a non-cyclic group whose map does not tile), and `latile
-certify -n N` for N = 3 (a infinite), 14 (a = 26), 282 (INCONCLUSIVE, with a
-witness), 11 (INAPPLICABLE) and 10000014 (2n^2+1 prime, so trial division
-runs past the prime table's cap).  The swapped map's verify file pins the
+over Z_3 x Z_33 (a non-cyclic group whose map does not tile), `latile
+analyze -` on an n = 5 map over the cyclic Z_51 (no tiling; T^(2) != T,
+and both congruences fail past rank 0), and `latile certify -n N` for
+N = 3 (a infinite), 14 (a = 26), 282 (INCONCLUSIVE, with a witness), 11
+(INAPPLICABLE) and 10000014 (2n^2+1 prime, so trial division runs past
+the prime table's cap).  The swapped map's verify file pins the
 first collision witness and the order of the uncovered elements, and that
 run exits 1, as does the Z_3 x Z_33 one.  `latile verify --ball 1,1,60,60`
 on the one-image map x -> 11x into Z_121 exits 1 too; its accumulators
@@ -41,6 +43,15 @@ def z3xz33_n7_map() -> TilingHomomorphism:
     )
 
 
+def z51_n5_map() -> TilingHomomorphism:
+    """An n = 5 map into the cyclic Z_51 whose code set exists; it does not
+    tile.  Z_51 has exponent 51, so T^(2) != T and the analysis's products
+    take the cross route, not the square's."""
+    return TilingHomomorphism.from_dict(
+        {"n": 5, "group": {"invariant_factors": [51]}, "images": [[1], [2], [3], [4], [6]]}
+    )
+
+
 def stdout_of(capsys, argv) -> str:
     assert main(argv) == 0
     return capsys.readouterr().out
@@ -52,6 +63,7 @@ def stdout_of(capsys, argv) -> str:
         ("analyze_golay11.json", golay11_tiling),
         ("analyze_golay11_one_image_swapped.json", golay_with_one_image_swapped),
         ("analyze_z3xz33_n7.json", z3xz33_n7_map),
+        ("analyze_z51_n5.json", z51_n5_map),
     ],
 )
 def test_analyze_output_is_golden(capsys, monkeypatch, name, phi):

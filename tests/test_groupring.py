@@ -247,6 +247,39 @@ def test_square_matches_naive_oracle(args, scale):
     assert multiply(a, a) == naive_multiply(a, a)
 
 
+@given(ring_pairs(count=1, specs=[GroupSpec(())] + SMALL_SPECS))
+def test_product_of_equal_distinct_operands_matches_naive_oracle(args):
+    """b equal to a but not a itself takes the square's route too; the
+    coefficients include negative and zero ones."""
+    (a,) = args
+    b = GroupRingElement(a.spec, tuple(a.coefficients))
+    assert b is not a and b == a
+    assert multiply(a, b) == naive_multiply(a, b) == multiply(a, a)
+
+
+def test_products_with_a_power_map_that_repeats_ranks():
+    """On Z_3^5 every t*g with t = 3 is the identity, so T^(3) = 23e for the
+    Golay code set: the image repeats one rank 23 times."""
+    t = as_code_set(induced_code_set(golay11_tiling()))
+    t3 = power_map(t, 3)
+    assert t3 == GroupRingElement(t.spec, (23,) + (0,) * 242)
+    assert multiply(t, t3) == naive_multiply(t, t3)
+    assert multiply(t3, t3) == naive_multiply(t3, t3)
+    rng = random.Random(3)
+    for spec in (GroupSpec((3, 9)), GroupSpec((9,)), GroupSpec((3, 3, 3))):
+        a = random_ring_element(rng, spec)
+        a3 = power_map(a, 3)
+        assert multiply(a, a3) == naive_multiply(a, a3)
+
+
+def test_golay_product_with_its_doubling_is_its_square():
+    """A symmetric T over Z_3^5 has T^(2) = -T = T, so T * T^(2) = T * T."""
+    t = as_code_set(induced_code_set(golay11_tiling()))
+    t2 = power_map(t, 2)
+    assert t2 == t
+    assert multiply(t, t2) == multiply(t, t) == naive_multiply(t, t)
+
+
 @given(ring_pairs())
 def test_multiplication_commutes(pair):
     a, b = pair
