@@ -15,8 +15,7 @@ import operator
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, compress, count, cycle
-from itertools import product as cartesian_product
+from itertools import accumulate, chain, compress, count, cycle, zip_longest
 from math import gcd, isqrt, lcm, prod
 from typing import Iterable, NamedTuple, Sequence
 
@@ -324,40 +323,35 @@ def factorize(m: int) -> dict[int, int]:
     return factors
 
 
-def _partitions(k: int):
-    """All partitions of k as tuples of parts in non-increasing order."""
-
-    def rec(remaining, max_part):
-        if remaining == 0:
-            yield ()
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            for rest in rec(remaining - part, part):
-                yield (part,) + rest
-
-    yield from rec(k, k)
+def _partitions(k: int, largest: int) -> list[tuple[int, ...]]:
+    """The partitions of k into parts of at most `largest`, each as a tuple
+    of parts in non-increasing order."""
+    if k <= 1:
+        return [(1,) * k]
+    return [
+        (part, *rest)
+        for part in range(min(k, largest), 0, -1)
+        for rest in _partitions(k - part, part)
+    ]
 
 
 def enumerate_abelian_groups(order: int) -> list[GroupSpec]:
     """One GroupSpec per isomorphism class of abelian groups of the order.
 
     Classes are generated by choosing a partition of each prime's exponent
-    and recombining aligned prime powers into an invariant-factor chain.
+    and multiplying the primes' powers together part by part, largest parts
+    first, into an invariant-factor chain read from its largest factor.
     The result is sorted by factor tuple, so the output order is stable.
+    A non-integer order raises a ValueError naming it.
     """
+    (order,) = as_integers((order,), "orders")
     if order < 1:
         raise ValueError("order must be a positive integer")
-    if order == 1:
-        return [GroupSpec(())]
-    prime_powers = list(factorize(order).items())
-    per_prime = [list(_partitions(e)) for _, e in prime_powers]
-    specs = []
-    for combo in cartesian_product(*per_prime):
-        length = max(len(part) for part in combo)
-        chain = [1] * length
-        for (p, _), part in zip(prime_powers, combo):
-            padded = [0] * (length - len(part)) + sorted(part)
-            for i, exponent in enumerate(padded):
-                chain[i] *= p**exponent
-        specs.append(GroupSpec(tuple(d for d in chain if d > 1)))
-    return sorted(specs, key=lambda s: s.invariant_factors)
+    descending: list[list[int]] = [[]]  # each class's invariant factors, largest first
+    for p, e in factorize(order).items():
+        descending = [
+            [d * q for d, q in zip_longest(factors, [p**part for part in parts], fillvalue=1)]
+            for factors in descending
+            for parts in _partitions(e, e)
+        ]
+    return [GroupSpec(factors) for factors in sorted(tuple(f[::-1]) for f in descending)]

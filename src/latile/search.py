@@ -40,14 +40,19 @@ C(2n+1, 2) - n = 2n^2 distinct non-identity sums fill G minus e.
 
 Below the first pair S and covered only grow, so a rejection there holds
 for the whole subtree.  The scan looks ahead (forward checking, Haralick
-and Elliott, Artif. Intell. 1980): a node tests all of its candidate
-indices, then descends into the survivors, and each child tests only the
-survivors after its own pair.  A survivor with too few survivors after it
-to fill a candidate heads no leaf, and its subtree is counted at once.  The
-indices a child does not test are counted for it, so the count is still
-summed from the walk.  The root's children, and the first depth below a
-prefix, test every index after their pair that the first pair allows
-(below); the covered mask holds pair sums and nothing else.
+and Elliott, Artif. Intell. 1980), and a parent tests its children's
+candidates itself.  A node holds survivors already tested against its own
+masks, and enters those with enough survivors after them to fill a
+candidate.  For each entered y it joins S + y and S - y into covered and
+tests the survivors after y against the child's masks.  A child left fewer
+survivors than pairs it still has to choose heads no leaf: its subtree is
+counted at once and it is never called.  A live child is called with its
+tested survivors, after the candidates below none of the survivors it will
+enter are counted, so the count is still summed from the walk and only
+nodes that can still reach a leaf are called.  The root's children, and
+the first depth below a prefix, test every index after their pair that the
+first pair allows (below); the covered mask holds pair sums and nothing
+else.
 
 A surviving leaf is read as a map phi: Z^n -> G sending e_i to the first
 element of the i-th chosen pair, and re-verified by two independent
@@ -86,22 +91,29 @@ process and kept for the next scans: a parallel run's tasks, or a forked
 worker whose parent split the run by the same tables.  A scan without
 reduction never makes the multiplier permutations.
 
-The scan's unit of work is a prefix of pair indices, walked by the same
-node rule as the pairs below it: at a prefix depth the only index is the
-prefix's own, and a rejection there, by the packing or by the allowed
-pairs, drops the prefix's whole count.  So a planted prefix checks the
-scan's own rule.  A serial run scans the empty prefix; a parallel run
-starts a run of two-pair prefixes at each one the orbit floors leave
-alive, hands the runs to the pool in about eight chunks per worker, and
-merges them in prefix order, so the output is identical to a serial run.
+The scan's unit of work is a prefix of pair indices, walked apart from
+the node rule but by the same test and the same allowed pairs: at a prefix
+depth the only index is the prefix's own, and a rejection there, by the
+packing or by the allowed pairs, drops the prefix's whole count.  So a
+planted prefix checks the scan's own rule.  The empty prefix is walked as
+the one-pair prefixes of the roots.  A serial run scans the empty prefix;
+a parallel run starts a run of two-pair prefixes at each one the orbit
+floors leave alive, hands the runs to the pool in about eight chunks per
+worker, and merges them in prefix order, so the output is identical to a
+serial run.
 """
 
 import time
+
+# collections.abc generics, unlike typing's, are not cached, so an annotation
+# that names SearchSolution keeps no module copy alive after a re-import
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from math import comb, gcd, log10
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .abelian import (
     GroupElement,
@@ -345,14 +357,17 @@ def scan_prefixes(
 ) -> tuple[int, list[SearchSolution]]:
     """Scan every candidate that starts with one of the prefixes.
 
-    A prefix is an increasing tuple of at most n pair indices, walked by the
-    scan's own node rule; the empty prefix is the whole space.  Returns the
-    candidates covered, C(P - 1 - last, n - k) for a prefix of k pairs
-    ending at `last` among P pairs, summed over the prefixes, and the
-    solutions in prefix order.  With reduce_orbits the multiplier orbit
-    floors prune subtrees that hold no canonical leaf (see the module
-    docstring).  The tables come from scan_tables, so only a process's
-    first scan of a group at n makes them.
+    A prefix is an increasing tuple of at most n pair indices, walked with
+    the packing test and the allowed pairs of the nodes below it; the empty
+    prefix is the whole space, walked as the one-pair prefixes of the roots.  Returns the candidates covered,
+    C(P - 1 - last, n - k) for a prefix of k pairs ending at `last` among P
+    pairs, summed over the prefixes, and the solutions in prefix order.
+    Below a prefix a node is called only with candidates its parent has
+    already tested, and only when they can still fill a candidate; every
+    other subtree is counted whole where its parent drops it.  With
+    reduce_orbits the multiplier orbit floors prune subtrees that hold no
+    canonical leaf (see the module docstring).  The tables come from
+    scan_tables, so only a process's first scan of a group at n makes them.
     """
     tables = scan_tables(spec, n, reduce_orbits)
     pair_ranks, num_pairs = tables.pair_ranks, len(tables.pair_ranks)
@@ -377,69 +392,91 @@ def scan_prefixes(
             elements = tuple(element_at(spec, r) for r in ranks)
             solutions.append(SearchSolution(spec, elements, len(orbit)))
 
-    def extend(
-        chosen_mask: int, covered: int, count: int, remaining: int, candidates: Iterable[int]
-    ) -> None:
-        # A node holds `count` candidates.  It tests each candidate index y
-        # (is 2x in covered, and does S + x meet it?), then descends into
-        # the survivors; below the first pair a child inherits the survivors
-        # after its own pair (see the module docstring).  While more than
-        # `below_prefix` pairs remain, the one index is the prefix's own, if
-        # the floors leave it among the candidates.
+    def node(chosen_mask: int, covered: int, remaining: int, survivors: list[int]) -> None:
+        # `survivors` passed this node's test (is 2x in covered, and does
+        # S + x meet it?) and can fill its `remaining` pairs; at the last
+        # pair each one completes a leaf.  Otherwise the node enters each
+        # survivor y with enough survivors after it and tests those against
+        # the child's masks: a child left too few to fill a candidate is
+        # counted whole, and a live one is called after the candidates below
+        # none of the survivors it will enter are counted.
         nonlocal tested
-        if remaining > below_prefix:
-            own = prefix[n - remaining]
-            candidates, weights, inherit = [own] if own in candidates else [], prefix_count, False
-        else:
-            weights, inherit = subtree[remaining - 1], remaining < n
-        survivors = [
-            y
-            for y in candidates
-            if not (double_bits[y] & covered or chosen_mask << plus[y] & covered)
-        ]
-        if inherit:
-            if len(survivors) < remaining:  # too few to fill a candidate: no leaf below
-                tested += count
-                return
-            entered = survivors[: len(survivors) - remaining + 1]
-        else:
-            entered = survivors
-        # the candidates below no entered survivor: their next pair was
-        # rejected, here or for good above, left out by the floors, or heads
-        # no leaf
-        tested += count - sum(map(weights.__getitem__, entered))
         if remaining == 1:
-            for y in entered:
+            for y in survivors:
                 tested += 1
                 chosen.append(y)
                 handle_leaf()
                 chosen.pop()
             return
-        for i, y in enumerate(entered):
+        weights, below = subtree[remaining - 1], subtree[remaining - 2]
+        remaining -= 1
+        for i in range(len(survivors) - remaining):
+            y = survivors[i]
             # S + x and S - x join covered
             sums = chosen_mask << plus[y] | chosen_mask << minus[y]
             for low, high, shift in folds:
                 sums |= (sums & low) << shift | (sums & high) >> shift
+            mask, joined = chosen_mask | pair_bits[y], covered | sums
+            rest = []
+            for z in survivors[i + 1 :]:
+                if not (double_bits[z] & joined or mask << plus[z] & joined):
+                    rest.append(z)
+            if len(rest) < remaining:
+                tested += weights[y]
+                continue
+            tested += weights[y] - sum(map(below.__getitem__, rest[: len(rest) - remaining + 1]))
             chosen.append(y)
-            # the root's children, and the first depth below a prefix, take
-            # the pairs after y that the first pair allows
-            rest = survivors[i + 1 :] if inherit else [j for j in allowed[chosen[0]] if j > y]
-            extend(chosen_mask | pair_bits[y], covered | sums, weights[y], remaining - 1, rest)
+            node(mask, joined, remaining, rest)
             chosen.pop()
 
     for prefix in prefixes:
         prefix = tuple(prefix)
         if len(prefix) > n or not all(a < b for a, b in zip((-1, *prefix), (*prefix, num_pairs))):
             raise ValueError(f"prefix {prefix}: need <= {n} increasing indices below {num_pairs}")
-        below_prefix = n - len(prefix)
-        # the candidates that start with the prefix, dropped by any rejection inside it
-        count = comb(num_pairs - 1 - (prefix[-1] if prefix else -1), below_prefix)
-        prefix_count = dict.fromkeys(prefix, count)
-        # the identity, and no pair sums yet
-        extend(1, 0, count, n, tables.roots)
-    # extend's closure holds its own cell; unbinding it frees the call's
+        count = comb(num_pairs - 1 - (prefix[-1] if prefix else -1), n - len(prefix))
+        if prefix:
+            starts = [(prefix, count)]
+        else:
+            # the root: the candidates whose first pair is no root are dropped
+            starts = [((c,), subtree[n - 1][c]) for c in tables.roots]
+            tested += count - sum(weight for _, weight in starts)
+        for start, count in starts:
+            # the identity, and no pair sums yet
+            chosen_mask, covered, candidates = 1, 0, tables.roots
+            for y in start:
+                # a prefix index the floors leave out, or the packing
+                # rejects, drops the prefix's whole count
+                if y not in candidates or double_bits[y] & covered or chosen_mask << plus[y] & covered:
+                    tested += count
+                    break
+                sums = chosen_mask << plus[y] | chosen_mask << minus[y]
+                for low, high, shift in folds:
+                    sums |= (sums & low) << shift | (sums & high) >> shift
+                chosen.append(y)
+                chosen_mask, covered = chosen_mask | pair_bits[y], covered | sums
+                candidates = allowed[chosen[0]]
+            else:
+                remaining = n - len(start)
+                # the first depth below the prefix tests the pairs after it
+                # that the first pair allows; a full-length prefix is a leaf
+                survivors = [
+                    z
+                    for z in candidates
+                    if z > y and not (double_bits[z] & covered or chosen_mask << plus[z] & covered)
+                ]
+                if remaining == 0:
+                    tested += 1
+                    handle_leaf()
+                elif len(survivors) < remaining:
+                    tested += count
+                else:
+                    entered = survivors[: len(survivors) - remaining + 1]
+                    tested += count - sum(map(subtree[remaining - 1].__getitem__, entered))
+                    node(chosen_mask, covered, remaining, survivors)
+            chosen.clear()
+    # node's closure holds its own cell; unbinding it frees the call's
     # closures and lists now rather than at the next cycle collection
-    del extend
+    del node
     return tested, solutions
 
 
@@ -463,6 +500,32 @@ def _prefix_tasks(tables: ScanTables, n: int) -> list[list[tuple[int, int]]]:
 def _prefix_worker(args) -> tuple[int, list[SearchSolution]]:
     spec, n, reduce_orbits, prefixes = args
     return scan_prefixes(spec, n, prefixes, reduce_orbits=reduce_orbits)
+
+
+def _pooled_outcomes(
+    stack: ExitStack, groups: list[GroupSpec], n: int, reduce_orbits: bool, threads: int
+) -> Iterator[tuple[int, list[SearchSolution]]]:
+    """Each group's count and solutions from a pool of workers, entered on
+    the stack: one task per run of two-pair prefixes, merged per group in
+    prefix order.  The runs are cut before the pool starts, so a forked
+    worker inherits the tables they were cut by."""
+    import multiprocessing
+
+    runs = [_prefix_tasks(scan_tables(spec, n, reduce_orbits), n) for spec in groups]
+    tasks = [
+        (spec, n, reduce_orbits, prefixes)
+        for spec, group_runs in zip(groups, runs)
+        for prefixes in group_runs
+    ]
+    pool = stack.enter_context(multiprocessing.Pool(threads))
+    chunksize = max(1, len(tasks) // (threads * _TASKS_PER_WORKER))
+    outcomes = pool.imap(_prefix_worker, tasks, chunksize)
+    for group_runs in runs:
+        tested, found = 0, []
+        for run_tested, run_solutions in islice(outcomes, len(group_runs)):
+            tested += run_tested
+            found += run_solutions
+        yield tested, found
 
 
 def search_tilings(
@@ -489,35 +552,18 @@ def search_tilings(
     if total > budget:
         raise BudgetExceededError(total, budget)
     started = time.perf_counter()
-    runs = [
-        [[()]] if threads <= 1 else _prefix_tasks(scan_tables(spec, n, reduce_orbits), n)
-        for spec in groups
-    ]
-    tasks = [
-        (spec, n, reduce_orbits, prefixes)
-        for spec, group_runs in zip(groups, runs)
-        for prefixes in group_runs
-    ]
     tested_by_group = []
     solutions: list[SearchSolution] = []
     with ExitStack() as stack:
-        outcomes = map(_prefix_worker, tasks)
-        if threads > 1:
-            import multiprocessing
-
-            pool = stack.enter_context(multiprocessing.Pool(threads))
-            chunksize = max(1, len(tasks) // (threads * _TASKS_PER_WORKER))
-            outcomes = pool.imap(_prefix_worker, tasks, chunksize)
-        for spec, group_runs in zip(groups, runs):
-            tested = found = 0
-            for _ in group_runs:
-                run_tested, run_solutions = next(outcomes)
-                tested += run_tested
-                found += len(run_solutions)
-                solutions.extend(run_solutions)
+        if threads <= 1:
+            outcomes = (scan_prefixes(spec, n, [()], reduce_orbits=reduce_orbits) for spec in groups)
+        else:
+            outcomes = _pooled_outcomes(stack, groups, n, reduce_orbits, threads)
+        for spec, (tested, found) in zip(groups, outcomes):
             tested_by_group.append(tested)
+            solutions += found
             if progress is not None:
-                progress(f"{spec.describe()}: {tested} candidates, {found} solutions")
+                progress(f"{spec.describe()}: {tested} candidates, {len(found)} solutions")
     return SearchResult(
         n=n,
         groups_examined=tuple(groups),

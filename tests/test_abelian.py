@@ -1,5 +1,6 @@
 """Tests for finite abelian group arithmetic and enumeration."""
 
+import re
 from math import prod
 
 import pytest
@@ -83,6 +84,11 @@ class TestEnumeration:
             enumerate_abelian_groups(0)
         with pytest.raises(ValueError):
             enumerate_abelian_groups(-5)
+
+    @pytest.mark.parametrize("bad", [2.0, 1.5, "9", None])
+    def test_rejects_non_integer_order_naming_it(self, bad):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'orders must be integers, got {bad!r}')}$"):
+            enumerate_abelian_groups(bad)
 
     def test_every_chain_divides(self):
         for spec in all_specs_up_to(64):

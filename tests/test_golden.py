@@ -14,6 +14,11 @@ run exits 1, as does the Z_3 x Z_33 one.  `latile verify --ball 1,1,60,60`
 on the one-image map x -> 11x into Z_121 exits 1 too; its accumulators
 need a 14-bit field, wider than the verifier's 12-bit chunks.  A change
 that alters one of them changes the JSON that users read.
+
+scan_z3e5_golay5_n11.json is the search's positive control, not CLI
+output: the 162 solutions that scan_prefixes finds below the first five
+Golay pairs of Z_3^5 without orbit reduction, one as_dict() per line in
+the order the scan reports them.
 """
 
 import io
@@ -22,11 +27,13 @@ from pathlib import Path
 
 import pytest
 
+from latile.abelian import GroupSpec
 from latile.certify import certify_nonexistence
 from latile.cli import main
 from latile.construct import golay11_tiling
+from latile.search import scan_prefixes
 from latile.tiling import TilingHomomorphism
-from test_search import golay_with_one_image_swapped
+from test_search import golay_pair_indices, golay_with_one_image_swapped
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -108,3 +115,16 @@ def test_certificate_dict_equals_its_golden_json(n):
     """as_dict() gives lists where the JSON has arrays, not tuples."""
     golden = json.loads((GOLDEN / f"certify_n{n}.json").read_text())
     assert certify_nonexistence(n).as_dict() == golden
+
+
+def test_scan_below_five_golay_pairs_is_golden():
+    """The planted positive control: all 162 tilings below the first five
+    Golay pairs of Z_3^5, unreduced, as the scan reports them, in order."""
+    golay = golay_pair_indices()
+    assert golay[:5] == [0, 1, 5, 18, 39]
+    _, solutions = scan_prefixes(GroupSpec((3,) * 5), 11, [tuple(golay[:5])], reduce_orbits=False)
+    golden = (GOLDEN / "scan_z3e5_golay5_n11.json").read_text()
+    assert len(json.loads(golden)) == 162
+    # one solution's as_dict() per line, keys sorted
+    lines = ",\n".join(json.dumps(sol.as_dict(), sort_keys=True) for sol in solutions)
+    assert f"[\n{lines}\n]\n" == golden

@@ -484,6 +484,52 @@ class TestPrefixScan:
             assert weights[0] > 0
             assert not any(weights[1:])
 
+    @pytest.mark.parametrize("factors, n", [((51,), 4), ((51,), 5), ((73,), 6)])
+    @pytest.mark.parametrize("reduce_orbits", [False, True])
+    def test_each_run_scans_as_its_prefixes_one_by_one(
+        self, monkeypatch, factors, n, reduce_orbits
+    ):
+        # With leaf re-verification stubbed out, so that leaves show (Z_51
+        # at n = 4 has packings; n = 5 and 6 have none), every run of the
+        # parallel split walks its prefixes as the scan walks each of them
+        # alone: the counts add up and the solutions concatenate in prefix
+        # order, and the runs together give the serial scan.  Only the
+        # orbit floors leave dead prefixes to ride along in a run.
+        monkeypatch.setattr(latile.search, "dual_verify_candidate", lambda *args: True)
+        spec = GroupSpec(factors)
+        tasks = latile.search._prefix_tasks(latile.search.scan_tables(spec, n, reduce_orbits), n)
+        assert any(len(run) > 1 for run in tasks) == reduce_orbits
+        total, every = 0, []
+        for run in tasks:
+            tested, solutions = scan_prefixes(spec, n, run, reduce_orbits=reduce_orbits)
+            alone = [scan_prefixes(spec, n, [prefix], reduce_orbits=reduce_orbits) for prefix in run]
+            assert tested == sum(count for count, _ in alone)
+            assert solutions == [sol for _, found in alone for sol in found]
+            total += tested
+            every += solutions
+        assert (total, every) == scan_prefixes(spec, n, [()], reduce_orbits=reduce_orbits)
+        assert total == comb((spec.order - 1) // 2, n)
+        assert bool(every) == (n == 4)
+
+    def test_every_leaf_is_reached_once_in_increasing_order(self, monkeypatch):
+        # The counts cannot show which pairs a node enters: every subtree
+        # books its whole weight, and the orbit check drops a leaf whose
+        # pairs are out of order.  So the leaves themselves are checked:
+        # below every two-pair prefix of Z_51 at n = 4, unreduced, each
+        # leaf the scan reaches is increasing and becomes one solution.
+        monkeypatch.setattr(latile.search, "dual_verify_candidate", lambda *args: True)
+        reached = []
+        real = latile.search.candidate_orbit
+        monkeypatch.setattr(
+            latile.search,
+            "candidate_orbit",
+            lambda perms, candidate: reached.append(candidate) or real(perms, candidate),
+        )
+        spec = GroupSpec((51,))
+        _, solutions = scan_prefixes(spec, 4, combinations(range(25), 2), reduce_orbits=False)
+        assert reached and reached == [tuple(sorted(leaf)) for leaf in reached]
+        assert reached == pair_indices_of(spec, solutions)
+
     @pytest.mark.parametrize("prefix", [(1, 0), (0, 0), (9,), (-1,), (0, 1, 2, 3)])
     def test_malformed_prefix_rejected(self, prefix):
         with pytest.raises(ValueError):
