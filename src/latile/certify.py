@@ -253,7 +253,9 @@ def _build(n: int, p: int) -> NonexistenceCertificate:
     )
 
 
-def certify_nonexistence(n: int) -> Optional[NonexistenceCertificate]:
+# X | None, not typing.Optional: typing caches its subscriptions, and one naming
+# NonexistenceCertificate would keep this module copy alive after a re-import
+def certify_nonexistence(n: int) -> NonexistenceCertificate | None:
     """The certificate for n's admissible prime, or None when there is
     none.  There is at most one: two would multiply to more than 2n^2+1.
 

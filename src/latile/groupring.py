@@ -28,9 +28,12 @@ all-ones element.  The right-hand side is built from the support ranks of T:
 """
 
 from collections import Counter
+# collections.abc generics and X | Y unions, unlike typing's subscriptions,
+# are not cached, so an annotation naming a latile class keeps no module copy
+# alive after a re-import
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass
 from itertools import compress, count
-from typing import Iterable, Sequence, Union
 
 from .abelian import (
     GroupElement,
@@ -69,7 +72,7 @@ class GroupRingElement:
         return cls(GroupSpec.from_dict(data["group"]), tuple(data["coefficients"]))
 
 
-CodeSetLike = Union[GroupRingElement, Sequence[GroupElement]]
+CodeSetLike = GroupRingElement | Sequence[GroupElement]
 
 
 def _ring(spec: GroupSpec, coefficients) -> GroupRingElement:

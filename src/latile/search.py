@@ -27,7 +27,7 @@ simpler tests decide the node:
 A tested pair therefore costs a one-bit test (is 2x in covered?) and one
 shift.  The masks lay the elements out in the padded mixed radix that the
 group-ring product also reads (abelian.padded_layout, radix 2d per
-coordinate of factor d; see _padded_layout): an element's bit is its
+coordinate of factor d; see _folds): an element's bit is its
 position there, so S+x is the chosen mask shifted left by x's position in
 cyclic and non-cyclic groups alike, and it meets covered exactly when S+x
 does.  S-x is made only when the scan descends, and the two sums are
@@ -49,10 +49,8 @@ survivors than pairs it still has to choose heads no leaf: its subtree is
 counted at once and it is never called.  A live child is called with its
 tested survivors, after the candidates below none of the survivors it will
 enter are counted, so the count is still summed from the walk and only
-nodes that can still reach a leaf are called.  The root's children, and
-the first depth below a prefix, test every index after their pair that the
-first pair allows (below); the covered mask holds pair sums and nothing
-else.
+nodes that can still reach a leaf are called.  The covered mask holds
+pair sums and nothing else.
 
 A surviving leaf is read as a map phi: Z^n -> G sending e_i to the first
 element of the i-th chosen pair, and re-verified by two independent
@@ -91,12 +89,18 @@ process and kept for the next scans: a parallel run's tasks, or a forked
 worker whose parent split the run by the same tables.  A scan without
 reduction never makes the multiplier permutations.
 
-The scan's unit of work is a prefix of pair indices, walked apart from
-the node rule but by the same test and the same allowed pairs: at a prefix
-depth the only index is the prefix's own, and a rejection there, by the
-packing or by the allowed pairs, drops the prefix's whole count.  So a
-planted prefix checks the scan's own rule.  The empty prefix is walked as
-the one-pair prefixes of the roots.  A serial run scans the empty prefix;
+The scan's unit of work is a prefix of pair indices.  Each index before
+the last is checked against the allowed pairs (the roots, for the first),
+tested for packing and entered; a rejection drops the prefix's whole
+count.  The last index is checked the same way and then handed to the node
+rule as the one survivor its parent enters, with the pairs after it that
+the first pair allows as that child's untested candidates: the child's
+masks contain the parent's, so testing them there is enough.  So the first
+depth below a prefix, and a full-length prefix's leaf, are the node rule's
+own, and a planted prefix checks it.  The empty prefix is walked as its
+one-pair prefixes (c,) for every c that leaves n - 1 pairs after it; a c
+that is no root is dropped by the same check, with its whole count.  A
+serial run scans the empty prefix;
 a parallel run starts a run of two-pair prefixes at each one the orbit
 floors leave alive, hands the runs to the pool in about eight chunks per
 worker, and merges them in prefix order, so the output is identical to a
@@ -255,44 +259,40 @@ def dual_verify_candidate(phi: TilingHomomorphism, ball: ErrorBall) -> bool:
     return conditions.passed
 
 
-class _Layout(NamedTuple):
-    """Where each element sits in the scan's two masks (see _padded_layout)."""
+def _folds(spec: GroupSpec) -> tuple[tuple[int, int, int], ...]:
+    """Per coordinate, the bit masks and shift that turn a shifted chosen
+    mask into a covered one: low half, high half, shift.
 
-    shifts: tuple[int, ...]  # shifts[r]: rank r's bit in a chosen mask, the shift that adds r
-    folds: tuple[tuple[int, int, int], ...]  # per coordinate: low half, high half, shift
-
-
-def _padded_layout(spec: GroupSpec) -> _Layout:
-    """Lay elements out in abelian.padded_layout, so that S + x is one shift.
-
-    A coordinate of factor d gets radix 2d.  An element with digits v (its
-    residues) sits at v in a chosen mask, and at v + e*d for every e in
-    {0, 1}^k in a covered mask.  Shifting a chosen mask left by x's digits
-    puts s + x at v + x, with no carry since v + x <= 2d - 2, and that is
-    the covered bit of (s + x) mod d with e_i = 1 where the coordinate
-    wraps.  So the shifted mask meets covered exactly when S + x meets the
-    covered elements, for cyclic and non-cyclic groups alike.  To join
-    covered, a shifted mask is folded once per coordinate: the bits whose
-    digit there is below d are copied up by d, and the others down by d.
+    Elements are laid out in abelian.padded_layout, so that S + x is one
+    shift.  A coordinate of factor d gets radix 2d.  An element with digits
+    v (its residues) sits at v in a chosen mask, and at v + e*d for every e
+    in {0, 1}^k in a covered mask.  Shifting a chosen mask left by x's
+    digits puts s + x at v + x, with no carry since v + x <= 2d - 2, and
+    that is the covered bit of (s + x) mod d with e_i = 1 where the
+    coordinate wraps.  So the shifted mask meets covered exactly when S + x
+    meets the covered elements, for cyclic and non-cyclic groups alike.  To
+    join covered, a shifted mask is folded once per coordinate: the bits
+    whose digit there is below d are copied up by d, and the others down by
+    d.
     """
-    strides, positions, fold = padded_layout(spec)
+    strides, _, fold = padded_layout(spec)
     size = len(fold)
     folds = []
     for d, stride in zip(spec.invariant_factors, strides):
         shift = d * stride
         low = sum(((1 << shift) - 1) << start for start in range(0, size, 2 * shift))
         folds.append((low, (1 << size) - 1 ^ low, shift))
-    return _Layout(positions, tuple(folds))
+    return tuple(folds)
 
 
 class ScanTables(NamedTuple):
     """The read-only tables a scan of one group at one n reads.
 
-    The masks follow _padded_layout: a chosen mask holds one bit per
-    element and a covered mask 2^k.  The orbit floors reach the scan only
-    through `allowed` and the roots read off it: allowed[c] lists the pairs
-    that may follow a first pair c, and is empty when a multiplier maps c
-    itself lower.
+    The masks follow abelian.padded_layout (see _folds): a chosen mask
+    holds one bit per element and a covered mask 2^k.  The orbit floors
+    reach the scan only through `allowed` and the roots read off it:
+    allowed[c] lists the pairs that may follow a first pair c, and is empty
+    when a multiplier maps c itself lower.
     """
 
     pair_ranks: tuple[tuple[int, int], ...]  # pair j = {x, -x}: the ranks of x and -x
@@ -324,7 +324,7 @@ def scan_tables(spec: GroupSpec, n: int, reduce_orbits: bool, /) -> ScanTables:
     """
     pair_ranks = tuple(_pair_ranks(spec))
     num_pairs = len(pair_ranks)
-    layout = _padded_layout(spec)
+    shifts = padded_layout(spec).positions
     doubled = scaled_ranks(spec, range(spec.order), 2)
     if reduce_orbits:
         perms = tuple(pair_multiplier_permutations(spec))
@@ -335,7 +335,6 @@ def scan_tables(spec: GroupSpec, n: int, reduce_orbits: bool, /) -> ScanTables:
         tuple(j for j in range(c + 1, num_pairs) if floors[j] >= c) if floors[c] == c else ()
         for c in range(num_pairs)
     )
-    shifts = layout.shifts
     return ScanTables(
         pair_ranks=pair_ranks,
         perms=perms,
@@ -343,7 +342,7 @@ def scan_tables(spec: GroupSpec, n: int, reduce_orbits: bool, /) -> ScanTables:
         minus=tuple(shifts[h] for _, h in pair_ranks),
         pair_bits=tuple(1 << shifts[g] | 1 << shifts[h] for g, h in pair_ranks),
         double_bits=tuple(1 << shifts[doubled[g]] for g, _ in pair_ranks),
-        folds=layout.folds,
+        folds=_folds(spec),
         allowed=allowed,
         roots=tuple(c for c, after in enumerate(allowed) if len(after) >= n - 1),
         subtree=tuple(
@@ -359,16 +358,21 @@ def scan_prefixes(
 
     A prefix is an increasing tuple of at most n pair indices, walked with
     the packing test and the allowed pairs of the nodes below it; the empty
-    prefix is the whole space, walked as the one-pair prefixes of the roots.  Returns the candidates covered,
-    C(P - 1 - last, n - k) for a prefix of k pairs ending at `last` among P
-    pairs, summed over the prefixes, and the solutions in prefix order.
-    Below a prefix a node is called only with candidates its parent has
+    prefix is the whole space, walked as its one-pair prefixes.  Returns
+    the candidates covered, C(P - 1 - last, n - k) for a prefix of k pairs
+    ending at `last` among P pairs, summed over the prefixes, and the
+    solutions in prefix order.  n must be at least 2, as the leaf's ball
+    B(n,2,1,1) needs.  A prefix's last index is entered by the node rule,
+    so below the walk a node is called only with candidates its parent has
     already tested, and only when they can still fill a candidate; every
     other subtree is counted whole where its parent drops it.  With
     reduce_orbits the multiplier orbit floors prune subtrees that hold no
     canonical leaf (see the module docstring).  The tables come from
     scan_tables, so only a process's first scan of a group at n makes them.
     """
+    (n,) = as_integers((n,), "n")
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
     tables = scan_tables(spec, n, reduce_orbits)
     pair_ranks, num_pairs = tables.pair_ranks, len(tables.pair_ranks)
     plus, minus, pair_bits, folds = tables.plus, tables.minus, tables.pair_bits, tables.folds
@@ -378,39 +382,35 @@ def scan_prefixes(
     solutions: list[SearchSolution] = []
     ball = None  # made at the first leaf
 
-    def handle_leaf() -> None:
-        nonlocal ball
-        candidate = tuple(chosen)
-        orbit = candidate_orbit(tables.perms, candidate)
-        if min(orbit) != candidate:
-            return
-        if ball is None:
-            ball = generate_ball(n, 2, 1, 1)
-        phi = TilingHomomorphism(n, spec, [element_at(spec, pair_ranks[i][0]) for i in candidate])
-        if dual_verify_candidate(phi, ball):
-            ranks = sorted([0] + [r for i in candidate for r in pair_ranks[i]])
-            elements = tuple(element_at(spec, r) for r in ranks)
-            solutions.append(SearchSolution(spec, elements, len(orbit)))
-
-    def node(chosen_mask: int, covered: int, remaining: int, survivors: list[int]) -> None:
+    def node(
+        chosen_mask: int, covered: int, remaining: int, survivors: list[int], entered: int
+    ) -> None:
         # `survivors` passed this node's test (is 2x in covered, and does
-        # S + x meet it?) and can fill its `remaining` pairs; at the last
-        # pair each one completes a leaf.  Otherwise the node enters each
-        # survivor y with enough survivors after it and tests those against
-        # the child's masks: a child left too few to fill a candidate is
-        # counted whole, and a live one is called after the candidates below
-        # none of the survivors it will enter are counted.
-        nonlocal tested
+        # S + x meet it?), and the node enters the first `entered` of them;
+        # at the last pair each one entered completes a leaf.  Otherwise the
+        # node tests the survivors after each entered y against the child's
+        # masks: a child left too few to fill a candidate is counted whole,
+        # and a live one is called to enter those with enough survivors after
+        # them, once the candidates below none of those are counted.
+        nonlocal tested, ball
         if remaining == 1:
-            for y in survivors:
+            for y in survivors[:entered]:
                 tested += 1
-                chosen.append(y)
-                handle_leaf()
-                chosen.pop()
+                candidate = (*chosen, y)
+                orbit = candidate_orbit(tables.perms, candidate)
+                if min(orbit) != candidate:
+                    continue
+                if ball is None:
+                    ball = generate_ball(n, 2, 1, 1)
+                images = [element_at(spec, pair_ranks[i][0]) for i in candidate]
+                if dual_verify_candidate(TilingHomomorphism(n, spec, images), ball):
+                    ranks = sorted([0] + [r for i in candidate for r in pair_ranks[i]])
+                    elements = tuple(element_at(spec, r) for r in ranks)
+                    solutions.append(SearchSolution(spec, elements, len(orbit)))
             return
         weights, below = subtree[remaining - 1], subtree[remaining - 2]
         remaining -= 1
-        for i in range(len(survivors) - remaining):
+        for i in range(entered):
             y = survivors[i]
             # S + x and S - x join covered
             sums = chosen_mask << plus[y] | chosen_mask << minus[y]
@@ -424,55 +424,38 @@ def scan_prefixes(
             if len(rest) < remaining:
                 tested += weights[y]
                 continue
-            tested += weights[y] - sum(map(below.__getitem__, rest[: len(rest) - remaining + 1]))
+            fill = len(rest) - remaining + 1
+            tested += weights[y] - sum(map(below.__getitem__, rest[:fill]))
             chosen.append(y)
-            node(mask, joined, remaining, rest)
+            node(mask, joined, remaining, rest, fill)
             chosen.pop()
 
     for prefix in prefixes:
         prefix = tuple(prefix)
         if len(prefix) > n or not all(a < b for a, b in zip((-1, *prefix), (*prefix, num_pairs))):
             raise ValueError(f"prefix {prefix}: need <= {n} increasing indices below {num_pairs}")
-        count = comb(num_pairs - 1 - (prefix[-1] if prefix else -1), n - len(prefix))
-        if prefix:
-            starts = [(prefix, count)]
-        else:
-            # the root: the candidates whose first pair is no root are dropped
-            starts = [((c,), subtree[n - 1][c]) for c in tables.roots]
-            tested += count - sum(weight for _, weight in starts)
-        for start, count in starts:
+        for start in [prefix] if prefix else [(c,) for c in range(num_pairs - n + 1)]:
             # the identity, and no pair sums yet
             chosen_mask, covered, candidates = 1, 0, tables.roots
+            last = start[-1]
             for y in start:
-                # a prefix index the floors leave out, or the packing
-                # rejects, drops the prefix's whole count
+                # an index the floors leave out, or the packing rejects,
+                # drops the prefix's whole count
                 if y not in candidates or double_bits[y] & covered or chosen_mask << plus[y] & covered:
-                    tested += count
+                    tested += subtree[n - len(start)][last]
+                    break
+                if y == last:
+                    # the node enters the last index and tests against the
+                    # child's masks the pairs after it that the first allows
+                    after = [z for z in allowed[start[0]] if z > last]
+                    node(chosen_mask, covered, n - len(start) + 1, [last, *after], 1)
                     break
                 sums = chosen_mask << plus[y] | chosen_mask << minus[y]
                 for low, high, shift in folds:
                     sums |= (sums & low) << shift | (sums & high) >> shift
                 chosen.append(y)
                 chosen_mask, covered = chosen_mask | pair_bits[y], covered | sums
-                candidates = allowed[chosen[0]]
-            else:
-                remaining = n - len(start)
-                # the first depth below the prefix tests the pairs after it
-                # that the first pair allows; a full-length prefix is a leaf
-                survivors = [
-                    z
-                    for z in candidates
-                    if z > y and not (double_bits[z] & covered or chosen_mask << plus[z] & covered)
-                ]
-                if remaining == 0:
-                    tested += 1
-                    handle_leaf()
-                elif len(survivors) < remaining:
-                    tested += count
-                else:
-                    entered = survivors[: len(survivors) - remaining + 1]
-                    tested += count - sum(map(subtree[remaining - 1].__getitem__, entered))
-                    node(chosen_mask, covered, remaining, survivors)
+                candidates = allowed[start[0]]
             chosen.clear()
     # node's closure holds its own cell; unbinding it frees the call's
     # closures and lists now rather than at the next cycle collection

@@ -21,6 +21,7 @@ from latile.abelian import (
     element_at,
     identity,
     negate,
+    padded_layout,
     rank_of,
     scalar_mul,
 )
@@ -530,6 +531,24 @@ class TestPrefixScan:
         assert reached and reached == [tuple(sorted(leaf)) for leaf in reached]
         assert reached == pair_indices_of(spec, solutions)
 
+    @pytest.mark.parametrize("factors", [(7,), ()])
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (1, "n must be >= 2, got 1"),
+            (0, "n must be >= 2, got 0"),
+            (-3, "n must be >= 2, got -3"),
+            (2.0, "n must be integers, got 2.0"),
+            ("3", "n must be integers, got '3'"),
+        ],
+    )
+    def test_n_below_two_or_not_an_integer_rejected(self, factors, n, message):
+        # the leaf's ball B(n,2,1,1) needs n >= 2, so any n is checked
+        # before the scan starts, even where no leaf would be reached
+        with pytest.raises(ValueError) as exc:
+            scan_prefixes(GroupSpec(factors), n, [()])
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("prefix", [(1, 0), (0, 0), (9,), (-1,), (0, 1, 2, 3)])
     def test_malformed_prefix_rejected(self, prefix):
         with pytest.raises(ValueError):
@@ -747,7 +766,7 @@ class TestPrefixScan:
         # Z_51 at n = 4 has canonical leaves to order.
         monkeypatch.setattr(latile.search, "dual_verify_candidate", lambda *args: True)
         made = []
-        for helper in ("_padded_layout", "pair_multiplier_permutations"):
+        for helper in ("_folds", "pair_multiplier_permutations"):
             real = getattr(latile.search, helper)
             monkeypatch.setattr(
                 latile.search, helper, lambda spec, real=real: made.append(spec) or real(spec)
@@ -774,25 +793,25 @@ class TestPrefixScan:
         # in S + x, and folded once per coordinate it is the covered mask of
         # S + x.
         spec = GroupSpec(factors)
-        layout = latile.search._padded_layout(spec)
+        shifts, folds = padded_layout(spec).positions, latile.search._folds(spec)
         span = prod(2 * d for d in factors)
 
         def folded(mask):
-            for low, high, shift in layout.folds:
+            for low, high, shift in folds:
                 mask |= (mask & low) << shift | (mask & high) >> shift
             return mask
 
-        covered = [folded(1 << shift) for shift in layout.shifts]
+        covered = [folded(1 << shift) for shift in shifts]
         assert all(mask.bit_count() == 2 ** len(factors) for mask in covered)
         rng = random.Random(12)
         for _ in range(3):
             chosen = rng.sample(range(spec.order), rng.randint(1, spec.order // 3))
-            mask = sum(1 << layout.shifts[s] for s in chosen)
+            mask = sum(1 << shifts[s] for s in chosen)
             for x in range(spec.order):
                 translated = {
                     rank_of(add(element_at(spec, s), element_at(spec, x))) for s in chosen
                 }
-                shifted = mask << layout.shifts[x]
+                shifted = mask << shifts[x]
                 assert shifted >> span == 0
                 assert {c for c in range(spec.order) if shifted & covered[c]} == translated
                 assert folded(shifted) == sum(covered[c] for c in translated)
