@@ -13,39 +13,34 @@ obtained by cubing/squaring the defining product identity.  The congruence
 scalars are reduced per n (they depend on n mod 3); hard-coding the scalar
 values valid for one residue class would silently break the others.
 
-The sections work on support ranks, not dense ring elements: T^(t) is the
-list abelian.scaled_ranks gives for T's ranks, beta is read from the doubled
-ranks, the identity's multiplicity in T^(3) counts the tripled ranks that
-are 0, and each product is groupring._product over term lists, so T * T^(2)
-is a square whenever T^(2) = T (every symmetric T in a group of exponent 3).
+The sections work on support ranks, not dense ring elements: T's ranks
+come from groupring._code_ranks, T^(t) is the list abelian.scaled_ranks
+gives for them, beta is read from the doubled ranks, and the identity's
+multiplicity in T^(3) counts the tripled ranks that are 0.  Each product
+comes from groupring._residual, the one place a product is compared with a
+right-hand side: bare for the spectrum, less the congruences' sparse terms
+for those.  T * T^(2) is a square whenever T^(2) = T (every symmetric T in
+a group of exponent 3).
 """
 
 from collections import Counter
 from dataclasses import asdict, dataclass
-from itertools import compress, count
 from typing import Optional
 
-from .abelian import GroupSpec, as_integers, scaled_ranks
+from .abelian import as_integers, scaled_ranks
 from .groupring import (
     CodeSetLike,
     GroupRingElement,
-    _product,
+    _code_ranks,
+    _residual,
     _ring,
-    _terms,
     _tiling_dimension,
-    as_code_set,
 )
 
 
 def coefficient_partition(a: GroupRingElement) -> dict[int, int]:
     """Histogram {coefficient value: number of positions} over all of G."""
     return dict(sorted(Counter(a.coefficients).items()))
-
-
-def _code_ranks(code: CodeSetLike) -> tuple[GroupSpec, list[int]]:
-    """The group of a code set and the ranks of its support."""
-    t = as_code_set(code)
-    return t.spec, list(compress(count(), t.coefficients))
 
 
 def code_beta(code: CodeSetLike) -> int:
@@ -105,7 +100,7 @@ def spectrum_identity_checks(code: CodeSetLike, n: int) -> SpectrumReport:
     n = _tiling_dimension(spec, n)
     expected_order = 2 * n * n + 1
     doubled = scaled_ranks(spec, ranks, 2)
-    product = _product(spec, _terms(spec, ranks), _terms(spec, doubled))
+    product = _residual(spec, ranks, doubled)
     partition = coefficient_partition(_ring(spec, product))
     beta = _beta(ranks, doubled)
     weighted_total = sum(i * count for i, count in partition.items())
@@ -199,32 +194,24 @@ def congruence_check(code: CodeSetLike, n: int) -> CongruenceReport:
     instead gives
         T * T^(3) = T^(4) + d_G * G + d_T * T^(2) + d_e * e  (mod 3),
     with d_G = 8n^2+16n+2, d_T = 4n-4, d_e = 4n^2-6n+2, all mod 3.
-    Each congruence subtracts its sparse right-hand terms from the product
-    in place, then makes one pass over it for the first rank off by the
-    scalar of G.
+    Each congruence takes groupring._residual, its product less its sparse
+    right-hand terms, then makes one pass over it for the first rank off by
+    the scalar of G.
     """
     spec, ranks = _code_ranks(code)
     (n,) = as_integers((n,), "dimensions")
-    terms = _terms(spec, ranks)
     doubled = scaled_ranks(spec, ranks, 2)
     tripled = scaled_ranks(spec, ranks, 3)
 
     c_g = (-(4 * n + 2)) % 3
     c_t = (-(2 * n - 2)) % 3
-    cubic = _product(spec, _terms(spec, doubled), terms)
-    for s, r in zip(tripled, ranks):
-        cubic[s] -= 1
-        cubic[r] -= c_t
+    cubic = _residual(spec, doubled, ranks, [(1, tripled), (c_t, ranks)])
     cubic_rank = _first_rank_off_mod3(cubic, c_g)
 
     d_g = (8 * n * n + 16 * n + 2) % 3
     d_t = (4 * n - 4) % 3
     d_e = (4 * n * n - 6 * n + 2) % 3
-    quartic = _product(spec, terms, _terms(spec, tripled))
-    for s, r in zip(scaled_ranks(spec, ranks, 4), doubled):
-        quartic[s] -= 1
-        quartic[r] -= d_t
-    quartic[0] -= d_e
+    quartic = _residual(spec, ranks, tripled, [(1, scaled_ranks(spec, ranks, 4)), (d_t, doubled)], d_e)
     quartic_rank = _first_rank_off_mod3(quartic, d_g)
 
     return CongruenceReport(

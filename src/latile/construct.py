@@ -16,13 +16,16 @@ polynomial, slide the reversed check polynomial), the test suite asserts the
 two agree, and golay11_tiling() output is accepted only after verify_tiling
 has confirmed bijectivity on the actual ball.  scripts/derive_golay_check_matrix.py
 prints the derivation for inspection.
+
+check_pds reads a set's support ranks and compares D*D with its right-hand
+side through groupring's ring-identity helpers (_code_ranks, _symmetric,
+_residual), the same rule the tiling and analysis checks follow.
 """
 
 from dataclasses import asdict, dataclass
-from itertools import compress, count
 
-from .abelian import GroupElement, GroupSpec, as_integers, scaled_ranks
-from .groupring import CodeSetLike, OrderMismatchError, _product, _terms, as_code_set
+from .abelian import GroupElement, GroupSpec, as_integers
+from .groupring import CodeSetLike, OrderMismatchError, _code_ranks, _residual, _symmetric
 from .tiling import TilingHomomorphism
 
 GOLAY11_CHECK_MATRIX: tuple[tuple[int, ...], ...] = (
@@ -132,25 +135,20 @@ def check_pds(code: CodeSetLike, params: PdsParameters) -> PdsReport:
     """Check that D is a (v, k, lambda, mu) partial difference set.
 
     The defining ring identity for a symmetric D not containing the
-    identity is D*D = mu*G + (lambda - mu)*D + (k - mu)*e; its right-hand
-    side is built from the support ranks of D.
+    identity is D*D = mu*G + (lambda - mu)*D + (k - mu)*e.
+    groupring._residual subtracts (lambda - mu)*D and (k - mu)*e from D*D,
+    and the identity holds when mu is left at every rank.
     """
-    d = as_code_set(code)
-    spec = d.spec
+    spec, ranks = _code_ranks(code)
     if spec.order != params.v:
         raise OrderMismatchError(f"group order {spec.order} != v = {params.v}")
     k, lam, mu = as_integers((params.k, params.lam, params.mu), "PDS parameters")
-    ranks = list(compress(count(), d.coefficients))
-    identity_excluded = d.coefficients[0] == 0
-    symmetric = sorted(scaled_ranks(spec, ranks, -1)) == ranks
+    identity_excluded = ranks[:1] != [0]
+    symmetric = _symmetric(spec, ranks)
     size = len(ranks)
     size_ok = size == k
-    rhs = [mu] * spec.order
-    for r in ranks:
-        rhs[r] += lam - mu
-    rhs[0] += k - mu
-    terms = _terms(spec, ranks)
-    equation_holds = _product(spec, terms, terms) == rhs
+    residual = _residual(spec, ranks, ranks, [(lam - mu, ranks)], k - mu)
+    equation_holds = residual.count(mu) == spec.order
     return PdsReport(
         identity_excluded=identity_excluded,
         symmetric=symmetric,

@@ -11,20 +11,28 @@ the group's padded layout (abelian.padded_layout): each element has a
 position whose digits are its residues in radix 2d, so the position of
 g + h is fold[pos(g) + pos(h)], one addition and one table lookup per pair
 of terms, in cyclic and non-cyclic groups alike.  One loop, _product,
-serves multiply, the checkers here and in construct, and the analysis
-sections; two term lists equal by value are a square, which takes each
-unordered pair once.  The power map reads the same table:
+serves multiply and _residual; two term lists equal by value are a square,
+which takes each unordered pair once.  The power map reads the same table:
 abelian.scaled_ranks reaches t*g by doubling (fold[pos + pos]) and adding
 g along the bits of t, and the checkers take T^(t) as those rank lists.
 Python integers are unbounded, so coefficient overflow cannot occur for
 any group order or product degree.
 
+Every ring identity checked on a code set (the tiling condition here, the
+partial-difference-set identity in construct, the analysis's spectrum and
+congruences) follows one rule, kept here: _code_ranks reads the set's
+ascending support ranks, _symmetric tests negation closure on them, and
+_residual is the one place a product is compared with a right-hand side.
+It returns the product of two rank lists less the sparse terms of the
+right-hand side, so A*B = c*G + (sparse terms) holds exactly when c is
+left at every rank (or c mod 3, for the congruences).
+
 The module also houses the perfect-code condition checker: a candidate code
 set T tiles exactly when |T| = 2n+1, T contains the identity, T is closed
 under negation, and T*T = 2*G + T^(2) + (2n-2)*e as ring elements, where
 T^(t) denotes the image of T under the power map g -> t*g and G is the
-all-ones element.  The right-hand side is built from the support ranks of T:
-2 everywhere, one more on each doubled rank, and 2n-2 more at the identity.
+all-ones element.  _residual subtracts T^(2) and (2n-2)*e from T*T, and the
+equation holds when 2 is left at every rank.
 """
 
 from collections import Counter
@@ -138,8 +146,7 @@ def _terms(spec: GroupSpec, ranks: Iterable[int]) -> list[tuple[int, int]]:
     """(position, coefficient) terms in rank order, counting each rank as
     often as it is listed: a code set's support ranks, or its scaled_ranks."""
     positions = padded_layout(spec).positions
-    counts = Counter(ranks)
-    return [(positions[r], counts[r]) for r in sorted(counts)]
+    return [(positions[r], c) for r, c in Counter(sorted(ranks)).items()]
 
 
 def _product(spec: GroupSpec, a: list, b: list) -> list[int]:
@@ -147,7 +154,8 @@ def _product(spec: GroupSpec, a: list, b: list) -> list[int]:
     each pair of a term of the shorter list and one of the longer adds
     c_a * c_b at fold[pos_a + pos_b].  Lists equal by value (T * T^(2) when
     T^(2) = T, too) are a square: c_i^2 at 2*g_i and 2*c_i*c_j at g_i + g_j
-    for each unordered pair i != j, once."""
+    for each unordered pair i != j, once.  multiply returns it as a ring
+    element; the checks compare it with a right-hand side in _residual."""
     _, _, fold = padded_layout(spec)
     out = [0] * spec.order
     if a == b:
@@ -231,6 +239,37 @@ def as_code_set(code: CodeSetLike) -> GroupRingElement:
             )
 
 
+def _code_ranks(code: CodeSetLike) -> tuple[GroupSpec, list[int]]:
+    """The group of a code set and the ascending ranks of its support; the
+    identity is in the set exactly when the first rank is 0."""
+    t = as_code_set(code)
+    return t.spec, list(compress(count(), t.coefficients))
+
+
+def _symmetric(spec: GroupSpec, ranks: list[int]) -> bool:
+    """Whether the set with ascending support ranks `ranks` is closed under
+    negation."""
+    return sorted(scaled_ranks(spec, ranks, -1)) == ranks
+
+
+def _residual(
+    spec: GroupSpec, left: list[int], right: list[int], terms=(), identity: int = 0
+) -> list[int]:
+    """A product minus a sparse right-hand side, as spec.order coefficients
+    by rank: the elements that count each rank of `left` and of `right` as
+    often as it is listed are multiplied, then c is subtracted at each rank
+    of each (c, ranks) term and `identity` at rank 0.  An identity whose
+    right-hand side also holds c_G * G holds exactly when every entry is
+    c_G.  `right is left` is a square, whose terms are built once."""
+    a = _terms(spec, left)
+    out = _product(spec, a, a if right is left else _terms(spec, right))
+    for c, ranks in terms:
+        for r in ranks:
+            out[r] -= c
+    out[0] -= identity
+    return out
+
+
 @dataclass(frozen=True)
 class TilingConditionReport:
     """Outcome of the four perfect-code conditions on a candidate set T."""
@@ -265,20 +304,14 @@ def check_tiling_conditions(code: CodeSetLike, n: int) -> TilingConditionReport:
     OrderMismatchError rather than reporting failure, since the check is
     then meaningless rather than negative.
     """
-    t = as_code_set(code)
-    spec = t.spec
+    spec, ranks = _code_ranks(code)
     n = _tiling_dimension(spec, n)
-    ranks = list(compress(count(), t.coefficients))
     size = len(ranks)
     size_ok = size == 2 * n + 1
-    contains_identity = t.coefficients[0] == 1
-    symmetric = sorted(scaled_ranks(spec, ranks, -1)) == ranks
-    rhs = [2] * spec.order
-    for s in scaled_ranks(spec, ranks, 2):
-        rhs[s] += 1
-    rhs[0] += 2 * n - 2
-    terms = _terms(spec, ranks)
-    equation_holds = _product(spec, terms, terms) == rhs
+    contains_identity = ranks[:1] == [0]
+    symmetric = _symmetric(spec, ranks)
+    residual = _residual(spec, ranks, ranks, [(1, scaled_ranks(spec, ranks, 2))], 2 * n - 2)
+    equation_holds = residual.count(2) == spec.order
     return TilingConditionReport(
         n=n,
         size=size,

@@ -431,7 +431,7 @@ def scan_prefixes(
             chosen.pop()
 
     for prefix in prefixes:
-        prefix = tuple(prefix)
+        prefix = as_integers(prefix, "prefix indices")
         if len(prefix) > n or not all(a < b for a, b in zip((-1, *prefix), (*prefix, num_pairs))):
             raise ValueError(f"prefix {prefix}: need <= {n} increasing indices below {num_pairs}")
         for start in [prefix] if prefix else [(c,) for c in range(num_pairs - n + 1)]:

@@ -19,10 +19,13 @@ from latile.construct import (
 )
 from latile.groupring import (
     GroupRingElement,
+    all_ones,
     as_code_set,
     check_tiling_conditions,
+    one,
     power_map,
     star,
+    zero,
 )
 from latile.tiling import induced_code_set, verify_tiling
 
@@ -180,6 +183,14 @@ def test_pds_report_matches_the_dense_oracle_on_known_sets():
         report = check_pds(d, params)
         assert report == dense_check_pds(d, params)
         assert report.passed is report.equation_holds is passed
+    # the identity flag is read off the first support rank
+    for n in (1, 3):
+        spec = GroupSpec((2 * n * n + 1,))
+        params = tiling_pds_parameters(n)
+        for d, excluded in ((zero(spec), True), (one(spec), False), (all_ones(spec), False)):
+            report = check_pds(d, params)
+            assert report == dense_check_pds(d, params)
+            assert report.identity_excluded is excluded
 
 
 @pytest.mark.parametrize("field", ["k", "lam", "mu"])

@@ -5,7 +5,9 @@ Each file is the full stdout of one run: `latile analyze -` and
 analyze -`), on the Golay map with one image swapped and on an n = 7 map
 over Z_3 x Z_33 (a non-cyclic group whose map does not tile), `latile
 analyze -` on an n = 5 map over the cyclic Z_51 (no tiling; T^(2) != T,
-and both congruences fail past rank 0), and `latile certify -n N` for
+and both congruences fail past rank 0) and on the Golay map with its
+second image set to its first (a code set with a coefficient 2, reported
+as a code_set_error), and `latile certify -n N` for
 N = 3 (a infinite), 14 (a = 26), 282 (INCONCLUSIVE, with a witness), 11
 (INAPPLICABLE) and 10000014 (2n^2+1 prime, so trial division runs past
 the prime table's cap).  The swapped map's verify file pins the
@@ -59,6 +61,15 @@ def z51_n5_map() -> TilingHomomorphism:
     )
 
 
+def golay_with_two_equal_images() -> TilingHomomorphism:
+    """The Golay map with images[1] set to images[0]: its code set counts
+    that image twice, so `latile analyze` reports a code_set_error."""
+    phi = golay11_tiling()
+    images = list(phi.images)
+    images[1] = images[0]
+    return TilingHomomorphism(11, phi.spec, images)
+
+
 def stdout_of(capsys, argv) -> str:
     assert main(argv) == 0
     return capsys.readouterr().out
@@ -69,6 +80,7 @@ def stdout_of(capsys, argv) -> str:
     [
         ("analyze_golay11.json", golay11_tiling),
         ("analyze_golay11_one_image_swapped.json", golay_with_one_image_swapped),
+        ("analyze_golay11_collision.json", golay_with_two_equal_images),
         ("analyze_z3xz33_n7.json", z3xz33_n7_map),
         ("analyze_z51_n5.json", z51_n5_map),
     ],

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latile.abelian import GroupElement, GroupSpec, elements, enumerate_abelian_groups, rank_of
-from latile.construct import golay11_tiling
+from latile.analysis import congruence_check, cube_multiplicity_check, spectrum_identity_checks
+from latile.construct import check_pds, golay11_tiling, tiling_pds_parameters
 from latile.groupring import (
     GroupRingElement,
     OrderMismatchError,
@@ -472,6 +473,36 @@ def test_tiling_conditions_match_the_dense_oracle_on_golay_codes():
         assert report == dense_check_tiling_conditions(code, 11)
     assert check_tiling_conditions(golay_code(), 11).equation_holds
     assert not report.equation_holds and not report.passed
+
+
+def test_tiling_conditions_match_the_dense_oracle_on_fixed_elements():
+    """The identity flag is read off the first support rank: zero has none,
+    one has only rank 0 and all_ones every rank (n = 1 and n = 3)."""
+    for n in (1, 3):
+        spec = GroupSpec((2 * n * n + 1,))
+        for code, has_identity in ((zero(spec), False), (one(spec), True), (all_ones(spec), True)):
+            report = check_tiling_conditions(code, n)
+            assert report == dense_check_tiling_conditions(code, n)
+            assert report.contains_identity is has_identity
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda code: check_tiling_conditions(code, 3),
+        lambda code: spectrum_identity_checks(code, 3),
+        lambda code: check_pds(code, tiling_pds_parameters(3)),
+        lambda code: congruence_check(code, 3),
+        cube_multiplicity_check,
+    ],
+    ids=["conditions", "spectrum", "pds", "congruences", "cube"],
+)
+def test_a_multiset_is_refused_before_the_group_order(check):
+    # Z_7 is neither 2*3^2+1 nor v = 19, but the code set is read first
+    code = ring(GroupSpec((7,)), 1, 0, 0, 2, 0, 0, 0)
+    with pytest.raises(ValueError) as exc:
+        check(code)
+    assert str(exc.value) == "not a set: coefficient 2 at rank 3 (multiplicities must be 0 or 1)"
 
 
 def test_tiling_conditions_hold_for_small_tilings():

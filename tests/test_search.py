@@ -554,6 +554,24 @@ class TestPrefixScan:
         with pytest.raises(ValueError):
             scan_prefixes(GroupSpec((19,)), 3, [prefix])
 
+    @pytest.mark.parametrize(
+        "prefix, message",
+        [
+            ((1.0,), "prefix indices must be integers, got 1.0"),
+            ((0, 2.5), "prefix indices must be integers, got 2.5"),
+            (("a",), "prefix indices must be integers, got 'a'"),
+        ],
+    )
+    def test_non_integer_prefix_index_rejected_naming_it(self, prefix, message):
+        # checked before the order and range test and the table lookups
+        with pytest.raises(ValueError) as exc:
+            scan_prefixes(GroupSpec((19,)), 3, [prefix])
+        assert str(exc.value) == message
+
+    def test_bool_prefix_index_is_its_integer(self):
+        spec = GroupSpec((19,))
+        assert scan_prefixes(spec, 3, [(False, True)]) == scan_prefixes(spec, 3, [(0, 1)])
+
     def assert_packing_matches_ring_checker(self, monkeypatch, spec, n, prefixes, leaves):
         # With leaf re-verification stubbed out, a leaf is a solution exactly
         # when the packing step accepts it.
