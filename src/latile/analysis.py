@@ -13,25 +13,26 @@ obtained by cubing/squaring the defining product identity.  The congruence
 scalars are reduced per n (they depend on n mod 3); hard-coding the scalar
 values valid for one residue class would silently break the others.
 
-The sections work on support ranks, not dense ring elements: T's ranks
-come from groupring._code_ranks, T^(t) is the list abelian.scaled_ranks
-gives for them, beta is read from the doubled ranks, and the identity's
-multiplicity in T^(3) counts the tripled ranks that are 0.  Each product
-comes from groupring._residual, the one place a product is compared with a
-right-hand side: bare for the spectrum, less the congruences' sparse terms
-for those.  T * T^(2) is a square whenever T^(2) = T (every symmetric T in
-a group of exponent 3).
+The sections read groupring's code-set view of T (groupring._code_view),
+made at the first check on a ring element and kept on it: T's support
+ranks, T^(t) as the rank lists abelian.scaled_ranks gives, and the products
+two checks read.  beta is read from the doubled ranks, and the identity's
+multiplicity in T^(3) counts the tripled ranks that are 0.  T * T^(2) is
+made once for the spectrum and the cubic congruence, and it is the square
+T * T whenever T^(2) = T (every symmetric T in a group of exponent 3).
+Each congruence takes groupring._residual, the one place a product is
+compared with a right-hand side.
 """
 
 from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .abelian import as_integers, scaled_ranks
+from .abelian import as_integers
 from .groupring import (
     CodeSetLike,
     GroupRingElement,
-    _code_ranks,
+    _code_view,
     _residual,
     _ring,
     _tiling_dimension,
@@ -49,8 +50,8 @@ def code_beta(code: CodeSetLike) -> int:
     The intersection is closed under negation whenever T is, so an odd
     intersection signals a corrupted input rather than a valid measurement.
     """
-    spec, ranks = _code_ranks(code)
-    return _beta(ranks, scaled_ranks(spec, ranks, 2))
+    view = _code_view(code)
+    return _beta(view.ranks, view.scaled(2))
 
 
 def _beta(ranks: list[int], doubled: list[int]) -> int:
@@ -96,13 +97,11 @@ def spectrum_identity_checks(code: CodeSetLike, n: int) -> SpectrumReport:
       (3) sum of |X_i| over i >= 1    = 1 - beta + sum_{i>=3} (i-1)(i-2)/2 * |X_i|.
     All three are reported with both sides; nothing is asserted.
     """
-    spec, ranks = _code_ranks(code)
-    n = _tiling_dimension(spec, n)
+    view = _code_view(code)
+    n = _tiling_dimension(view.spec, n)
     expected_order = 2 * n * n + 1
-    doubled = scaled_ranks(spec, ranks, 2)
-    product = _residual(spec, ranks, doubled)
-    partition = coefficient_partition(_ring(spec, product))
-    beta = _beta(ranks, doubled)
+    partition = coefficient_partition(_ring(view.spec, view.product(1, 2)))
+    beta = _beta(view.ranks, view.scaled(2))
     weighted_total = sum(i * count for i, count in partition.items())
     position_total = sum(partition.values())
     nonzero_total = sum(count for i, count in partition.items() if i >= 1)
@@ -146,9 +145,9 @@ def cube_multiplicity_check(code: CodeSetLike) -> CubeMultiplicityReport:
     each of the beta negation-pairs of order-3 elements contributes 2); for
     arbitrary symmetric T both values are simply reported.
     """
-    spec, ranks = _code_ranks(code)
-    beta = _beta(ranks, scaled_ranks(spec, ranks, 2))
-    multiplicity = scaled_ranks(spec, ranks, 3).count(0)
+    view = _code_view(code)
+    beta = _beta(view.ranks, view.scaled(2))
+    multiplicity = view.scaled(3).count(0)
     expected = 2 * beta + 1
     return CubeMultiplicityReport(
         multiplicity=multiplicity,
@@ -194,24 +193,22 @@ def congruence_check(code: CodeSetLike, n: int) -> CongruenceReport:
     instead gives
         T * T^(3) = T^(4) + d_G * G + d_T * T^(2) + d_e * e  (mod 3),
     with d_G = 8n^2+16n+2, d_T = 4n-4, d_e = 4n^2-6n+2, all mod 3.
-    Each congruence takes groupring._residual, its product less its sparse
-    right-hand terms, then makes one pass over it for the first rank off by
-    the scalar of G.
+    Each congruence takes groupring._residual, a copy of its product (the
+    cubic's is the spectrum's T * T^(2)) less its sparse right-hand terms,
+    then makes one pass over it for the first rank off by the scalar of G.
     """
-    spec, ranks = _code_ranks(code)
+    view = _code_view(code)
     (n,) = as_integers((n,), "dimensions")
-    doubled = scaled_ranks(spec, ranks, 2)
-    tripled = scaled_ranks(spec, ranks, 3)
 
     c_g = (-(4 * n + 2)) % 3
     c_t = (-(2 * n - 2)) % 3
-    cubic = _residual(spec, doubled, ranks, [(1, tripled), (c_t, ranks)])
+    cubic = _residual(view, 2, 1, [(1, view.scaled(3)), (c_t, view.ranks)])
     cubic_rank = _first_rank_off_mod3(cubic, c_g)
 
     d_g = (8 * n * n + 16 * n + 2) % 3
     d_t = (4 * n - 4) % 3
     d_e = (4 * n * n - 6 * n + 2) % 3
-    quartic = _residual(spec, ranks, tripled, [(1, scaled_ranks(spec, ranks, 4)), (d_t, doubled)], d_e)
+    quartic = _residual(view, 1, 3, [(1, view.scaled(4)), (d_t, view.scaled(2))], d_e)
     quartic_rank = _first_rank_off_mod3(quartic, d_g)
 
     return CongruenceReport(

@@ -17,15 +17,17 @@ two agree, and golay11_tiling() output is accepted only after verify_tiling
 has confirmed bijectivity on the actual ball.  scripts/derive_golay_check_matrix.py
 prints the derivation for inspection.
 
-check_pds reads a set's support ranks and compares D*D with its right-hand
-side through groupring's ring-identity helpers (_code_ranks, _symmetric,
-_residual), the same rule the tiling and analysis checks follow.
+check_pds reads groupring's code-set view of D and compares D*D with its
+right-hand side through groupring's ring-identity helpers (_code_view,
+_symmetric, _residual), the same rule the tiling and analysis checks
+follow; on a set the tiling condition has checked, D*D is the square that
+check made.
 """
 
 from dataclasses import asdict, dataclass
 
 from .abelian import GroupElement, GroupSpec, as_integers
-from .groupring import CodeSetLike, OrderMismatchError, _code_ranks, _residual, _symmetric
+from .groupring import CodeSetLike, OrderMismatchError, _code_view, _residual, _symmetric
 from .tiling import TilingHomomorphism
 
 GOLAY11_CHECK_MATRIX: tuple[tuple[int, ...], ...] = (
@@ -139,15 +141,16 @@ def check_pds(code: CodeSetLike, params: PdsParameters) -> PdsReport:
     groupring._residual subtracts (lambda - mu)*D and (k - mu)*e from D*D,
     and the identity holds when mu is left at every rank.
     """
-    spec, ranks = _code_ranks(code)
+    view = _code_view(code)
+    spec, ranks = view.spec, view.ranks
     if spec.order != params.v:
         raise OrderMismatchError(f"group order {spec.order} != v = {params.v}")
     k, lam, mu = as_integers((params.k, params.lam, params.mu), "PDS parameters")
     identity_excluded = ranks[:1] != [0]
-    symmetric = _symmetric(spec, ranks)
+    symmetric = _symmetric(view)
     size = len(ranks)
     size_ok = size == k
-    residual = _residual(spec, ranks, ranks, [(lam - mu, ranks)], k - mu)
+    residual = _residual(view, 1, 1, [(lam - mu, ranks)], k - mu)
     equation_holds = residual.count(mu) == spec.order
     return PdsReport(
         identity_excluded=identity_excluded,

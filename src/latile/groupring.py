@@ -11,21 +11,26 @@ the group's padded layout (abelian.padded_layout): each element has a
 position whose digits are its residues in radix 2d, so the position of
 g + h is fold[pos(g) + pos(h)], one addition and one table lookup per pair
 of terms, in cyclic and non-cyclic groups alike.  One loop, _product,
-serves multiply and _residual; two term lists equal by value are a square,
-which takes each unordered pair once.  The power map reads the same table:
-abelian.scaled_ranks reaches t*g by doubling (fold[pos + pos]) and adding
-g along the bits of t, and the checkers take T^(t) as those rank lists.
+serves multiply and the code-set view below; two term lists equal by value
+are a square, which takes each unordered pair once.  The power map reads
+the same table: abelian.scaled_ranks reaches t*g by doubling
+(fold[pos + pos]) and adding g along the bits of t, and the checkers take
+T^(t) as those rank lists.
 Python integers are unbounded, so coefficient overflow cannot occur for
 any group order or product degree.
 
 Every ring identity checked on a code set (the tiling condition here, the
 partial-difference-set identity in construct, the analysis's spectrum and
-congruences) follows one rule, kept here: _code_ranks reads the set's
-ascending support ranks, _symmetric tests negation closure on them, and
-_residual is the one place a product is compared with a right-hand side.
-It returns the product of two rank lists less the sparse terms of the
-right-hand side, so A*B = c*G + (sparse terms) holds exactly when c is
-left at every rank (or c mod 3, for the congruences).
+congruences) follows one rule, kept here, and reads one code-set view of
+the element.  _code_view validates a 0/1 element once, at the first check
+that reads it, and keeps on the element a _CodeView: its ascending support
+ranks, the rank lists of T^(t), and the products T^(s)*T^(t) that two
+checks read (T*T and T*T^(2)).  The element is frozen, so the view cannot
+go stale, and a code set built again starts with none.  _symmetric tests
+negation closure on the view, and _residual is the one place a product is
+compared with a right-hand side: it copies the product and subtracts the
+sparse terms of the right-hand side, so A*B = c*G + (sparse terms) holds
+exactly when c is left at every rank (or c mod 3, for the congruences).
 
 The module also houses the perfect-code condition checker: a candidate code
 set T tiles exactly when |T| = 2n+1, T contains the identity, T is closed
@@ -144,9 +149,13 @@ def linear_combine(
 
 def _terms(spec: GroupSpec, ranks: Iterable[int]) -> list[tuple[int, int]]:
     """(position, coefficient) terms in rank order, counting each rank as
-    often as it is listed: a code set's support ranks, or its scaled_ranks."""
+    often as it is listed: a code set's support ranks, or its scaled_ranks.
+    Only a list that repeats a rank is counted through a Counter."""
     positions = padded_layout(spec).positions
-    return [(positions[r], c) for r, c in Counter(sorted(ranks)).items()]
+    ranks = sorted(ranks)
+    if len(set(ranks)) == len(ranks):
+        return [(positions[r], 1) for r in ranks]
+    return [(positions[r], c) for r, c in Counter(ranks).items()]
 
 
 def _product(spec: GroupSpec, a: list, b: list) -> list[int]:
@@ -239,30 +248,91 @@ def as_code_set(code: CodeSetLike) -> GroupRingElement:
             )
 
 
-def _code_ranks(code: CodeSetLike) -> tuple[GroupSpec, list[int]]:
-    """The group of a code set and the ascending ranks of its support; the
-    identity is in the set exactly when the first rank is 0."""
-    t = as_code_set(code)
-    return t.spec, list(compress(count(), t.coefficients))
+class _CodeView:
+    """What the ring checks read of one validated code set T.
+
+    ranks are T's ascending support ranks.  scaled(t) is T^(t) as the rank
+    list abelian.scaled_ranks gives, made once per t mod the group's
+    exponent.  key(t) names T^(t) in a product: 1 when its sorted ranks
+    equal T's, else t mod the exponent, so in a group of exponent 3 T*T,
+    T*T^(2) and T^(2)*T are one square.  product(s, t) is T^(s)*T^(t); the
+    products in _SHARED are kept, and a reader must not change them.
+    """
+
+    __slots__ = ("spec", "ranks", "_exponent", "_scaled", "_keys", "_terms", "_products")
+
+    def __init__(self, spec: GroupSpec, ranks: list[int]):
+        factors = spec.invariant_factors
+        self.spec = spec
+        self.ranks = ranks
+        self._exponent = factors[-1] if factors else 1
+        self._scaled = {1 % self._exponent: ranks}
+        self._keys = {1 % self._exponent: 1}
+        self._terms = {}
+        self._products = {}
+
+    def scaled(self, t: int) -> list[int]:
+        t %= self._exponent
+        ranks = self._scaled.get(t)
+        if ranks is None:
+            ranks = self._scaled[t] = scaled_ranks(self.spec, self.ranks, t)
+        return ranks
+
+    def key(self, t: int) -> int:
+        t %= self._exponent
+        key = self._keys.get(t)
+        if key is None:
+            key = self._keys[t] = 1 if sorted(self.scaled(t)) == self.ranks else t
+        return key
+
+    def product(self, s: int, t: int) -> list[int]:
+        key = tuple(sorted((self.key(s), self.key(t))))
+        out = self._products.get(key)
+        if out is None:
+            a, b = (self._key_terms(k) for k in key)
+            out = _product(self.spec, a, b)
+            if key in _SHARED:
+                self._products[key] = out
+        return out
+
+    def _key_terms(self, key: int) -> list[tuple[int, int]]:
+        terms = self._terms.get(key)
+        if terms is None:
+            terms = self._terms[key] = _terms(self.spec, self.scaled(key))
+        return terms
 
 
-def _symmetric(spec: GroupSpec, ranks: list[int]) -> bool:
-    """Whether the set with ascending support ranks `ranks` is closed under
-    negation."""
-    return sorted(scaled_ranks(spec, ranks, -1)) == ranks
+# The products two checks read: T*T (the tiling condition, and the PDS
+# identity on the same set) and T*T^(2) (the spectrum and the cubic
+# congruence).  T*T^(3), which only the quartic congruence reads, is not kept.
+_SHARED = {(1, 1), (1, 2)}
 
 
-def _residual(
-    spec: GroupSpec, left: list[int], right: list[int], terms=(), identity: int = 0
-) -> list[int]:
-    """A product minus a sparse right-hand side, as spec.order coefficients
-    by rank: the elements that count each rank of `left` and of `right` as
-    often as it is listed are multiplied, then c is subtracted at each rank
+def _code_view(code: CodeSetLike) -> _CodeView:
+    """The code-set view of `code`, kept on a ring element from the first
+    check that reads it.  It is made only once as_code_set has accepted the
+    element, so a multiset is refused on every call; a sequence of group
+    elements gets a fresh element, and so a view of its own, each time."""
+    view = getattr(code, "_view", None)
+    if view is None:
+        t = as_code_set(code)
+        view = _CodeView(t.spec, list(compress(count(), t.coefficients)))
+        object.__setattr__(t, "_view", view)
+    return view
+
+
+def _symmetric(view: _CodeView) -> bool:
+    """Whether the code set is closed under negation."""
+    return view.key(-1) == 1
+
+
+def _residual(view: _CodeView, s: int, t: int, terms=(), identity: int = 0) -> list[int]:
+    """T^(s)*T^(t) minus a sparse right-hand side, as spec.order
+    coefficients by rank: a copy of the view's product, less c at each rank
     of each (c, ranks) term and `identity` at rank 0.  An identity whose
     right-hand side also holds c_G * G holds exactly when every entry is
-    c_G.  `right is left` is a square, whose terms are built once."""
-    a = _terms(spec, left)
-    out = _product(spec, a, a if right is left else _terms(spec, right))
+    c_G."""
+    out = list(view.product(s, t))
     for c, ranks in terms:
         for r in ranks:
             out[r] -= c
@@ -304,13 +374,14 @@ def check_tiling_conditions(code: CodeSetLike, n: int) -> TilingConditionReport:
     OrderMismatchError rather than reporting failure, since the check is
     then meaningless rather than negative.
     """
-    spec, ranks = _code_ranks(code)
+    view = _code_view(code)
+    spec, ranks = view.spec, view.ranks
     n = _tiling_dimension(spec, n)
     size = len(ranks)
     size_ok = size == 2 * n + 1
     contains_identity = ranks[:1] == [0]
-    symmetric = _symmetric(spec, ranks)
-    residual = _residual(spec, ranks, ranks, [(1, scaled_ranks(spec, ranks, 2))], 2 * n - 2)
+    symmetric = _symmetric(view)
+    residual = _residual(view, 1, 1, [(1, view.scaled(2))], 2 * n - 2)
     equation_holds = residual.count(2) == spec.order
     return TilingConditionReport(
         n=n,

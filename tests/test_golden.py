@@ -5,7 +5,8 @@ Each file is the full stdout of one run: `latile analyze -` and
 analyze -`), on the Golay map with one image swapped and on an n = 7 map
 over Z_3 x Z_33 (a non-cyclic group whose map does not tile), `latile
 analyze -` on an n = 5 map over the cyclic Z_51 (no tiling; T^(2) != T,
-and both congruences fail past rank 0) and on the Golay map with its
+and both congruences fail past rank 0), on an n = 11 map over Z_9 x Z_27
+(no tiling; T^(2) != T, and T^(3) repeats ranks) and on the Golay map with its
 second image set to its first (a code set with a coefficient 2, reported
 as a code_set_error), and `latile certify -n N` for
 N = 3 (a infinite), 14 (a = 26), 282 (INCONCLUSIVE, with a witness), 11
@@ -61,6 +62,22 @@ def z51_n5_map() -> TilingHomomorphism:
     )
 
 
+def z9xz27_n11_map() -> TilingHomomorphism:
+    """An n = 11 map into Z_9 x Z_27 whose code set exists; it does not
+    tile.  Its exponent is 27, so T^(2) != T, and its images (3, 0) and
+    (0, 9) have order 3, so T^(3) lists rank 0 five times."""
+    return TilingHomomorphism.from_dict(
+        {
+            "n": 11,
+            "group": {"invariant_factors": [9, 27]},
+            "images": [
+                [0, 1], [1, 0], [1, 1], [3, 0], [0, 9], [2, 3],
+                [4, 5], [1, 7], [3, 4], [5, 11], [2, 13],
+            ],
+        }
+    )
+
+
 def golay_with_two_equal_images() -> TilingHomomorphism:
     """The Golay map with images[1] set to images[0]: its code set counts
     that image twice, so `latile analyze` reports a code_set_error."""
@@ -83,6 +100,7 @@ def stdout_of(capsys, argv) -> str:
         ("analyze_golay11_collision.json", golay_with_two_equal_images),
         ("analyze_z3xz33_n7.json", z3xz33_n7_map),
         ("analyze_z51_n5.json", z51_n5_map),
+        ("analyze_z9xz27_n11.json", z9xz27_n11_map),
     ],
 )
 def test_analyze_output_is_golden(capsys, monkeypatch, name, phi):

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import weakref
 from itertools import combinations
 
 import pytest
@@ -31,7 +32,11 @@ from latile.tiling import induced_code_set
 
 from helpers import (
     all_specs_up_to,
+    dense_check_pds,
     dense_check_tiling_conditions,
+    dense_congruence_check,
+    dense_cube_multiplicity_check,
+    dense_spectrum_identity_checks,
     naive_multiply,
     naive_power_map,
     random_ring_element,
@@ -503,6 +508,142 @@ def test_a_multiset_is_refused_before_the_group_order(check):
     with pytest.raises(ValueError) as exc:
         check(code)
     assert str(exc.value) == "not a set: coefficient 2 at rank 3 (multiplicities must be 0 or 1)"
+
+
+# The five checks `latile analyze` makes on one code set, by name, each with
+# its dense oracle; the PDS check reads T itself here, so it shares T*T with
+# the tiling condition.
+def _ring_checks(n):
+    params = tiling_pds_parameters(n)
+    return {
+        "conditions": (
+            lambda c: check_tiling_conditions(c, n),
+            lambda c: dense_check_tiling_conditions(c, n),
+        ),
+        "spectrum": (
+            lambda c: spectrum_identity_checks(c, n),
+            lambda c: dense_spectrum_identity_checks(c, n),
+        ),
+        "cube": (cube_multiplicity_check, dense_cube_multiplicity_check),
+        "congruences": (lambda c: congruence_check(c, n), lambda c: dense_congruence_check(c, n)),
+        "pds": (lambda c: check_pds(c, params), lambda c: dense_check_pds(c, params)),
+    }
+
+
+def _outcome(check, code):
+    """A check's report, or the type and message of what it raised (beta is
+    refused on a set that is not symmetric)."""
+    try:
+        return check(code)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+def _fresh(code):
+    return GroupRingElement(code.spec, tuple(code.coefficients))
+
+
+# (n, groups of order 2n^2+1): T^(2) = T for a symmetric T in the first
+# three, which have exponent 3; not in the others.
+_SHARING_GROUPS = [
+    (1, GroupSpec((3,))),
+    (2, GroupSpec((3, 3))),
+    (11, GroupSpec((3,) * 5)),
+    (5, GroupSpec((51,))),
+    (7, GroupSpec((99,))),
+    (7, GroupSpec((3, 33))),
+    (11, GroupSpec((9, 27))),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(_SHARING_GROUPS),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([0.05, 0.1, 0.5]),
+    st.booleans(),
+    st.permutations(["conditions", "spectrum", "cube", "congruences", "pds"]),
+)
+def test_checks_sharing_one_code_set_match_fresh_copies_and_oracles(
+    group, seed, density, symmetric, order
+):
+    """One code set through the five checks in a drawn order, twice: each
+    report equals the check on a fresh copy and the dense oracle, whatever
+    the checks before it left on the element, and the element itself still
+    compares, hashes, prints and serialises as a fresh copy does."""
+    n, spec = group
+    rng = random.Random(seed)
+    if symmetric:
+        code = random_symmetric_set(rng, spec, density)
+    else:
+        code = GroupRingElement(spec, tuple(int(rng.random() < density) for _ in range(spec.order)))
+    checks = _ring_checks(n)
+    expected = {name: _outcome(oracle, code) for name, (_, oracle) in checks.items()}
+    for _ in range(2):
+        for name in order:
+            check = checks[name][0]
+            assert _outcome(check, code) == _outcome(check, _fresh(code)) == expected[name], name
+    fresh = _fresh(code)
+    assert code == fresh and hash(code) == hash(fresh)
+    assert repr(code) == repr(fresh) and code.as_dict() == fresh.as_dict()
+
+
+def test_the_golay_checks_make_its_square_and_each_power_once(monkeypatch):
+    """On the Golay code set, T^(2) = T^(-1) = T and T^(4) = T, so the four
+    checks on T make one square T*T (the tiling condition, the spectrum and
+    the cubic congruence read it), and T^(3) = 23e once; T*T^(3) is read by
+    the quartic congruence alone and is made again on each call."""
+    from latile import groupring
+    from test_analysis import golay_code
+
+    squares, multipliers = [], []
+    product, scaled = groupring._product, groupring.scaled_ranks
+
+    def counted_product(spec, a, b):
+        squares.append(a == b)
+        return product(spec, a, b)
+
+    def counted_scaled(spec, ranks, t):
+        multipliers.append(t % 3)
+        return scaled(spec, ranks, t)
+
+    monkeypatch.setattr(groupring, "_product", counted_product)
+    monkeypatch.setattr(groupring, "scaled_ranks", counted_scaled)
+    code = golay_code()
+    checks = _ring_checks(11)
+    for name in ("conditions", "spectrum", "cube", "congruences"):
+        checks[name][0](code)
+    assert squares == [True, False]
+    assert sorted(multipliers) == [0, 2]
+    for name in ("conditions", "spectrum", "cube", "congruences"):
+        checks[name][0](code)
+    assert squares == [True, False, False]
+    assert sorted(multipliers) == [0, 2]
+
+
+def test_a_checked_code_set_is_freed_with_its_last_reference():
+    """Nothing outside the element holds a checked code set."""
+    from test_analysis import golay_code
+
+    code = golay_code()
+    for check, _ in _ring_checks(11).values():
+        check(code)
+    ref = weakref.ref(code)
+    del code
+    assert ref() is None
+
+
+def test_a_multiset_is_refused_on_every_call():
+    """A failed validation leaves nothing on the element: each check, called
+    twice on one multiset, raises the same error each time."""
+    code = ring(Z19, *([1, 2] + [0] * 17))
+    for _ in range(2):
+        for name, (check, _) in _ring_checks(3).items():
+            with pytest.raises(ValueError) as exc:
+                check(code)
+            message = "not a set: coefficient 2 at rank 1 (multiplicities must be 0 or 1)"
+            assert str(exc.value) == message, name
+    assert code == ring(Z19, *([1, 2] + [0] * 17))
 
 
 def test_tiling_conditions_hold_for_small_tilings():
