@@ -15,13 +15,13 @@ values valid for one residue class would silently break the others.
 
 The sections read groupring's code-set view of T (groupring._code_view),
 made at the first check on a ring element and kept on it: T's support
-ranks, T^(t) as the rank lists abelian.scaled_ranks gives, and the products
-two checks read.  beta is read from the doubled ranks, and the identity's
-multiplicity in T^(3) counts the tripled ranks that are 0.  T * T^(2) is
-made once for the spectrum and the cubic congruence, and it is the square
-T * T whenever T^(2) = T (every symmetric T in a group of exponent 3).
-Each congruence takes groupring._residual, the one place a product is
-compared with a right-hand side.
+ranks, T^(t) as the rank lists abelian.scaled_ranks gives, and each
+product a check makes.  beta is read from the doubled ranks, and the
+identity's multiplicity in T^(3) counts the tripled ranks that are 0.
+T * T^(2) is made once for the spectrum and the cubic congruence, and it is
+the square T * T whenever T^(2) = T (every symmetric T in a group of
+exponent 3).  Each congruence takes groupring._residual, the one place a
+product is compared with a right-hand side.
 """
 
 from collections import Counter

@@ -24,13 +24,13 @@ partial-difference-set identity in construct, the analysis's spectrum and
 congruences) follows one rule, kept here, and reads one code-set view of
 the element.  _code_view validates a 0/1 element once, at the first check
 that reads it, and keeps on the element a _CodeView: its ascending support
-ranks, the rank lists of T^(t), and the products T^(s)*T^(t) that two
-checks read (T*T and T*T^(2)).  The element is frozen, so the view cannot
-go stale, and a code set built again starts with none.  _symmetric tests
-negation closure on the view, and _residual is the one place a product is
-compared with a right-hand side: it copies the product and subtracts the
-sparse terms of the right-hand side, so A*B = c*G + (sparse terms) holds
-exactly when c is left at every rank (or c mod 3, for the congruences).
+ranks, the rank lists of T^(t), and each product T^(s)*T^(t) a check
+makes.  The element is frozen, so the view cannot go stale, and a code set
+built again starts with none.  _symmetric tests negation closure on the
+view, and _residual is the one place a product is compared with a
+right-hand side: it copies the product and subtracts the sparse terms of
+the right-hand side, so A*B = c*G + (sparse terms) holds exactly when c is
+left at every rank (or c mod 3, for the congruences).
 
 The module also houses the perfect-code condition checker: a candidate code
 set T tiles exactly when |T| = 2n+1, T contains the identity, T is closed
@@ -149,13 +149,9 @@ def linear_combine(
 
 def _terms(spec: GroupSpec, ranks: Iterable[int]) -> list[tuple[int, int]]:
     """(position, coefficient) terms in rank order, counting each rank as
-    often as it is listed: a code set's support ranks, or its scaled_ranks.
-    Only a list that repeats a rank is counted through a Counter."""
+    often as it is listed: a code set's support ranks, or its scaled_ranks."""
     positions = padded_layout(spec).positions
-    ranks = sorted(ranks)
-    if len(set(ranks)) == len(ranks):
-        return [(positions[r], 1) for r in ranks]
-    return [(positions[r], c) for r, c in Counter(ranks).items()]
+    return [(positions[r], c) for r, c in Counter(sorted(ranks)).items()]
 
 
 def _product(spec: GroupSpec, a: list, b: list) -> list[int]:
@@ -255,8 +251,10 @@ class _CodeView:
     list abelian.scaled_ranks gives, made once per t mod the group's
     exponent.  key(t) names T^(t) in a product: 1 when its sorted ranks
     equal T's, else t mod the exponent, so in a group of exponent 3 T*T,
-    T*T^(2) and T^(2)*T are one square.  product(s, t) is T^(s)*T^(t); the
-    products in _SHARED are kept, and a reader must not change them.
+    T*T^(2) and T^(2)*T are one square.  product(s, t) is T^(s)*T^(t),
+    made once and kept; a reader must not change it.  The terms and
+    products are set up by the first product, so a check that reads only
+    ranks and power maps pays for neither.
     """
 
     __slots__ = ("spec", "ranks", "_exponent", "_scaled", "_keys", "_terms", "_products")
@@ -265,11 +263,10 @@ class _CodeView:
         factors = spec.invariant_factors
         self.spec = spec
         self.ranks = ranks
-        self._exponent = factors[-1] if factors else 1
-        self._scaled = {1 % self._exponent: ranks}
-        self._keys = {1 % self._exponent: 1}
-        self._terms = {}
-        self._products = {}
+        self._exponent = exponent = factors[-1] if factors else 1
+        self._scaled = {1 % exponent: ranks}
+        self._keys = {1 % exponent: 1}
+        self._products = None
 
     def scaled(self, t: int) -> list[int]:
         t %= self._exponent
@@ -286,13 +283,14 @@ class _CodeView:
         return key
 
     def product(self, s: int, t: int) -> list[int]:
-        key = tuple(sorted((self.key(s), self.key(t))))
-        out = self._products.get(key)
+        if self._products is None:
+            self._terms, self._products = {}, {}
+        a, b = sorted((self.key(s), self.key(t)))
+        out = self._products.get((a, b))
         if out is None:
-            a, b = (self._key_terms(k) for k in key)
-            out = _product(self.spec, a, b)
-            if key in _SHARED:
-                self._products[key] = out
+            terms = self._key_terms(a)
+            other = terms if b == a else self._key_terms(b)
+            out = self._products[a, b] = _product(self.spec, terms, other)
         return out
 
     def _key_terms(self, key: int) -> list[tuple[int, int]]:
@@ -302,22 +300,18 @@ class _CodeView:
         return terms
 
 
-# The products two checks read: T*T (the tiling condition, and the PDS
-# identity on the same set) and T*T^(2) (the spectrum and the cubic
-# congruence).  T*T^(3), which only the quartic congruence reads, is not kept.
-_SHARED = {(1, 1), (1, 2)}
-
-
 def _code_view(code: CodeSetLike) -> _CodeView:
     """The code-set view of `code`, kept on a ring element from the first
     check that reads it.  It is made only once as_code_set has accepted the
     element, so a multiset is refused on every call; a sequence of group
     elements gets a fresh element, and so a view of its own, each time."""
-    view = getattr(code, "_view", None)
-    if view is None:
-        t = as_code_set(code)
-        view = _CodeView(t.spec, list(compress(count(), t.coefficients)))
-        object.__setattr__(t, "_view", view)
+    if isinstance(code, GroupRingElement):
+        view = code.__dict__.get("_view")
+        if view is not None:
+            return view
+    t = as_code_set(code)
+    view = _CodeView(t.spec, list(compress(count(), t.coefficients)))
+    object.__setattr__(t, "_view", view)
     return view
 
 
