@@ -13,10 +13,10 @@ obtained by cubing/squaring the defining product identity.  The congruence
 scalars are reduced per n (they depend on n mod 3); hard-coding the scalar
 values valid for one residue class would silently break the others.
 
-The sections read groupring's code-set view of T (groupring._code_view),
-made at the first check on a ring element and kept on it: T's support
-ranks, T^(t) as the rank lists abelian.scaled_ranks gives, and each
-product a check makes.  beta is read from the doubled ranks, and the
+The sections read groupring's code-set view of T, made by
+groupring.as_code_set when it accepts the element and kept on it: T's
+support ranks, T^(t) as the rank lists abelian.scaled_ranks gives, and
+each product a check makes.  beta is read from the doubled ranks, and the
 identity's multiplicity in T^(3) counts the tripled ranks that are 0.
 T * T^(2) is made once for the spectrum and the cubic congruence, and it is
 the square T * T whenever T^(2) = T (every symmetric T in a group of
@@ -32,10 +32,10 @@ from .abelian import as_integers
 from .groupring import (
     CodeSetLike,
     GroupRingElement,
-    _code_view,
     _residual,
     _ring,
     _tiling_dimension,
+    as_code_set,
 )
 
 
@@ -50,14 +50,13 @@ def code_beta(code: CodeSetLike) -> int:
     The intersection is closed under negation whenever T is, so an odd
     intersection signals a corrupted input rather than a valid measurement.
     """
-    view = _code_view(code)
-    return _beta(view.ranks, view.scaled(2))
+    return _beta(as_code_set(code)._view)
 
 
-def _beta(ranks: list[int], doubled: list[int]) -> int:
-    """code_beta of the code set with support ranks `ranks`, given its
-    doubled ranks: supp(T^(2)) is the set of doubled ranks."""
-    common = len(set(doubled).intersection(ranks) - {0})
+def _beta(view) -> int:
+    """code_beta of the code set whose view is `view`: supp(T^(2)) is the
+    set of its doubled ranks."""
+    common = len(set(view.scaled(2)).intersection(view.ranks) - {0})
     if common % 2 != 0:
         raise ArithmeticError(
             f"|supp(T*) ∩ supp(T^(2)*)| = {common} is odd; T is not symmetric"
@@ -97,11 +96,11 @@ def spectrum_identity_checks(code: CodeSetLike, n: int) -> SpectrumReport:
       (3) sum of |X_i| over i >= 1    = 1 - beta + sum_{i>=3} (i-1)(i-2)/2 * |X_i|.
     All three are reported with both sides; nothing is asserted.
     """
-    view = _code_view(code)
+    view = as_code_set(code)._view
     n = _tiling_dimension(view.spec, n)
     expected_order = 2 * n * n + 1
     partition = coefficient_partition(_ring(view.spec, view.product(1, 2)))
-    beta = _beta(view.ranks, view.scaled(2))
+    beta = _beta(view)
     weighted_total = sum(i * count for i, count in partition.items())
     position_total = sum(partition.values())
     nonzero_total = sum(count for i, count in partition.items() if i >= 1)
@@ -145,8 +144,8 @@ def cube_multiplicity_check(code: CodeSetLike) -> CubeMultiplicityReport:
     each of the beta negation-pairs of order-3 elements contributes 2); for
     arbitrary symmetric T both values are simply reported.
     """
-    view = _code_view(code)
-    beta = _beta(view.ranks, view.scaled(2))
+    view = as_code_set(code)._view
+    beta = _beta(view)
     multiplicity = view.scaled(3).count(0)
     expected = 2 * beta + 1
     return CubeMultiplicityReport(
@@ -197,7 +196,7 @@ def congruence_check(code: CodeSetLike, n: int) -> CongruenceReport:
     cubic's is the spectrum's T * T^(2)) less its sparse right-hand terms,
     then makes one pass over it for the first rank off by the scalar of G.
     """
-    view = _code_view(code)
+    view = as_code_set(code)._view
     (n,) = as_integers((n,), "dimensions")
 
     c_g = (-(4 * n + 2)) % 3

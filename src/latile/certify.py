@@ -189,23 +189,34 @@ class NonexistenceCertificate:
 def representable(
     a: Union[int, float], b: int, target: int
 ) -> tuple[bool, Optional[tuple[int, int]]]:
-    """Is a*(x+1) + b*y = target solvable with x, y >= 0?  Witness if so."""
+    """Is a*(x+1) + b*y = target solvable with x, y >= 0?  Witness if so.
+
+    a (INFINITE or an integer >= 0), b (>= 1) and target (>= 0) are
+    checked; anything else raises a ValueError naming the value."""
+    if a != INFINITE:
+        (a,) = as_integers((a,), "a, b and target")
+        if a < 0:
+            raise ValueError(f"a must be >= 0, got {a}")
+    b, target = as_integers((b, target), "a, b and target")
     if b < 1:
         raise ValueError(f"b must be >= 1, got {b}")
     if target < 0:
         raise ValueError(f"target must be >= 0, got {target}")
+    return _representable(a, b, target)
+
+
+def _representable(
+    a: Union[int, float], b: int, target: int
+) -> tuple[bool, Optional[tuple[int, int]]]:
+    """representable for a, b and target already known to be in range, as
+    _parameters makes them; they are not checked."""
     if a == INFINITE:
         return False, None
-    if a == 0:
-        if target % b == 0:
-            return True, (0, target // b)
-        return False, None
-    x = 0
-    while a * (x + 1) <= target:
+    # the x with a*(x+1) <= target; a = 0 leaves x = 0 alone to try
+    for x in range(target // a if a else 1):
         remainder = target - a * (x + 1)
         if remainder % b == 0:
             return True, (x, remainder // b)
-        x += 1
     return False, None
 
 
@@ -236,7 +247,7 @@ def _build(n: int, p: int) -> NonexistenceCertificate:
     rows = []
     for ell in range(ell_max + 1):
         target = n - ell
-        ok, witness = representable(a, b, target)
+        ok, witness = _representable(a, b, target)
         rows.append(CertificateRow(ell=ell, target=target, representable=ok, witness=witness))
     nonexistent = not any(row.representable for row in rows)
     return NonexistenceCertificate(

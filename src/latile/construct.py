@@ -17,17 +17,17 @@ two agree, and golay11_tiling() output is accepted only after verify_tiling
 has confirmed bijectivity on the actual ball.  scripts/derive_golay_check_matrix.py
 prints the derivation for inspection.
 
-check_pds reads groupring's code-set view of D and compares D*D with its
-right-hand side through groupring's ring-identity helpers (_code_view,
-_symmetric, _residual), the same rule the tiling and analysis checks
-follow; on a set the tiling condition has checked, D*D is the square that
-check made.
+check_pds reads groupring's code-set view of D, kept on the element
+groupring.as_code_set returns, and compares D*D with its right-hand side
+through groupring's ring-identity helpers (_symmetric, _residual), the
+same rule the tiling and analysis checks follow; on a set the tiling
+condition has checked, D*D is the square that check made.
 """
 
 from dataclasses import asdict, dataclass
 
 from .abelian import GroupElement, GroupSpec, as_integers
-from .groupring import CodeSetLike, OrderMismatchError, _code_view, _residual, _symmetric
+from .groupring import CodeSetLike, OrderMismatchError, _residual, _symmetric, as_code_set
 from .tiling import TilingHomomorphism
 
 GOLAY11_CHECK_MATRIX: tuple[tuple[int, ...], ...] = (
@@ -141,7 +141,7 @@ def check_pds(code: CodeSetLike, params: PdsParameters) -> PdsReport:
     groupring._residual subtracts (lambda - mu)*D and (k - mu)*e from D*D,
     and the identity holds when mu is left at every rank.
     """
-    view = _code_view(code)
+    view = as_code_set(code)._view
     spec, ranks = view.spec, view.ranks
     if spec.order != params.v:
         raise OrderMismatchError(f"group order {spec.order} != v = {params.v}")

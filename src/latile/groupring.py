@@ -22,15 +22,17 @@ any group order or product degree.
 Every ring identity checked on a code set (the tiling condition here, the
 partial-difference-set identity in construct, the analysis's spectrum and
 congruences) follows one rule, kept here, and reads one code-set view of
-the element.  _code_view validates a 0/1 element once, at the first check
-that reads it, and keeps on the element a _CodeView: its ascending support
-ranks, the rank lists of T^(t), and each product T^(s)*T^(t) a check
-makes.  The element is frozen, so the view cannot go stale, and a code set
-built again starts with none.  _symmetric tests negation closure on the
-view, and _residual is the one place a product is compared with a
-right-hand side: it copies the product and subtracts the sparse terms of
-the right-hand side, so A*B = c*G + (sparse terms) holds exactly when c is
-left at every rank (or c mod 3, for the congruences).
+the element.  as_code_set is the one gate: it validates a 0/1 element once,
+lists its support, and keeps on the element a _CodeView: its ascending
+support ranks, the rank lists of T^(t), and each product T^(s)*T^(t) a
+check makes.  Every check reads the view off the element as_code_set
+returns, so a set it has accepted is not validated again.  The element is
+frozen, so the view cannot go stale, and a code set built again starts
+with none.  _symmetric tests negation closure on the view, and _residual
+is the one place a product is compared with a right-hand side: it copies
+the product and subtracts the sparse terms of the right-hand side, so
+A*B = c*G + (sparse terms) holds exactly when c is left at every rank (or
+c mod 3, for the congruences).
 
 The module also houses the perfect-code condition checker: a candidate code
 set T tiles exactly when |T| = 2n+1, T contains the identity, T is closed
@@ -223,50 +225,54 @@ def reduce_mod(a: GroupRingElement, p: int) -> GroupRingElement:
 
 
 def as_code_set(code: CodeSetLike) -> GroupRingElement:
-    """Normalize a code set to a 0/1 ring element.
+    """Normalize a code set to a 0/1 ring element that carries its view.
 
     Accepts either a ring element or a sequence of group elements; rejects
     multiplicities >= 2 and negative coefficients, since a code set is a set.
+    An accepted element keeps its _CodeView, which every ring check reads;
+    an element that already carries one is returned as it is, and a
+    sequence of group elements gets a fresh element each time.
     """
     if isinstance(code, GroupRingElement):
+        if "_view" in code.__dict__:
+            return code
         normalized = code
     else:
         seq = list(code)
         if not seq:
             raise ValueError("cannot infer the group from an empty element list")
         normalized = from_multiset(seq[0].spec, seq)
-    if set(normalized.coefficients) <= {0, 1}:
-        return normalized
-    for r, c in enumerate(normalized.coefficients):
-        if c not in (0, 1):
-            raise ValueError(
-                f"not a set: coefficient {c} at rank {r} (multiplicities must be 0 or 1)"
-            )
+    if not set(normalized.coefficients) <= {0, 1}:
+        r, c = next((r, c) for r, c in enumerate(normalized.coefficients) if c not in (0, 1))
+        raise ValueError(
+            f"not a set: coefficient {c} at rank {r} (multiplicities must be 0 or 1)"
+        )
+    object.__setattr__(normalized, "_view", _CodeView(normalized))
+    return normalized
 
 
 class _CodeView:
-    """What the ring checks read of one validated code set T.
+    """What the ring checks read of one code set T, made by as_code_set
+    once it has validated T.
 
     ranks are T's ascending support ranks.  scaled(t) is T^(t) as the rank
     list abelian.scaled_ranks gives, made once per t mod the group's
     exponent.  key(t) names T^(t) in a product: 1 when its sorted ranks
     equal T's, else t mod the exponent, so in a group of exponent 3 T*T,
     T*T^(2) and T^(2)*T are one square.  product(s, t) is T^(s)*T^(t),
-    made once and kept; a reader must not change it.  The terms and
-    products are set up by the first product, so a check that reads only
-    ranks and power maps pays for neither.
+    made once and kept; a reader must not change it.
     """
 
     __slots__ = ("spec", "ranks", "_exponent", "_scaled", "_keys", "_terms", "_products")
 
-    def __init__(self, spec: GroupSpec, ranks: list[int]):
+    def __init__(self, t: GroupRingElement):
+        self.spec = spec = t.spec
+        self.ranks = ranks = list(compress(count(), t.coefficients))
         factors = spec.invariant_factors
-        self.spec = spec
-        self.ranks = ranks
         self._exponent = exponent = factors[-1] if factors else 1
         self._scaled = {1 % exponent: ranks}
         self._keys = {1 % exponent: 1}
-        self._products = None
+        self._terms, self._products = {}, {}
 
     def scaled(self, t: int) -> list[int]:
         t %= self._exponent
@@ -283,8 +289,6 @@ class _CodeView:
         return key
 
     def product(self, s: int, t: int) -> list[int]:
-        if self._products is None:
-            self._terms, self._products = {}, {}
         a, b = sorted((self.key(s), self.key(t)))
         out = self._products.get((a, b))
         if out is None:
@@ -298,21 +302,6 @@ class _CodeView:
         if terms is None:
             terms = self._terms[key] = _terms(self.spec, self.scaled(key))
         return terms
-
-
-def _code_view(code: CodeSetLike) -> _CodeView:
-    """The code-set view of `code`, kept on a ring element from the first
-    check that reads it.  It is made only once as_code_set has accepted the
-    element, so a multiset is refused on every call; a sequence of group
-    elements gets a fresh element, and so a view of its own, each time."""
-    if isinstance(code, GroupRingElement):
-        view = code.__dict__.get("_view")
-        if view is not None:
-            return view
-    t = as_code_set(code)
-    view = _CodeView(t.spec, list(compress(count(), t.coefficients)))
-    object.__setattr__(t, "_view", view)
-    return view
 
 
 def _symmetric(view: _CodeView) -> bool:
@@ -368,7 +357,7 @@ def check_tiling_conditions(code: CodeSetLike, n: int) -> TilingConditionReport:
     OrderMismatchError rather than reporting failure, since the check is
     then meaningless rather than negative.
     """
-    view = _code_view(code)
+    view = as_code_set(code)._view
     spec, ranks = view.spec, view.ranks
     n = _tiling_dimension(spec, n)
     size = len(ranks)

@@ -56,7 +56,10 @@ A surviving leaf is read as a map phi: Z^n -> G sending e_i to the first
 element of the i-th chosen pair, and re-verified by two independent
 routes: the group-ring condition checker on its induced code set and the
 ball-image bijection verifier on phi itself; disagreement is an internal
-error, not a result.  The ball is made once per scan, at the first leaf,
+error, not a result.  In a group of order 2n^2+1 every leaf that passes
+the packing test is a tiling, so a leaf the two routes refuse is an
+internal error too, never a dropped candidate that would read as a
+nonexistence result.  The ball is made once per scan, at the first leaf,
 so a scan that meets no leaf never makes it.
 
 Optional symmetry reduction quotients by multiplier equivalence x -> t*x
@@ -403,10 +406,14 @@ def scan_prefixes(
                 if ball is None:
                     ball = generate_ball(n, 2, 1, 1)
                 images = [element_at(spec, pair_ranks[i][0]) for i in candidate]
-                if dual_verify_candidate(TilingHomomorphism(n, spec, images), ball):
-                    ranks = sorted([0] + [r for i in candidate for r in pair_ranks[i]])
-                    elements = tuple(element_at(spec, r) for r in ranks)
-                    solutions.append(SearchSolution(spec, elements, len(orbit)))
+                if not dual_verify_candidate(TilingHomomorphism(n, spec, images), ball):
+                    raise RuntimeError(
+                        f"internal error: leaf {candidate} over {spec.describe()} at n = {n} "
+                        "passed the packing test but is not a tiling"
+                    )
+                ranks = sorted([0] + [r for i in candidate for r in pair_ranks[i]])
+                elements = tuple(element_at(spec, r) for r in ranks)
+                solutions.append(SearchSolution(spec, elements, len(orbit)))
             return
         weights, below = subtree[remaining - 1], subtree[remaining - 2]
         remaining -= 1
@@ -530,8 +537,9 @@ def search_tilings(
         raise ValueError(f"n must be >= 3, got {n}")
     groups = enumerate_abelian_groups(2 * n * n + 1)
     total = comb(n * n, n) * len(groups)
-    if budget < 1:
-        raise ValueError(f"budget must be positive, got {budget}")
+    for name, value in (("budget", budget), ("threads", threads)):
+        if value < 1:
+            raise ValueError(f"{name} must be positive, got {value}")
     if total > budget:
         raise BudgetExceededError(total, budget)
     started = time.perf_counter()

@@ -287,10 +287,38 @@ class TestRepresentable:
                 assert a * (x + 1) + b * y == t
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^b must be >= 1, got 0$"):
             representable(1, 0, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^target must be >= 0, got -1$"):
             representable(1, 2, -1)
+
+    def test_negative_a_refused(self):
+        """A negative a would make a*(x+1) <= target hold for every x, so
+        the search for x would never end."""
+        with pytest.raises(ValueError, match=r"^a must be >= 0, got -2$"):
+            representable(-2, 2, 5)
+
+    @pytest.mark.parametrize(
+        "args, bad",
+        [((2, 3, 7.0), "7.0"), ((2.0, 3, 7), "2.0"), ((2, 3.5, 7), "3.5"), (("2", 3, 7), "'2'")],
+    )
+    def test_non_integers_refused(self, args, bad):
+        with pytest.raises(ValueError, match=rf"^a, b and target must be integers, got {bad}$"):
+            representable(*args)
+
+    def test_infinite_a_with_other_values_checked(self):
+        assert representable(INFINITE, 9, 3) == (False, None)
+        with pytest.raises(ValueError, match=r"^a, b and target must be integers, got 3.0$"):
+            representable(INFINITE, 9, 3.0)
+
+    def test_builder_calls_the_unchecked_body(self, monkeypatch):
+        """build_certificate's rows come from _parameters, whose a, b and
+        targets are in range, so its per-row call skips the checks."""
+        def refuse(*args):
+            raise AssertionError("the builder checked a row's arguments")
+
+        monkeypatch.setattr(certify, "representable", refuse)
+        assert build_certificate(3, 19).conclusion == NONEXISTENCE
 
 
 class TestBuildCertificate:

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latile.abelian import GroupElement, GroupSpec, elements, enumerate_abelian_groups, rank_of
-from latile.analysis import congruence_check, cube_multiplicity_check, spectrum_identity_checks
+from latile import groupring
+from latile.analysis import (
+    code_beta,
+    congruence_check,
+    cube_multiplicity_check,
+    spectrum_identity_checks,
+)
 from latile.construct import check_pds, golay11_tiling, tiling_pds_parameters
 from latile.groupring import (
     GroupRingElement,
@@ -200,6 +206,22 @@ class TestUnaryOps:
         assert [rank_of(g) for g in support(a)] == [1, 3]
 
 
+@pytest.fixture
+def made_views(monkeypatch):
+    """Every code-set view made while the test runs, in order."""
+    made = []
+
+    class Spy(groupring._CodeView):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(groupring, "_CodeView", Spy)
+    return made
+
+
 class TestCodeSet:
     def test_accepts_zero_one_vectors(self):
         code = as_code_set(ring(Z5, 1, 0, 1, 1, 0))
@@ -214,6 +236,59 @@ class TestCodeSet:
             as_code_set(ring(Z5, 1, 2, 0, 0, 0))
         with pytest.raises(ValueError):
             as_code_set(ring(Z5, -1, 0, 0, 0, 0))
+
+    def test_multiset_refused_on_every_call(self, made_views):
+        bad = ring(Z5, 1, 0, 2, 0, 0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^not a set: coefficient 2 at rank 2 "):
+                as_code_set(bad)
+        assert made_views == []
+
+
+def _gated_reports(code, n):
+    """The ring checks that read the view of `code` itself."""
+    return (
+        check_tiling_conditions(code, n),
+        spectrum_identity_checks(code, n),
+        cube_multiplicity_check(code),
+        congruence_check(code, n),
+        code_beta(code),
+    )
+
+
+class TestOneGate:
+    """as_code_set is the one gate: it validates a code set and keeps the
+    view that every ring check reads."""
+
+    def test_the_gate_makes_the_one_view_the_checks_read(self, made_views):
+        t = as_code_set(induced_code_set(golay11_tiling()))
+        assert len(made_views) == 1
+        _gated_reports(t, 11)
+        assert len(made_views) == 1
+        # star(T) is a new element: its gate makes its own view, once
+        d = as_code_set(star(t))
+        assert len(made_views) == 2
+        assert check_pds(d, tiling_pds_parameters(11)).passed
+        assert len(made_views) == 2
+
+    def test_a_second_call_returns_the_same_element_and_view(self, made_views):
+        t = as_code_set(induced_code_set(golay11_tiling()))
+        view = t._view
+        assert as_code_set(t) is t
+        assert t._view is view
+        assert made_views == [view]
+
+    def test_checks_on_an_element_list_equal_those_on_the_element(self, made_views):
+        spec = GroupSpec((19,))
+        t = as_code_set(ring(spec, 1, 1, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1))
+        listed = support(t)
+        assert _gated_reports(listed, 3) == _gated_reports(t, 3)
+        assert check_pds(listed, tiling_pds_parameters(3)) == check_pds(
+            t, tiling_pds_parameters(3)
+        )
+        # a list gets a fresh element, and so a view of its own, each call
+        assert len(made_views) == 1 + 6
+        assert as_code_set(listed) is not as_code_set(listed)
 
 
 SMALL_SPECS = [s for s in all_specs_up_to(30) if s.order >= 2]

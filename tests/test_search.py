@@ -4,6 +4,7 @@ import gc
 import json
 import multiprocessing
 import random
+import re
 import time
 from dataclasses import replace
 from functools import cache
@@ -362,6 +363,11 @@ class TestSearch:
         with pytest.raises(ValueError):
             search_tilings(3, budget=0)
 
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match=rf"^threads must be positive, got {threads}$"):
+            search_tilings(3, threads=threads)
+
     @pytest.mark.parametrize("options", [{"budget": 84.5}, {"threads": 2.0}])
     def test_non_integer_arguments_rejected(self, options):
         with pytest.raises(ValueError, match="must be integers"):
@@ -409,6 +415,21 @@ class TestPrefixScan:
         pairs = inverse_pairs(spec)
         phi = TilingHomomorphism(11, spec, tuple(pairs[i][0] for i in golay))
         assert verify_tiling(phi, generate_ball(11, 2, 1, 1)).bijective
+
+    def test_refused_leaf_raises_rather_than_dropping_a_tiling(self, monkeypatch):
+        # Below the first five Golay pairs every leaf is a tiling, so a leaf
+        # the re-verification refuses is an engine fault: dropping it would
+        # read as a nonexistence result.
+        monkeypatch.setattr(latile.search, "dual_verify_candidate", lambda *args: False)
+        spec = GroupSpec((3, 3, 3, 3, 3))
+        prefix = tuple(golay_pair_indices()[:5])
+        assert prefix == (0, 1, 5, 18, 39)
+        message = (
+            "internal error: leaf (0, 1, 5, 18, 39, 40, 52, 77, 88, 96, 115) over "
+            "Z_3 x Z_3 x Z_3 x Z_3 x Z_3 at n = 11 passed the packing test but is not a tiling"
+        )
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            scan_prefixes(spec, 11, [prefix], reduce_orbits=False)
 
     def test_rejected_prefix_counts_its_whole_subtree(self):
         spec = GroupSpec((19,))
