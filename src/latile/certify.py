@@ -244,13 +244,21 @@ def _build(n: int, p: int) -> NonexistenceCertificate:
             f"a = 0 means {p} divides 4n+1 and 2n^2+1, hence 18: p = {p} is not admissible"
         )
     ell_max = _ell_bound(n, m)
+    # rows and certificate come from object.__new__, as groupring._ring's
+    # elements do, with the fields written into __dict__: the frozen
+    # dataclass's __init__ would set each through object.__setattr__
     rows = []
     for ell in range(ell_max + 1):
         target = n - ell
-        ok, witness = _representable(a, b, target)
-        rows.append(CertificateRow(ell=ell, target=target, representable=ok, witness=witness))
+        row = object.__new__(CertificateRow)
+        fields = row.__dict__
+        fields["ell"] = ell
+        fields["target"] = target
+        fields["representable"], fields["witness"] = _representable(a, b, target)
+        rows.append(row)
     nonexistent = not any(row.representable for row in rows)
-    return NonexistenceCertificate(
+    cert = object.__new__(NonexistenceCertificate)
+    cert.__dict__.update(
         n=n,
         order=order,
         p=p,
@@ -262,6 +270,7 @@ def _build(n: int, p: int) -> NonexistenceCertificate:
         conclusion=NONEXISTENCE if nonexistent else INCONCLUSIVE,
         p_exceeds_2n_plus_1=p > 2 * n + 1,
     )
+    return cert
 
 
 # X | None, not typing.Optional: typing caches its subscriptions, and one naming

@@ -20,8 +20,10 @@ prints the derivation for inspection.
 check_pds reads groupring's code-set view of D, kept on the element
 groupring.as_code_set returns, and compares D*D with its right-hand side
 through groupring's ring-identity helpers (_symmetric, _residual), the
-same rule the tiling and analysis checks follow; on a set the tiling
-condition has checked, D*D is the square that check made.
+same rule the tiling and analysis checks follow.  On D = star(T), where T
+is a code set as_code_set has accepted and that holds e, D*D is the one
+star made from T*T as T*T - 2T + e, and T*T is the square the tiling
+condition reads, so `latile analyze` squares T once and D never.
 """
 
 from dataclasses import asdict, dataclass

@@ -26,11 +26,14 @@ the element.  as_code_set is the one gate: it validates a 0/1 element once,
 lists its support, and keeps on the element a _CodeView: its ascending
 support ranks, the rank lists of T^(t), and each product T^(s)*T^(t) a
 check makes.  Every check reads the view off the element as_code_set
-returns, so a set it has accepted is not validated again.  The element is
-frozen, so the view cannot go stale, and a code set built again starts
-with none.  _symmetric tests negation closure on the view, and _residual
-is the one place a product is compared with a right-hand side: it copies
-the product and subtracts the sparse terms of the right-hand side, so
+returns, so a set it has accepted is not validated again.  star of such
+a set that holds e gives D = T - e with a view of its own, its ranks T's
+less rank 0 and its square D*D = T*T - 2T + e made from T's view, so
+check_pds on star(T) makes no second square.  The element is frozen, so
+the view cannot go stale, and a code set built again starts with none.
+_symmetric tests negation closure on the view, and _residual is the one
+place a product is compared with a right-hand side: it copies the
+product and subtracts the sparse terms of the right-hand side, so
 A*B = c*G + (sparse terms) holds exactly when c is left at every rank (or
 c mod 3, for the congruences).
 
@@ -211,8 +214,20 @@ def power_map(a: GroupRingElement, t: int) -> GroupRingElement:
 
 
 def star(a: GroupRingElement) -> GroupRingElement:
-    """Zero the identity coefficient, keep the rest."""
-    return _ring(a.spec, (0,) + a.coefficients[1:])
+    """Zero the identity coefficient, keep the rest.
+
+    Of a code set T that as_code_set has accepted and that holds e, D = T - e
+    is a code set too, and it comes with its view: its ranks are T's less
+    rank 0, and its square D*D = T*T - 2T + e is made from T's view, which
+    makes T*T if no check has yet, so D*D is not squared again.
+    """
+    d = _ring(a.spec, (0,) + a.coefficients[1:])
+    view = a.__dict__.get("_view")
+    if view is not None and a.coefficients[0]:
+        star_view = _CodeView(d.spec, view.ranks[1:])
+        star_view._products[1, 1] = _residual(view, 1, 1, [(2, view.ranks)], -1)
+        object.__setattr__(d, "_view", star_view)
+    return d
 
 
 def reduce_mod(a: GroupRingElement, p: int) -> GroupRingElement:
@@ -247,13 +262,14 @@ def as_code_set(code: CodeSetLike) -> GroupRingElement:
         raise ValueError(
             f"not a set: coefficient {c} at rank {r} (multiplicities must be 0 or 1)"
         )
-    object.__setattr__(normalized, "_view", _CodeView(normalized))
+    ranks = list(compress(count(), normalized.coefficients))
+    object.__setattr__(normalized, "_view", _CodeView(normalized.spec, ranks))
     return normalized
 
 
 class _CodeView:
     """What the ring checks read of one code set T, made by as_code_set
-    once it has validated T.
+    once it has validated T, or by star from the view of the set it stars.
 
     ranks are T's ascending support ranks.  scaled(t) is T^(t) as the rank
     list abelian.scaled_ranks gives, made once per t mod the group's
@@ -265,9 +281,9 @@ class _CodeView:
 
     __slots__ = ("spec", "ranks", "_exponent", "_scaled", "_keys", "_terms", "_products")
 
-    def __init__(self, t: GroupRingElement):
-        self.spec = spec = t.spec
-        self.ranks = ranks = list(compress(count(), t.coefficients))
+    def __init__(self, spec: GroupSpec, ranks: list[int]):
+        self.spec = spec
+        self.ranks = ranks
         factors = spec.invariant_factors
         self._exponent = exponent = factors[-1] if factors else 1
         self._scaled = {1 % exponent: ranks}

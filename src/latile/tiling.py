@@ -20,8 +20,9 @@ kernel_basis exports the lattice ker(phi) as an integer row basis in its
 Hermite normal form, which is unique, so the output is suitable for
 golden-file comparison.  The rows (a_i | e_i) are eliminated one at a time
 against pivots over the group columns, which start as (d_j e_j | 0), by
-extended-gcd steps; what is left of row i is kernel row i, with support
-x_0..x_i, and reducing it against the earlier rows gives the normal form.
+extended-gcd steps, a pivot's multiple taken at its non-zero entries only;
+what is left of row i is kernel row i, with support x_0..x_i, and reducing
+it against the earlier rows gives the normal form.
 """
 
 from dataclasses import dataclass
@@ -228,7 +229,9 @@ def verify_tiling(phi: TilingHomomorphism, ball: ErrorBall) -> VerificationRepor
     product's padded layout, so the two tiling criteria stay independent
     routes.
     Only the first collision witness in ball order is kept (plus the total
-    count of excess vectors); the uncovered list is complete, in rank order.
+    count of excess vectors); the uncovered list is complete, in rank order:
+    the ranks no vector reached, found by one set difference, are decoded
+    one coordinate at a time, rank // weight % d over all of them per factor.
     """
     if ball.n != phi.n:
         raise ValueError(f"ball dimension {ball.n} != homomorphism dimension {phi.n}")
@@ -259,13 +262,15 @@ def verify_tiling(phi: TilingHomomorphism, ball: ErrorBall) -> VerificationRepor
         first[rank] = i
     # every rank below is in range(order), so it decodes with no checks
     witness = (vectors[first[rank]], vectors[i], _element(spec, decode_rank(spec, rank)))
+    missing = sorted(covered.symmetric_difference(range(order)))
+    columns = [
+        [r // w % d for r in missing] for d, w in zip(spec.invariant_factors, rank_weights(spec))
+    ]
     return VerificationReport(
         bijective=False,
         collisions=(witness,),
         collision_count=order - len(covered),
-        uncovered=tuple(
-            _element(spec, decode_rank(spec, r)) for r in range(order) if r not in covered
-        ),
+        uncovered=tuple([_element(spec, residues) for residues in zip(*columns)]),
         reason="images of ball vectors do not cover G exactly once",
     )
 
@@ -293,14 +298,18 @@ def kernel_basis(phi: TilingHomomorphism) -> list[list[int]]:
     entry at c is their gcd h) and the combination that clears c, which
     keeps the row's x_i positive: it starts at 1 and is multiplied by p / h.
     Every step is unimodular and the pivots stay triangular in the group
-    columns, so the row left once they are all clear is kernel row i.  Its
-    support is x_0..x_i, so rows are only that long; it is reduced against
-    the earlier kernel rows, which are kept sparse for that, and so is each
-    new pivot, which keeps the entries small.
+    columns, so a multiple of a pivot is subtracted at its non-zero entries
+    alone, listed whenever the pivot changes, and the row left once they
+    are all clear is kernel row i.  Its support is x_0..x_i, so rows are
+    only that long; it is reduced against the earlier kernel rows, which
+    are kept sparse for that, and so is each new pivot, which keeps the
+    entries small.
     """
     factors = phi.spec.invariant_factors
     k = len(factors)
     pivots = [[d * (c == j) for j in range(k)] for c, d in enumerate(factors)]
+    # each pivot's non-zero entries, all at column c or right of it
+    entries = [[(c, d)] for c, d in enumerate(factors)]
     echelon: list[tuple[int, list[tuple[int, int]]]] = []
     basis = []
     for i, g in enumerate(phi.images):
@@ -313,11 +322,13 @@ def kernel_basis(phi: TilingHomomorphism) -> list[list[int]]:
             if q % p:
                 h, u, v = _bezout(p, q)
                 new = _combine(u, pivot, v, row)
-                pivots[c] = new[:k] + _reduced(new[k:], echelon)
+                pivots[c] = new = new[:k] + _reduced(new[k:], echelon)
+                entries[c] = [(j, a) for j, a in enumerate(new) if a]
                 row = _combine(-q // h, pivot, p // h, row)
             else:
                 q //= p
-                row[: len(pivot)] = [b - q * a for a, b in zip(pivot, row)]
+                for j, a in entries[c]:
+                    row[j] -= q * a
         x = _reduced(row[k:], echelon)
         echelon.append((x[i], [(j, b) for j, b in enumerate(x[:i]) if b]))
         basis.append(x)

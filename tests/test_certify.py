@@ -366,6 +366,18 @@ class TestBuildCertificate:
         assert cert.conclusion == NONEXISTENCE
         assert all(not row.representable for row in cert.rows)
 
+    @pytest.mark.parametrize("n", [3, 14, 282, 1000])
+    def test_built_without_init_equals_built_through_it(self, n):
+        """_build sets fields in __dict__; the certificate and each row
+        equal, hash like and hold the same fields as those __init__ makes."""
+        cert = certify_nonexistence(n)
+        for built in (cert, *cert.rows):
+            remade = dataclasses.replace(built)
+            assert remade == built and hash(remade) == hash(built)
+            assert vars(remade) == vars(built)
+            assert list(vars(built)) == [f.name for f in dataclasses.fields(built)]
+        assert dataclasses.replace(cert, rows=tuple(map(dataclasses.replace, cert.rows))) == cert
+
     def test_serialization_encodes_infinite_a(self):
         d = build_certificate(3, 19).as_dict()
         assert d["a"] == "infinite"

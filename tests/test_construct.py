@@ -4,7 +4,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from latile.abelian import GroupElement, GroupSpec
 from latile.ball import generate_ball
@@ -22,6 +22,7 @@ from latile.groupring import (
     all_ones,
     as_code_set,
     check_tiling_conditions,
+    multiply,
     one,
     power_map,
     star,
@@ -147,6 +148,12 @@ class TestPartialDifferenceSets:
         assert d == {"v": 243, "k": 22, "lambda": 1, "mu": 2}
 
 
+# groups of exponent above 3, where T^(2) is not T for most sets T
+HIGH_EXPONENT_SPECS = [
+    s for s in all_specs_up_to(40) if s.invariant_factors and s.invariant_factors[-1] > 3
+]
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(all_specs_up_to(40)),
@@ -160,7 +167,40 @@ def test_pds_report_matches_the_dense_oracle(spec, seed, density, starred, data)
     d = random_symmetric_set(random.Random(seed), spec, density)
     if starred:
         d = star(d)
-    v = spec.order
+    _check_pds_against_the_dense_oracle(d, data)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(HIGH_EXPONENT_SPECS),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([0.1, 0.3, 0.6]),
+    st.booleans(),
+    st.booleans(),
+    st.data(),
+)
+def test_star_of_a_gated_set_matches_the_dense_oracle(
+    spec, seed, density, gated, holds_identity, data
+):
+    """star of a set that as_code_set has accepted and that holds e keeps
+    D*D = T*T - 2T + e on its view, the square check_pds reads; star of any
+    other set keeps nothing.  Both agree with the dense formula."""
+    coefficients = random_symmetric_set(random.Random(seed), spec, density).coefficients
+    t = GroupRingElement(spec, (int(holds_identity),) + coefficients[1:])
+    assume(power_map(t, 2) != t)
+    if gated:
+        t = as_code_set(t)
+    d = star(t)
+    assert d.coefficients == (0,) + t.coefficients[1:]
+    assert ("_view" in d.__dict__) is (gated and holds_identity)
+    if gated and holds_identity:
+        assert (1, 1) in d._view._products
+        assert tuple(d._view.product(1, 1)) == multiply(d, d).coefficients
+    _check_pds_against_the_dense_oracle(d, data)
+
+
+def _check_pds_against_the_dense_oracle(d, data):
+    v = d.spec.order
     k = data.draw(st.integers(min_value=0, max_value=v - 1))
     lam = data.draw(st.integers(min_value=-1, max_value=k))
     mu = data.draw(st.integers(min_value=-1, max_value=k))

@@ -18,6 +18,11 @@ on the one-image map x -> 11x into Z_121 exits 1 too; its accumulators
 need a 14-bit field, wider than the verifier's 12-bit chunks.  A change
 that alters one of them changes the JSON that users read.
 
+kernel_golay11.json is not CLI output either: kernel_basis of the Golay
+map, of the Golay map with one image swapped and of the n = 11 map over
+Z_9 x Z_27, one map per key and one basis row per line, which CI prints
+and diffs too.
+
 scan_z3e5_golay5_n11.json is the search's positive control, not CLI
 output: the 162 solutions that scan_prefixes finds below the first five
 Golay pairs of Z_3^5 without orbit reduction, one as_dict() per line in
@@ -35,7 +40,8 @@ from latile.certify import certify_nonexistence
 from latile.cli import main
 from latile.construct import golay11_tiling
 from latile.search import scan_prefixes
-from latile.tiling import TilingHomomorphism
+from latile.tiling import TilingHomomorphism, kernel_basis
+from helpers import naive_kernel_basis
 from test_search import golay_pair_indices, golay_with_one_image_swapped
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -158,3 +164,19 @@ def test_scan_below_five_golay_pairs_is_golden():
     # one solution's as_dict() per line, keys sorted
     lines = ",\n".join(json.dumps(sol.as_dict(), sort_keys=True) for sol in solutions)
     assert f"[\n{lines}\n]\n" == golden
+
+
+def test_kernel_bases_are_golden():
+    """kernel_basis of three n = 11 maps, in the format CI prints."""
+    maps = [
+        ("golay11", golay11_tiling()),
+        ("golay11_one_image_swapped", golay_with_one_image_swapped()),
+        ("z9xz27_n11", z9xz27_n11_map()),
+    ]
+    lines = ",\n".join(
+        f"{json.dumps(name)}: [\n" + ",\n".join(map(json.dumps, kernel_basis(phi))) + "\n]"
+        for name, phi in maps
+    )
+    golden = (GOLDEN / "kernel_golay11.json").read_text()
+    assert f"{{\n{lines}\n}}\n" == golden
+    assert json.loads(golden) == {name: naive_kernel_basis(phi) for name, phi in maps}

@@ -265,8 +265,10 @@ class TestOneGate:
         assert len(made_views) == 1
         _gated_reports(t, 11)
         assert len(made_views) == 1
-        # star(T) is a new element: its gate makes its own view, once
+        # star(T) comes with a view of its own, made from T's with D*D kept
+        # on it: the gate returns D as it is, and check_pds squares nothing
         d = as_code_set(star(t))
+        assert (1, 1) in d._view._products
         assert len(made_views) == 2
         assert check_pds(d, tiling_pds_parameters(11)).passed
         assert len(made_views) == 2

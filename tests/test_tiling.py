@@ -5,7 +5,7 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from latile.abelian import (
     GroupElement,
@@ -254,6 +254,43 @@ class TestVerify:
         images = [tuple(data.draw(r) for r in residues) for _ in range(n)]
         phi = hom(spec, images)
         assert verify_tiling(phi, ball) == naive_verify_tiling(phi, ball)
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_rejected_golay_variants_match_the_naive_oracle(self, data):
+        """Five-coordinate reports at n = 11: the Golay map moved by a random
+        automorphism of Z_3^5, with one image replaced, most often leaves
+        about 35 elements uncovered."""
+        entries = st.integers(min_value=0, max_value=2)
+        matrix = data.draw(st.lists(st.lists(entries, min_size=5, max_size=5), min_size=5, max_size=5))
+        assume(_invertible_mod3(matrix))
+        spec = GroupSpec((3,) * 5)
+        images = [
+            tuple(sum(a * r for a, r in zip(row, g.residues)) % 3 for row in matrix)
+            for g in golay11_tiling().images
+        ]
+        i = data.draw(st.integers(min_value=0, max_value=10), label="replaced")
+        images[i] = data.draw(st.tuples(*[entries] * 5), label="replacement")
+        phi = hom(spec, images)
+        ball = generate_ball(11, 2, 1, 1)
+        assert verify_tiling(phi, ball) == naive_verify_tiling(phi, ball)
+
+
+def _invertible_mod3(matrix) -> bool:
+    """Whether a square matrix over F_3 is invertible, by elimination."""
+    rows = [[a % 3 for a in row] for row in matrix]
+    size = len(rows)
+    for col in range(size):
+        j = next((j for j in range(col, size) if rows[j][col]), None)
+        if j is None:
+            return False
+        rows[col], rows[j] = rows[j], rows[col]
+        pivot = rows[col]
+        for r in rows[col + 1 :]:
+            f = r[col] * pivot[col] % 3  # 1 and 2 are their own inverses mod 3
+            r[:] = [(a - f * b) % 3 for a, b in zip(r, pivot)]
+    return True
 
 
 class TestDimension:
