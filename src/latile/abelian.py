@@ -64,6 +64,12 @@ class GroupSpec:
     def order(self) -> int:
         return prod(self.invariant_factors)
 
+    @property
+    def exponent(self) -> int:
+        """The least m >= 1 with m*g = 0 for every g: the last invariant
+        factor, or 1 for the trivial group."""
+        return self.invariant_factors[-1] if self.invariant_factors else 1
+
     def describe(self) -> str:
         if not self.invariant_factors:
             return "Z_1"
@@ -144,8 +150,10 @@ def _element(spec: GroupSpec, residues: tuple[int, ...]) -> GroupElement:
     """An element from residues already reduced mod the invariant factors,
     such as decode_rank's, stored without GroupElement's re-validation."""
     g = object.__new__(GroupElement)
-    object.__setattr__(g, "spec", spec)
-    object.__setattr__(g, "residues", residues)
+    # written into __dict__: object.__setattr__ costs more per field
+    fields = g.__dict__
+    fields["spec"] = spec
+    fields["residues"] = residues
     return g
 
 
@@ -232,8 +240,7 @@ def scaled_ranks(spec: GroupSpec, ranks: Sequence[int], t: int) -> list[int]:
     a doubling is fold[pos + pos] and adding g is fold[pos + positions[g]],
     so no residue is decoded or encoded.
     """
-    factors = spec.invariant_factors
-    t %= factors[-1] if factors else 1
+    t %= spec.exponent
     if not t:
         return [0] * len(ranks)
     _, positions, fold = padded_layout(spec)

@@ -42,15 +42,16 @@ GOLAY11_CHECK_MATRIX: tuple[tuple[int, ...], ...] = (
 
 
 def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    num = [c % 3 for c in num]
-    den = [c % 3 for c in den]
-    while den and den[-1] == 0:
-        den.pop()
-    inv_lead = pow(den[-1], -1, 3)
+    """Quotient and remainder of num by den over F_3, coefficients ascending
+    and trailing zeros dropped from the remainder.
+
+    Every coefficient must already be in 0..2 and den must be monic (its
+    last coefficient 1), so no coefficient is reduced and none inverted.
+    """
     quot = [0] * max(1, len(num) - len(den) + 1)
     rem = list(num)
     for shift in range(len(num) - len(den), -1, -1):
-        factor = (rem[shift + len(den) - 1] * inv_lead) % 3
+        factor = rem[shift + len(den) - 1]
         if factor:
             quot[shift] = factor
             for i, c in enumerate(den):

@@ -97,8 +97,11 @@ def _ring(spec: GroupSpec, coefficients) -> GroupRingElement:
     """A ring element from coefficients the ring made itself: a sequence of
     spec.order ints, stored as a tuple without re-checking them."""
     a = object.__new__(GroupRingElement)
-    object.__setattr__(a, "spec", spec)
-    object.__setattr__(a, "coefficients", tuple(coefficients))
+    # written into __dict__, which is cheaper than object.__setattr__, as
+    # abelian._element does
+    fields = a.__dict__
+    fields["spec"] = spec
+    fields["coefficients"] = tuple(coefficients)
     return a
 
 
@@ -284,8 +287,7 @@ class _CodeView:
     def __init__(self, spec: GroupSpec, ranks: list[int]):
         self.spec = spec
         self.ranks = ranks
-        factors = spec.invariant_factors
-        self._exponent = exponent = factors[-1] if factors else 1
+        self._exponent = exponent = spec.exponent
         self._scaled = {1 % exponent: ranks}
         self._keys = {1 % exponent: 1}
         self._terms, self._products = {}, {}

@@ -103,19 +103,20 @@ depth below a prefix, and a full-length prefix's leaf, are the node rule's
 own, and a planted prefix checks it.  The empty prefix is walked as its
 one-pair prefixes (c,) for every c that leaves n - 1 pairs after it; a c
 that is no root is dropped by the same check, with its whole count.  A
-serial run scans the empty prefix;
-a parallel run starts a run of two-pair prefixes at each one the orbit
-floors leave alive, hands the runs to the pool in about eight chunks per
-worker, and merges them in prefix order, so the output is identical to a
-serial run.
+search is one list of (group, run) tasks, in group and prefix order.  A
+serial search has one run per group, the empty prefix, and maps the list
+in-process, so it reports each group before it scans the next.  A parallel
+search starts a run of two-pair prefixes at each one the orbit floors leave
+alive and maps the list on the pool, in about eight chunks per worker.
+Both are merged by one loop that sums each group's counts and joins its
+solutions in prefix order, so the output is identical either way.
 """
 
 import time
 
 # collections.abc generics, unlike typing's, are not cached, so an annotation
 # that names SearchSolution keeps no module copy alive after a re-import
-from collections.abc import Callable, Iterable, Iterator
-from contextlib import ExitStack
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -190,7 +191,7 @@ def pair_multiplier_permutations(spec: GroupSpec) -> list[tuple[int, ...]]:
     pair_ranks = _pair_ranks(spec)
     index_of = {rank: i for i, pair in enumerate(pair_ranks) for rank in pair}
     firsts = [g for g, _ in pair_ranks]
-    exponent = spec.invariant_factors[-1] if spec.invariant_factors else 1
+    exponent = spec.exponent
     units = [t for t in range(1, max(exponent // 2, 1) + 1) if gcd(t, exponent) == 1]
     return sorted(
         {tuple(index_of[r] for r in scaled_ranks(spec, firsts, t)) for t in units}
@@ -474,7 +475,10 @@ def _prefix_tasks(tables: ScanTables, n: int) -> list[list[tuple[int, int]]]:
     """All two-pair prefixes in scan order, in runs that each start at a
     prefix (c, j) the orbit floors leave alive: allowed[c] lists j and at
     least n - 2 pairs after it.  The scan enters no pair below any other
-    prefix, so those ride along with the run before them."""
+    prefix, so those ride along with the run before them.  These are a
+    parallel search's runs of one group in its (group, run) task list,
+    which search_tilings maps on the pool and merges once, as it does a
+    serial search's one run per group."""
     ends = len(tables.allowed) - n + 2
     tasks: list[list[tuple[int, int]]] = []
     for c in range(ends - 1):
@@ -490,32 +494,6 @@ def _prefix_tasks(tables: ScanTables, n: int) -> list[list[tuple[int, int]]]:
 def _prefix_worker(args) -> tuple[int, list[SearchSolution]]:
     spec, n, reduce_orbits, prefixes = args
     return scan_prefixes(spec, n, prefixes, reduce_orbits=reduce_orbits)
-
-
-def _pooled_outcomes(
-    stack: ExitStack, groups: list[GroupSpec], n: int, reduce_orbits: bool, threads: int
-) -> Iterator[tuple[int, list[SearchSolution]]]:
-    """Each group's count and solutions from a pool of workers, entered on
-    the stack: one task per run of two-pair prefixes, merged per group in
-    prefix order.  The runs are cut before the pool starts, so a forked
-    worker inherits the tables they were cut by."""
-    import multiprocessing
-
-    runs = [_prefix_tasks(scan_tables(spec, n, reduce_orbits), n) for spec in groups]
-    tasks = [
-        (spec, n, reduce_orbits, prefixes)
-        for spec, group_runs in zip(groups, runs)
-        for prefixes in group_runs
-    ]
-    pool = stack.enter_context(multiprocessing.Pool(threads))
-    chunksize = max(1, len(tasks) // (threads * _TASKS_PER_WORKER))
-    outcomes = pool.imap(_prefix_worker, tasks, chunksize)
-    for group_runs in runs:
-        tested, found = 0, []
-        for run_tested, run_solutions in islice(outcomes, len(group_runs)):
-            tested += run_tested
-            found += run_solutions
-        yield tested, found
 
 
 def search_tilings(
@@ -543,18 +521,34 @@ def search_tilings(
     if total > budget:
         raise BudgetExceededError(total, budget)
     started = time.perf_counter()
-    tested_by_group = []
-    solutions: list[SearchSolution] = []
-    with ExitStack() as stack:
-        if threads <= 1:
-            outcomes = (scan_prefixes(spec, n, [()], reduce_orbits=reduce_orbits) for spec in groups)
-        else:
-            outcomes = _pooled_outcomes(stack, groups, n, reduce_orbits, threads)
-        for spec, (tested, found) in zip(groups, outcomes):
-            tested_by_group.append(tested)
+    # one run per group, the empty prefix, or a parallel search's runs of
+    # two-pair prefixes, cut before the pool starts so that a forked worker
+    # inherits the tables they were cut by
+    runs = [[[()]]] * len(groups)
+    if threads > 1:
+        import multiprocessing
+
+        runs = [_prefix_tasks(scan_tables(spec, n, reduce_orbits), n) for spec in groups]
+    tasks = [
+        (spec, n, reduce_orbits, run) for spec, per_group in zip(groups, runs) for run in per_group
+    ]
+    tested_by_group, solutions, pool = [], [], None
+    try:
+        outcomes = map(_prefix_worker, tasks)
+        if threads > 1:
+            pool = multiprocessing.Pool(threads)
+            chunksize = max(1, len(tasks) // (threads * _TASKS_PER_WORKER))
+            outcomes = pool.imap(_prefix_worker, tasks, chunksize)
+        for spec, per_group in zip(groups, runs):
+            merged = list(islice(outcomes, len(per_group)))
+            tested_by_group.append(tested := sum(count for count, _ in merged))
+            found = [sol for _, run_solutions in merged for sol in run_solutions]
             solutions += found
             if progress is not None:
                 progress(f"{spec.describe()}: {tested} candidates, {len(found)} solutions")
+    finally:
+        if pool is not None:
+            pool.terminate()
     return SearchResult(
         n=n,
         groups_examined=tuple(groups),

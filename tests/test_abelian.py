@@ -121,6 +121,15 @@ class TestSpecValidation:
         spec = GroupSpec((3, 3, 9))
         assert GroupSpec.from_dict(spec.as_dict()) == spec
 
+    def test_trivial_group_is_described_as_z1(self):
+        assert GroupSpec(()).describe() == "Z_1"
+
+    @pytest.mark.parametrize("factors", [(), (19,), (3, 33), (3, 3, 9), (3,) * 5])
+    def test_exponent_is_the_largest_element_order(self, factors):
+        spec = GroupSpec(factors)
+        assert spec.exponent == max(element_order(g) for g in elements(spec))
+        assert spec.exponent == (factors[-1] if factors else 1)
+
 
 class TestArithmetic:
     def test_cyclic_addition_wraps(self):

@@ -237,6 +237,11 @@ class TestCodeSet:
         with pytest.raises(ValueError):
             as_code_set(ring(Z5, -1, 0, 0, 0, 0))
 
+    def test_empty_element_list_rejected(self):
+        with pytest.raises(ValueError) as info:
+            as_code_set([])
+        assert str(info.value) == "cannot infer the group from an empty element list"
+
     def test_multiset_refused_on_every_call(self, made_views):
         bad = ring(Z5, 1, 0, 2, 0, 0)
         for _ in range(2):

@@ -3,8 +3,11 @@
 import gc
 import json
 import multiprocessing
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from functools import cache
@@ -389,6 +392,68 @@ class TestSearch:
         assert d["solutions"] == []
         assert d["reduced"] is True
         assert "wall_time" in d["meta"]
+
+
+class TestProgress:
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_one_line_per_group_in_order_serially_and_in_parallel(self, n):
+        lines = {1: [], 2: []}
+        for threads, seen in lines.items():
+            result = search_tilings(n, threads=threads, progress=seen.append)
+            assert seen == [
+                f"{spec.describe()}: {tested} candidates, "
+                f"{sum(sol.spec == spec for sol in result.solutions)} solutions"
+                for spec, tested in zip(result.groups_examined, result.candidates_tested)
+            ]
+        assert lines[1] == lines[2]
+        if n == 7:
+            assert lines[1] == [
+                "Z_3 x Z_33: 85900584 candidates, 0 solutions",
+                "Z_99: 85900584 candidates, 0 solutions",
+            ]
+
+    def test_serial_search_reports_a_group_before_it_scans_the_next(self, monkeypatch):
+        # A serial search maps its tasks in-process and lazily: each group's
+        # scan makes its own tables, and the group is reported before the
+        # next one is scanned.  It never cuts the parallel runs.
+        events = []
+        real_scan, real_tables = latile.search.scan_prefixes, latile.search.scan_tables
+
+        def scan(spec, n, prefixes, **options):
+            events.append(("scan", spec.describe(), list(prefixes)))
+            return real_scan(spec, n, prefixes, **options)
+
+        def tables(spec, *args):
+            events.append(("tables", spec.describe()))
+            return real_tables(spec, *args)
+
+        monkeypatch.setattr(latile.search, "scan_prefixes", scan)
+        monkeypatch.setattr(latile.search, "scan_tables", tables)
+        monkeypatch.setattr(
+            latile.search, "_prefix_tasks", lambda *args: pytest.fail("serial run cut runs")
+        )
+        search_tilings(7, progress=lambda line: events.append(("report", line)))
+        assert events == [
+            ("scan", "Z_3 x Z_33", [()]),
+            ("tables", "Z_3 x Z_33"),
+            ("report", "Z_3 x Z_33: 85900584 candidates, 0 solutions"),
+            ("scan", "Z_99", [()]),
+            ("tables", "Z_99"),
+            ("report", "Z_99: 85900584 candidates, 0 solutions"),
+        ]
+
+    def test_serial_search_does_not_import_multiprocessing(self):
+        src = os.path.dirname(os.path.dirname(latile.search.__file__))
+        probe = (
+            "import sys, latile.cli\n"
+            "latile.search.search_tilings(5)\n"
+            "print('multiprocessing' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.stdout.split() == ["False"]
 
 
 class TestPrefixScan:

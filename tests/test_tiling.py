@@ -308,6 +308,16 @@ class TestDimension:
         phi = TilingHomomorphism(True, Z3, (GroupElement(Z3, (1,)),))
         assert type(phi.n) is int and phi.as_dict()["n"] == 1
 
+    def test_dimension_below_one_rejected(self):
+        with pytest.raises(ValueError) as info:
+            TilingHomomorphism(0, Z3, ())
+        assert str(info.value) == "dimension must be >= 1, got 0"
+
+    def test_image_from_another_group_rejected(self):
+        with pytest.raises(ValueError) as info:
+            TilingHomomorphism(1, Z3, (GroupElement(GroupSpec((9,)), (1,)),))
+        assert str(info.value) == "image element belongs to a different group"
+
 
 class TestSerialization:
     def test_round_trip(self):
