@@ -15,7 +15,7 @@ import operator
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, compress, count, cycle, zip_longest
+from itertools import accumulate, chain, compress, cycle, zip_longest
 from math import gcd, isqrt, lcm, prod
 from typing import Iterable, NamedTuple, Sequence
 
@@ -303,10 +303,9 @@ def trial_division(m: int, one_or_three_mod_8: bool = False) -> tuple[dict[int, 
             min(max(limit + 1, 2 * end, 1 << 10), _TABLE_CAP)
         )
     candidates: Iterable[int] = primes_1_3_mod_8 if one_or_three_mod_8 else primes
-    if limit >= _TABLE_CAP and one_or_three_mod_8:
-        candidates = chain(candidates, accumulate(cycle((2, 6)), initial=_TABLE_CAP + 1))
-    elif limit >= _TABLE_CAP:
-        candidates = chain(candidates, count(_TABLE_CAP + 1, 2))
+    if limit >= _TABLE_CAP:
+        steps = (2, 6) if one_or_three_mod_8 else (2,)
+        candidates = chain(candidates, accumulate(cycle(steps), initial=_TABLE_CAP + 1))
     factors: dict[int, int] = {}
     for d in candidates:
         if d > limit:

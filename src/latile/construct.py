@@ -27,6 +27,7 @@ condition reads, so `latile analyze` squares T once and D never.
 """
 
 from dataclasses import asdict, dataclass
+from itertools import product
 
 from .abelian import GroupElement, GroupSpec, as_integers
 from .groupring import CodeSetLike, OrderMismatchError, _residual, _symmetric, as_code_set
@@ -68,21 +69,11 @@ def golay_generator_polynomials() -> tuple[tuple[int, ...], tuple[int, ...]]:
     the [11, 6, 5] code, and h is the corresponding check polynomial.
     """
     modulus = [2] + [0] * 10 + [1]  # x^11 - 1 = x^11 + 2 over F_3
-    quintics = []
-    for code in range(3**5):
-        coeffs = []
-        c = code
-        for _ in range(5):
-            coeffs.append(c % 3)
-            c //= 3
-        candidate = coeffs + [1]
-        _, rem = _poly_divmod(modulus, candidate)
+    # the walk is lexicographic, so the first divisor it reaches is the least
+    for low in product(range(3), repeat=5):
+        quot, rem = _poly_divmod(modulus, [*low, 1])
         if not rem:
-            quintics.append(tuple(candidate))
-    g = min(quintics)
-    quot, rem = _poly_divmod(modulus, list(g))
-    assert not rem
-    return g, tuple(quot)
+            return (*low, 1), tuple(quot)
 
 
 def derive_check_matrix() -> tuple[tuple[int, ...], ...]:

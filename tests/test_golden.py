@@ -1,27 +1,31 @@
 """The CLI's JSON, byte for byte, against files in tests/golden/.
 
-Each file is the full stdout of one run: `latile analyze -` and
-`latile verify -` on the Golay map (`latile construct golay11 | latile
-analyze -`), on the Golay map with one image swapped and on an n = 7 map
-over Z_3 x Z_33 (a non-cyclic group whose map does not tile), `latile
-analyze -` on an n = 5 map over the cyclic Z_51 (no tiling; T^(2) != T,
-and both congruences fail past rank 0), on an n = 11 map over Z_9 x Z_27
-(no tiling; T^(2) != T, and T^(3) repeats ranks) and on the Golay map with its
-second image set to its first (a code set with a coefficient 2, reported
-as a code_set_error), and `latile certify -n N` for
-N = 3 (a infinite), 14 (a = 26), 282 (INCONCLUSIVE, with a witness), 11
-(INAPPLICABLE) and 10000014 (2n^2+1 prime, so trial division runs past
-the prime table's cap).  The swapped map's verify file pins the
-first collision witness and the order of the uncovered elements, and that
-run exits 1, as does the Z_3 x Z_33 one.  `latile verify --ball 1,1,60,60`
-on the one-image map x -> 11x into Z_121 exits 1 too; its accumulators
-need a 14-bit field, wider than the verifier's 12-bit chunks.  A change
-that alters one of them changes the JSON that users read.
+Each CLI case runs `python -m latile` as a process, as a user does, and
+checks its exit status as well as its stdout.  Each file is the full
+stdout of one run: `latile analyze -` and `latile verify -` on the Golay
+map (`latile construct golay11 | latile analyze -`, the map read from a
+`construct golay11` process), on the Golay map with one image swapped and
+on an n = 7 map over Z_3 x Z_33 (a non-cyclic group whose map does not
+tile), `latile analyze -` on an n = 5 map over the cyclic Z_51 (no
+tiling; T^(2) != T, and both congruences fail past rank 0), on an n = 11
+map over Z_9 x Z_27 (no tiling; T^(2) != T, and T^(3) repeats ranks) and
+on the Golay map with its second image set to its first (a code set with
+a coefficient 2, reported as a code_set_error), and `latile certify -n N`
+for N = 3 (a infinite), 14 (a = 26), 282 (INCONCLUSIVE, with a witness),
+11 (INAPPLICABLE) and 10000014 (2n^2+1 prime, so trial division runs past
+the prime table's cap).  The swapped map's verify file pins the first
+collision witness and the order of the uncovered elements, and that run
+exits 1, as does the Z_3 x Z_33 one.  `latile verify --ball 1,1,60,60` on
+the one-image map x -> 11x into Z_121 exits 1 too; its accumulators need
+a 14-bit field, wider than the verifier's 12-bit chunks.  A change that
+alters one of them changes the JSON that users read.  Two refusals print
+nothing on stdout: `latile analyze -` on a map whose group order is not
+2n^2+1 exits 2, and `latile search -n 2000` exits 3 with "budget" on
+stderr.
 
-kernel_golay11.json is not CLI output either: kernel_basis of the Golay
-map, of the Golay map with one image swapped and of the n = 11 map over
-Z_9 x Z_27, one map per key and one basis row per line, which CI prints
-and diffs too.
+kernel_golay11.json is not CLI output: kernel_basis of the Golay map, of
+the Golay map with one image swapped and of the n = 11 map over
+Z_9 x Z_27, one map per key and one basis row per line.
 
 scan_z3e5_golay5_n11.json is the search's positive control, not CLI
 output: the 162 solutions that scan_prefixes finds below the first five
@@ -29,15 +33,18 @@ Golay pairs of Z_3^5 without orbit reduction, one as_dict() per line in
 the order the scan reports them.
 """
 
-import io
+import functools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import latile
 from latile.abelian import GroupSpec
 from latile.certify import certify_nonexistence
-from latile.cli import main
 from latile.construct import golay11_tiling
 from latile.search import scan_prefixes
 from latile.tiling import TilingHomomorphism, kernel_basis
@@ -93,9 +100,28 @@ def golay_with_two_equal_images() -> TilingHomomorphism:
     return TilingHomomorphism(11, phi.spec, images)
 
 
-def stdout_of(capsys, argv) -> str:
-    assert main(argv) == 0
-    return capsys.readouterr().out
+def run_latile(*argv: str, stdin: bytes = b"") -> subprocess.CompletedProcess:
+    """One `python -m latile` process, run as a user runs it, with the
+    latile under test first on its path."""
+    path = [os.path.dirname(os.path.dirname(latile.__file__)), os.environ.get("PYTHONPATH")]
+    return subprocess.run(
+        [sys.executable, "-m", "latile", *argv], input=stdin, capture_output=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
+
+
+@functools.cache
+def constructed_golay() -> bytes:
+    """The Golay map as `latile construct golay11` prints it."""
+    result = run_latile("construct", "golay11")
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def map_json(phi) -> bytes:
+    """The map a case pipes in: the Golay map through `construct golay11`,
+    any other as its as_dict()."""
+    return constructed_golay() if phi is golay11_tiling else json.dumps(phi().as_dict()).encode()
 
 
 @pytest.mark.parametrize(
@@ -109,9 +135,9 @@ def stdout_of(capsys, argv) -> str:
         ("analyze_z9xz27_n11.json", z9xz27_n11_map),
     ],
 )
-def test_analyze_output_is_golden(capsys, monkeypatch, name, phi):
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(phi().as_dict())))
-    assert stdout_of(capsys, ["analyze", "-"]) == (GOLDEN / name).read_text()
+def test_analyze_output_is_golden(name, phi):
+    result = run_latile("analyze", "-", stdin=map_json(phi))
+    assert (result.returncode, result.stdout) == (0, (GOLDEN / name).read_bytes())
 
 
 def z121_map() -> TilingHomomorphism:
@@ -128,22 +154,33 @@ def z121_map() -> TilingHomomorphism:
         ("verify_z3xz33_n7.json", z3xz33_n7_map, 1),
     ],
 )
-def test_verify_output_is_golden(capsys, monkeypatch, name, phi, exit_code):
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(phi().as_dict())))
-    assert main(["verify", "-"]) == exit_code
-    assert capsys.readouterr().out == (GOLDEN / name).read_text()
+def test_verify_output_is_golden(name, phi, exit_code):
+    result = run_latile("verify", "-", stdin=map_json(phi))
+    assert (result.returncode, result.stdout) == (exit_code, (GOLDEN / name).read_bytes())
 
 
-def test_verify_with_a_14_bit_field_is_golden(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(z121_map().as_dict())))
-    assert main(["verify", "--ball", "1,1,60,60", "-"]) == 1
-    assert capsys.readouterr().out == (GOLDEN / "verify_z121_wide_field.json").read_text()
+def test_verify_with_a_14_bit_field_is_golden():
+    result = run_latile("verify", "--ball", "1,1,60,60", "-", stdin=map_json(z121_map))
+    golden = (GOLDEN / "verify_z121_wide_field.json").read_bytes()
+    assert (result.returncode, result.stdout) == (1, golden)
 
 
 @pytest.mark.parametrize("n", [3, 11, 14, 282, 10000014])
-def test_certify_output_is_golden(capsys, n):
-    golden = (GOLDEN / f"certify_n{n}.json").read_text()
-    assert stdout_of(capsys, ["certify", "-n", str(n)]) == golden
+def test_certify_output_is_golden(n):
+    result = run_latile("certify", "-n", str(n))
+    assert (result.returncode, result.stdout) == (0, (GOLDEN / f"certify_n{n}.json").read_bytes())
+
+
+def test_analyze_refuses_an_order_other_than_2n2_plus_1():
+    z7_n3 = {"n": 3, "group": {"invariant_factors": [7]}, "images": [[1], [2], [4]]}
+    result = run_latile("analyze", "-", stdin=json.dumps(z7_n3).encode())
+    assert (result.returncode, result.stdout) == (2, b"")
+
+
+def test_search_refuses_a_count_too_long_to_print():
+    result = run_latile("search", "-n", "2000")
+    assert (result.returncode, result.stdout) == (3, b"")
+    assert b"budget" in result.stderr
 
 
 @pytest.mark.parametrize("n", [3, 14, 282])
@@ -167,7 +204,7 @@ def test_scan_below_five_golay_pairs_is_golden():
 
 
 def test_kernel_bases_are_golden():
-    """kernel_basis of three n = 11 maps, in the format CI prints."""
+    """kernel_basis of three n = 11 maps, one basis row per line."""
     maps = [
         ("golay11", golay11_tiling()),
         ("golay11_one_image_swapped", golay_with_one_image_swapped()),

@@ -51,6 +51,8 @@ KERNEL_SPECS = [
     GroupSpec(f)
     for f in [(), (10**9 + 7,), (5, 25, 125), (9, 27), (3, 3, 3, 3, 3), (3, 33)]
 ]
+# the unit vectors of Z_5^5, whose images tile it under B(5, 5, 2, 2)
+Z5E5_UNITS = [tuple(int(i == j) for j in range(5)) for i in range(5)]
 
 
 def drawn_images(data, spec, max_size):
@@ -204,13 +206,18 @@ class TestVerify:
             (hom(GroupSpec((3, 27)), [(2, 26), (2, 26)]), (2, 1, 20, 20)),
             # the trivial group has no field, so no chunk, at the identity's ball
             (hom(GroupSpec(()), [()]), (1, 0, 1, 1)),
+            # five 7-bit fields, one chunk table each, so three more passes
+            # after the first two tables; the unit vectors tile, and
+            # with images[1] = images[0] 2500 elements are left uncovered
+            (hom(GroupSpec((5,) * 5), Z5E5_UNITS), (5, 5, 2, 2)),
+            (hom(GroupSpec((5,) * 5), [Z5E5_UNITS[0], Z5E5_UNITS[0], *Z5E5_UNITS[2:]]), (5, 5, 2, 2)),
         ],
     )
     def test_known_maps_match_the_naive_oracle(self, phi, ball):
         """Bijections, collisions and an order mismatch, in cyclic,
         non-cyclic and trivial groups, coordinate sums at both ends of the
-        verifier's bit fields, a field wider than a chunk and fields that
-        fill two chunks."""
+        verifier's bit fields, a field wider than a chunk, fields that fill
+        two chunks and fields that take five."""
         ball = generate_ball(*ball)
         assert verify_tiling(phi, ball) == naive_verify_tiling(phi, ball)
 
