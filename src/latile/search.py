@@ -9,48 +9,34 @@ choices.
 
 For odd |G| the product identity T*T = 2G + T^(2) + (2n-2)e says exactly
 that every non-identity element is the sum of one unordered pair of
-distinct elements of T.  So the search is a perfect-packing scan over two
-big-int masks of elements: S, the chosen elements, and covered, the
-non-identity pair sums so far.  Adding the pair
-{x, -x} brings the sums S+x and S-x, and the node is rejected when they
-overlap or either meets covered.
-
-S and covered are both closed under negation, so S-x = -(S+x), and two
-simpler tests decide the node:
-
-- S-x meets covered exactly when S+x does;
-- S+x meets S-x exactly when s+x = t-x for some s, t in S, that is when
-  2x = t-s.  s = t would give 2x = 0 and t = -s would give x = t in S,
-  both impossible for odd |G| and an unchosen x, so every other case puts
-  2x in covered.
-
-A tested pair therefore costs a one-bit test (is 2x in covered?) and one
-shift.  The masks lay the elements out in the padded mixed radix that the
-group-ring product also reads (abelian.padded_layout, radix 2d per
-coordinate of factor d; see _folds): an element's bit is its
-position there, so S+x is the chosen mask shifted left by x's position in
-cyclic and non-cyclic groups alike, and it meets covered exactly when S+x
-does.  S-x is made only when the scan descends, and the two sums are
-folded into covered's layout once per coordinate by bit masks that only
-the search keeps; the product's fold table is not read here.  Sums are
-never removed, so a rejection drops the whole subtree at once, counted
-exactly by binomial completion counts (candidates_tested is always
+distinct elements of T.  So the search is a perfect-packing scan: with S
+the chosen elements and C their non-identity pair sums, the pair {z, -z}
+may join when 2z is not in C and S + z misses C (S and C are closed under
+negation, so that covers S - z, and 2z outside C keeps S + z and S - z
+apart).  Sums are never removed, so a rejection drops the whole subtree,
+counted exactly by binomial completion counts (candidates_tested is always
 C(n^2, n) per group).  Depth n without a rejection is a tiling: its
 C(2n+1, 2) - n = 2n^2 distinct non-identity sums fill G minus e.
 
-Below the first pair S and covered only grow, so a rejection there holds
-for the whole subtree.  The scan looks ahead (forward checking, Haralick
-and Elliott, Artif. Intell. 1980), and a parent tests its children's
-candidates itself.  A node holds survivors already tested against its own
-masks, and enters those with enough survivors after them to fill a
-candidate.  For each entered y it joins S + y and S - y into covered and
-tests the survivors after y against the child's masks.  A child left fewer
-survivors than pairs it still has to choose heads no leaf: its subtree is
-counted at once and it is never called.  A live child is called with its
-tested survivors, after the candidates below none of the survivors it will
-enter are counted, so the count is still summed from the walk and only
-nodes that can still reach a leaf are called.  The covered mask holds
-pair sums and nothing else.
+The scan looks ahead (forward checking, Haralick and Elliott, Artif.
+Intell. 1980): a node holds the pairs that passed its test, its survivors,
+and tests them for each child at once.  A survivor z passes the child
+entering y exactly when 2z is in neither S + y nor S - y, and neither
+z + y nor z - y is in C, 2S, S + y or S - y.  So a node keeps three masks,
+S, B (C and 2S) and H = S/2, in the one padded mixed radix that the
+group-ring product also reads (abelian.padded_layout, radix 2d per
+coordinate of factor d), one bit per element at its position.  Translating
+a mask by x is one shift by x's position, folded back once per coordinate
+by bit masks that only the search keeps (see _folds), for cyclic and
+non-cyclic groups alike.  The child's fail mask, the union of B + y,
+B - y, S + 2y, S - 2y, H + y/2 and H - y/2, marks the survivors it rejects;
+survivors are an int holding each surviving pair's first-element bit:
+positions rise with ranks, so bit order is pair order, and a child's
+survivors are its parent's after y, AND-NOT its fail mask.  A child left
+fewer survivors than pairs it still has to choose heads no leaf: its
+subtree is counted at once and it is never called.  A live child is called
+to enter the survivors with enough after them, once the candidates below
+none of those are counted, so the count is still summed from the walk.
 
 A surviving leaf is read as a map phi: Z^n -> G sending e_i to the first
 element of the i-th chosen pair, and re-verified by two independent
@@ -77,39 +63,37 @@ the minimum of its orbit only if no multiplier maps any of its pairs below
 c: the image would then start below c and so precede it.  Every pair j of
 a canonical candidate therefore has floor(j) >= c, and floor(c) = c.  One
 table holds the rule: allowed[c] lists the pairs j > c with floor(j) >= c,
-and is empty when floor(c) < c.  The root tries only the first pairs c
-whose allowed[c] can fill a candidate, and below c the scan never tests a
-pair that allowed[c] leaves out; a prefix's own indices must pass the same
-table.  The pairs left out are skipped, not tested, and their candidates
-are counted with the node's other rejections.  The rule is necessary, not
-sufficient, so the leaf keeps its full orbit test.
+and is empty when floor(c) < c.  The scan starts only at first pairs c
+whose allowed[c] can fill a candidate, with allowed[c] as survivors, so
+below c it never tests a pair that allowed[c] leaves out; a prefix's own
+indices must be among the survivors too.  The pairs left out are skipped,
+not tested, and their candidates are counted with the node's other
+rejections.  The rule is necessary, not sufficient, so the leaf keeps its
+full orbit test.
 
-Every table a scan reads (the layout's shifts and folds, the doubled
-ranks, the multiplier permutations, the pairs the orbit floors allow and
-the first pairs they leave, the subtree counts) comes from one read-only
-object per group, n and reduction setting, made at its first use in a
-process and kept for the next scans: a parallel run's tasks, or a forked
-worker whose parent split the run by the same tables.  A scan without
-reduction never makes the multiplier permutations.
+Every table a scan reads (the shifts and folds, the survivor bits, the
+multiplier permutations, the pairs the orbit floors allow, the subtree
+counts) comes from one read-only object per group, n and reduction
+setting, made at its first use in a process and kept for the next scans:
+a parallel run's tasks, or a forked worker whose parent split the run by
+the same tables.  A scan without reduction never makes the multiplier
+permutations.
 
 The scan's unit of work is a prefix of pair indices.  Each index before
-the last is checked against the allowed pairs (the roots, for the first),
-tested for packing and entered; a rejection drops the prefix's whole
-count.  The last index is checked the same way and then handed to the node
-rule as the one survivor its parent enters, with the pairs after it that
-the first pair allows as that child's untested candidates: the child's
-masks contain the parent's, so testing them there is enough.  So the first
-depth below a prefix, and a full-length prefix's leaf, are the node rule's
-own, and a planted prefix checks it.  The empty prefix is walked as its
-one-pair prefixes (c,) for every c that leaves n - 1 pairs after it; a c
-that is no root is dropped by the same check, with its whole count.  A
-search is one list of (group, run) tasks, in group and prefix order.  A
-serial search has one run per group, the empty prefix, and maps the list
-in-process, so it reports each group before it scans the next.  A parallel
-search starts a run of two-pair prefixes at each one the orbit floors leave
-alive and maps the list on the pool, in about eight chunks per worker.
-Both are merged by one loop that sums each group's counts and joins its
-solutions in prefix order, so the output is identical either way.
+the last must be a survivor and is entered, its child's survivors and masks
+made as in the node; an index that is no survivor drops the prefix's whole
+count.  The last index, a survivor too, is handed to the node rule with
+the survivors after it, so the first depth below a prefix, and a
+full-length prefix's leaf, are the node rule's own, and a planted prefix
+checks it.  The empty prefix is walked as its one-pair prefixes (c,) for
+every c that leaves n - 1 pairs after it.  A search is one list of (group,
+run) tasks, in group and prefix order.  A serial search has one run per
+group, the empty prefix, and maps the list in-process, so it reports each
+group before it scans the next.  A parallel search starts a run of
+two-pair prefixes at each one the orbit floors leave alive and maps the
+list on the pool, in about eight chunks per worker.  Both are merged by one
+loop that sums each group's counts and joins its solutions in prefix order,
+so the output is identical either way.
 """
 
 import time
@@ -263,52 +247,74 @@ def dual_verify_candidate(phi: TilingHomomorphism, ball: ErrorBall) -> bool:
     return conditions.passed
 
 
-def _folds(spec: GroupSpec) -> tuple[tuple[int, int, int], ...]:
-    """Per coordinate, the bit masks and shift that turn a shifted chosen
-    mask into a covered one: low half, high half, shift.
+def _folds(spec: GroupSpec) -> tuple[tuple[int, int], ...]:
+    """Per coordinate, the bit mask and shift that fold a translated mask
+    back into the layout: the bits whose digit there is below d, and d
+    times the coordinate's stride.
 
-    Elements are laid out in abelian.padded_layout, so that S + x is one
-    shift.  A coordinate of factor d gets radix 2d.  An element with digits
-    v (its residues) sits at v in a chosen mask, and at v + e*d for every e
-    in {0, 1}^k in a covered mask.  Shifting a chosen mask left by x's
-    digits puts s + x at v + x, with no carry since v + x <= 2d - 2, and
-    that is the covered bit of (s + x) mod d with e_i = 1 where the
-    coordinate wraps.  So the shifted mask meets covered exactly when S + x
-    meets the covered elements, for cyclic and non-cyclic groups alike.  To
-    join covered, a shifted mask is folded once per coordinate: the bits
-    whose digit there is below d are copied up by d, and the others down by
-    d.
+    An element with digits v (its residues) sits at v in
+    abelian.padded_layout, with radix 2d for a coordinate of factor d.
+    Shifting a mask left by x's position puts s + x at digits v + x <=
+    2d - 2, with no carry, and an OR of such shifts stays within those
+    digits.  Folding once per coordinate, mask = (mask | mask >> shift) &
+    low, brings the bits whose digit there is d or more down by d, and
+    `low` drops them and what the shift moved off the others, so the result
+    is the mask of the translates, in cyclic and non-cyclic groups alike.
     """
     strides, _, fold = padded_layout(spec)
-    size = len(fold)
-    folds = []
-    for d, stride in zip(spec.invariant_factors, strides):
-        shift = d * stride
-        low = sum(((1 << shift) - 1) << start for start in range(0, size, 2 * shift))
-        folds.append((low, (1 << size) - 1 ^ low, shift))
-    return tuple(folds)
+    shifts = [d * stride for d, stride in zip(spec.invariant_factors, strides)]
+    return tuple(
+        (sum(((1 << shift) - 1) << start for start in range(0, len(fold), 2 * shift)), shift)
+        for shift in shifts
+    )
 
 
 class ScanTables(NamedTuple):
-    """The read-only tables a scan of one group at one n reads.
+    """The read-only tables a scan of one group at one n reads, and the node
+    rule's two steps on them.
 
-    The masks follow abelian.padded_layout (see _folds): a chosen mask
-    holds one bit per element and a covered mask 2^k.  The orbit floors
-    reach the scan only through `allowed` and the roots read off it:
-    allowed[c] lists the pairs that may follow a first pair c, and is empty
-    when a multiplier maps c itself lower.
+    Masks hold one bit per element, at its position in abelian.padded_layout
+    (see _folds).  A node's survivors hold the bit of each surviving pair's
+    first element x; positions rise with ranks, so bit order is pair order,
+    and pair_at turns a bit's length back into its pair.  The orbit floors
+    reach the scan only through `allowed` and `starts`: allowed[c] lists the
+    pairs that may follow a first pair c, and is empty when a multiplier
+    maps c itself lower.
     """
 
     pair_ranks: tuple[tuple[int, int], ...]  # pair j = {x, -x}: the ranks of x and -x
     perms: tuple[tuple[int, ...], ...]  # the multipliers' pair permutations, or the identity
-    plus: tuple[int, ...]  # the shift that translates a chosen mask by pair j's x
-    minus: tuple[int, ...]  # and by -x
-    pair_bits: tuple[int, ...]  # the chosen bits of x and -x
-    double_bits: tuple[int, ...]  # a covered bit of 2x
-    folds: tuple[tuple[int, int, int], ...]  # turn shifted chosen masks into covered ones
+    bits: tuple[int, ...]  # pair j's survivor bit, the bit of x
+    pair_at: dict[int, int]  # the pair whose survivor bit has this bit length
+    steps: tuple[tuple[int, ...], ...]  # the shifts by x, -x, 2x, -2x, x/2 and -x/2
+    folds: tuple[tuple[int, int], ...]  # bring translated masks back into the layout
     allowed: tuple[tuple[int, ...], ...]  # the j > c with floors[j] >= c, if floors[c] == c
-    roots: tuple[int, ...]  # the first pairs c whose allowed[c] can fill a candidate
+    starts: tuple[int, ...]  # the bits of c and allowed[c], or 0 if they fill no candidate
     subtree: tuple[tuple[int, ...], ...]  # subtree[r][i]: candidates below last pair i, r short
+
+    def fail_mask(self, masks: tuple[int, int, int], y: int) -> int:
+        """The survivors of a node with masks S, B and H that its child
+        entering y rejects: the z with z + y or z - y in B, S + y or S - y,
+        or with 2z in S + y or S - y.  As 0 is in S, that is B +- y, S +- 2y
+        and H +- y/2, less S, which holds no survivor; y is among them, as 0
+        is in B."""
+        mask, blocked, halves = masks
+        plus, minus, twice, twice_neg, half, half_neg = self.steps[y]
+        fail = blocked << plus | blocked << minus | mask << twice | mask << twice_neg
+        fail |= halves << half | halves << half_neg
+        for low, shift in self.folds:
+            fail = (fail | fail >> shift) & low
+        return fail
+
+    def grow(self, masks: tuple[int, int, int], y: int) -> tuple[int, int, int]:
+        """The masks of the child entering y: S + y and S - y join B, and
+        y, 2y and y/2 and their negatives join S, B and H."""
+        mask, blocked, halves = masks
+        plus, minus, twice, twice_neg, half, half_neg = self.steps[y]
+        blocked |= mask << plus | mask << minus | 1 << twice | 1 << twice_neg
+        for low, shift in self.folds:
+            blocked = (blocked | blocked >> shift) & low
+        return mask | 1 << plus | 1 << minus, blocked, halves | 1 << half | 1 << half_neg
 
 
 # table sets a process keeps, one per (group, n, reduce): room for the seven
@@ -324,34 +330,37 @@ def scan_tables(spec: GroupSpec, n: int, reduce_orbits: bool, /) -> ScanTables:
     alone (every leaf its own orbit, and no floor below its own pair), so a
     scan without reduction never makes the multiplier permutations.  A
     worker process makes them at its first task of the group, or inherits
-    them from a parent that made them before forking.
+    them from a parent that made them before forking.  Halving is
+    multiplication by (|G| + 1) / 2, a bijection because |G| is odd.
     """
     pair_ranks = tuple(_pair_ranks(spec))
     num_pairs = len(pair_ranks)
-    shifts = padded_layout(spec).positions
-    doubled = scaled_ranks(spec, range(spec.order), 2)
-    if reduce_orbits:
-        perms = tuple(pair_multiplier_permutations(spec))
-    else:
-        perms = (tuple(range(num_pairs)),)
+    positions = padded_layout(spec).positions
+    firsts = [g for g, _ in pair_ranks]
+    half = (spec.order + 1) // 2
+    scaled = [scaled_ranks(spec, firsts, t) for t in (1, -1, 2, -2, half, -half)]
+    steps = tuple(tuple(positions[g] for g in ranks) for ranks in zip(*scaled))
+    identity = (tuple(range(num_pairs)),)
+    perms = tuple(pair_multiplier_permutations(spec)) if reduce_orbits else identity
     floors = orbit_floors(perms)
     allowed = tuple(
         tuple(j for j in range(c + 1, num_pairs) if floors[j] >= c) if floors[c] == c else ()
         for c in range(num_pairs)
     )
+    bits = tuple(1 << plus for plus, *_ in steps)
     return ScanTables(
         pair_ranks=pair_ranks,
         perms=perms,
-        plus=tuple(shifts[g] for g, _ in pair_ranks),
-        minus=tuple(shifts[h] for _, h in pair_ranks),
-        pair_bits=tuple(1 << shifts[g] | 1 << shifts[h] for g, h in pair_ranks),
-        double_bits=tuple(1 << shifts[doubled[g]] for g, _ in pair_ranks),
+        bits=bits,
+        pair_at={bit.bit_length(): j for j, bit in enumerate(bits)},
+        steps=steps,
         folds=_folds(spec),
         allowed=allowed,
-        roots=tuple(c for c, after in enumerate(allowed) if len(after) >= n - 1),
-        subtree=tuple(
-            tuple(comb(num_pairs - 1 - i, r) for i in range(num_pairs)) for r in range(n)
+        starts=tuple(
+            sum(bits[j] for j in (c, *after)) if len(after) >= n - 1 else 0
+            for c, after in enumerate(allowed)
         ),
+        subtree=tuple(tuple(comb(i, r) for i in reversed(range(num_pairs))) for r in range(n)),
     )
 
 
@@ -361,51 +370,48 @@ def scan_prefixes(
     """Scan every candidate that starts with one of the prefixes.
 
     A prefix is an increasing tuple of at most n pair indices, walked with
-    the packing test and the allowed pairs of the nodes below it; the empty
+    the node rule and the allowed pairs of the nodes below it; the empty
     prefix is the whole space, walked as its one-pair prefixes.  Returns
     the candidates covered, C(P - 1 - last, n - k) for a prefix of k pairs
     ending at `last` among P pairs, summed over the prefixes, and the
     solutions in prefix order.  n must be at least 2, as the leaf's ball
     B(n,2,1,1) needs.  A prefix's last index is entered by the node rule,
-    so below the walk a node is called only with candidates its parent has
-    already tested, and only when they can still fill a candidate; every
-    other subtree is counted whole where its parent drops it.  With
-    reduce_orbits the multiplier orbit floors prune subtrees that hold no
-    canonical leaf (see the module docstring).  The tables come from
-    scan_tables, so only a process's first scan of a group at n makes them.
+    so below the walk a node is called only with survivors of its parent,
+    and only when they can still fill a candidate; every other subtree is
+    counted whole where its parent drops it.  With reduce_orbits the
+    multiplier orbit floors prune subtrees that hold no canonical leaf (see
+    the module docstring).  The tables come from scan_tables, so only a
+    process's first scan of a group at n makes them.
     """
     (n,) = as_integers((n,), "n")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     tables = scan_tables(spec, n, reduce_orbits)
-    pair_ranks, num_pairs = tables.pair_ranks, len(tables.pair_ranks)
-    plus, minus, pair_bits, folds = tables.plus, tables.minus, tables.pair_bits, tables.folds
-    double_bits, allowed, subtree = tables.double_bits, tables.allowed, tables.subtree
+    pair_ranks, bits, pair_at = tables.pair_ranks, tables.bits, tables.pair_at
+    subtree, fail_mask, grow = tables.subtree, tables.fail_mask, tables.grow
+    num_pairs = len(pair_ranks)
     chosen: list[int] = []
     tested = 0
     solutions: list[SearchSolution] = []
     ball = None  # made at the first leaf
 
-    def node(
-        chosen_mask: int, covered: int, remaining: int, survivors: list[int], entered: int
-    ) -> None:
-        # `survivors` passed this node's test (is 2x in covered, and does
-        # S + x meet it?), and the node enters the first `entered` of them;
-        # at the last pair each one entered completes a leaf.  Otherwise the
-        # node tests the survivors after each entered y against the child's
-        # masks: a child left too few to fill a candidate is counted whole,
-        # and a live one is called to enter those with enough survivors after
-        # them, once the candidates below none of those are counted.
+    def node(masks: tuple[int, ...], remaining: int, survivors: int, entered: list[int]):
+        # `survivors` passed this node, and the node enters `entered`, their
+        # lowest pairs, each leaving `remaining` pairs to choose; with none
+        # left each one entered completes a leaf.  Otherwise the child
+        # entering y keeps the survivors after y that its fail mask leaves:
+        # one left too few to fill a candidate is counted whole, and a live
+        # one is called to enter those with enough survivors after them,
+        # once the candidates below none of those are counted.
         nonlocal tested, ball
-        if remaining == 1:
-            for y in survivors[:entered]:
+        if not remaining:
+            for y in entered:
                 tested += 1
                 candidate = (*chosen, y)
                 orbit = candidate_orbit(tables.perms, candidate)
                 if min(orbit) != candidate:
                     continue
-                if ball is None:
-                    ball = generate_ball(n, 2, 1, 1)
+                ball = ball or generate_ball(n, 2, 1, 1)
                 images = [element_at(spec, pair_ranks[i][0]) for i in candidate]
                 if not dual_verify_candidate(TilingHomomorphism(n, spec, images), ball):
                     raise RuntimeError(
@@ -416,26 +422,21 @@ def scan_prefixes(
                 elements = tuple(element_at(spec, r) for r in ranks)
                 solutions.append(SearchSolution(spec, elements, len(orbit)))
             return
-        weights, below = subtree[remaining - 1], subtree[remaining - 2]
-        remaining -= 1
-        for i in range(entered):
-            y = survivors[i]
-            # S + x and S - x join covered
-            sums = chosen_mask << plus[y] | chosen_mask << minus[y]
-            for low, high, shift in folds:
-                sums |= (sums & low) << shift | (sums & high) >> shift
-            mask, joined = chosen_mask | pair_bits[y], covered | sums
-            rest = []
-            for z in survivors[i + 1 :]:
-                if not (double_bits[z] & joined or mask << plus[z] & joined):
-                    rest.append(z)
-            if len(rest) < remaining:
+        weights, below = subtree[remaining], subtree[remaining - 1]
+        for y in entered:
+            survivors ^= bits[y]
+            rest = survivors & ~fail_mask(masks, y)
+            count = rest.bit_count()
+            if count < remaining:
                 tested += weights[y]
                 continue
-            fill = len(rest) - remaining + 1
-            tested += weights[y] - sum(map(below.__getitem__, rest[:fill]))
+            firsts, left = [], rest
+            for _ in range(count - remaining + 1):
+                firsts.append(pair_at[(left & -left).bit_length()])
+                left &= left - 1
+            tested += weights[y] - sum(map(below.__getitem__, firsts))
             chosen.append(y)
-            node(mask, joined, remaining, rest, fill)
+            node(grow(masks, y), remaining - 1, rest, firsts)
             chosen.pop()
 
     for prefix in prefixes:
@@ -443,28 +444,19 @@ def scan_prefixes(
         if len(prefix) > n or not all(a < b for a, b in zip((-1, *prefix), (*prefix, num_pairs))):
             raise ValueError(f"prefix {prefix}: need <= {n} increasing indices below {num_pairs}")
         for start in [prefix] if prefix else [(c,) for c in range(num_pairs - n + 1)]:
-            # the identity, and no pair sums yet
-            chosen_mask, covered, candidates = 1, 0, tables.roots
-            last = start[-1]
-            for y in start:
-                # an index the floors leave out, or the packing rejects,
-                # drops the prefix's whole count
-                if y not in candidates or double_bits[y] & covered or chosen_mask << plus[y] & covered:
-                    tested += subtree[n - len(start)][last]
-                    break
-                if y == last:
-                    # the node enters the last index and tests against the
-                    # child's masks the pairs after it that the first allows
-                    after = [z for z in allowed[start[0]] if z > last]
-                    node(chosen_mask, covered, n - len(start) + 1, [last, *after], 1)
-                    break
-                sums = chosen_mask << plus[y] | chosen_mask << minus[y]
-                for low, high, shift in folds:
-                    sums |= (sums & low) << shift | (sums & high) >> shift
-                chosen.append(y)
-                chosen_mask, covered = chosen_mask | pair_bits[y], covered | sums
-                candidates = allowed[start[0]]
-            chosen.clear()
+            # the identity alone, S = B = H = {0}, passes every pair
+            masks, survivors, last = (1, 1, 1), tables.starts[start[0]], start[-1]
+            chosen[:] = start[:-1]
+            for y in chosen:
+                # an index the floors leave out, or an earlier index's child
+                # rejects, leaves no survivors
+                survivors = survivors & ~fail_mask(masks, y) if survivors & bits[y] else 0
+                masks = grow(masks, y)
+            if survivors & bits[last]:
+                # the node enters the last index, with the survivors after it
+                node(masks, n - len(start), survivors & -bits[last], [last])
+            else:
+                tested += subtree[n - len(start)][last]
     # node's closure holds its own cell; unbinding it frees the call's
     # closures and lists now rather than at the next cycle collection
     del node

@@ -891,22 +891,18 @@ class TestPrefixScan:
         "factors", [(19,), (33,), (3, 33), (5, 25), (17, 17), (3, 3, 3, 3, 3)]
     )
     def test_one_shift_translates_a_chosen_mask(self, factors):
-        # For every x and seeded random sets S, the chosen mask of S shifted
-        # by x stays within the layout's bits, a radix of 2d per coordinate,
-        # and meets the covered mask of a single element c exactly when c is
-        # in S + x, and folded once per coordinate it is the covered mask of
-        # S + x.
+        # For every x and seeded random sets S, the mask of S shifted by x
+        # stays within the layout's bits, a radix of 2d per coordinate, and
+        # folded down once per coordinate it is exactly the mask of S + x.
         spec = GroupSpec(factors)
         shifts, folds = padded_layout(spec).positions, latile.search._folds(spec)
         span = prod(2 * d for d in factors)
 
         def folded(mask):
-            for low, high, shift in folds:
-                mask |= (mask & low) << shift | (mask & high) >> shift
+            for low, shift in folds:
+                mask = (mask | mask >> shift) & low
             return mask
 
-        covered = [folded(1 << shift) for shift in shifts]
-        assert all(mask.bit_count() == 2 ** len(factors) for mask in covered)
         rng = random.Random(12)
         for _ in range(3):
             chosen = rng.sample(range(spec.order), rng.randint(1, spec.order // 3))
@@ -917,8 +913,69 @@ class TestPrefixScan:
                 }
                 shifted = mask << shifts[x]
                 assert shifted >> span == 0
-                assert {c for c in range(spec.order) if shifted & covered[c]} == translated
-                assert folded(shifted) == sum(covered[c] for c in translated)
+                assert folded(shifted) == sum(1 << shifts[t] for t in translated)
+
+    @pytest.mark.parametrize(
+        "factors", [(19,), (33,), (3, 33), (5, 25), (17, 17), (3, 3, 3, 3, 3)]
+    )
+    def test_fail_mask_rejects_exactly_what_the_packing_test_rejects(self, factors):
+        # On seeded random packed states (S, C): S the identity and some
+        # pairs, C its non-identity sums of two distinct elements, all
+        # distinct.  For every unchosen y and every other unchosen z that
+        # passed the node (2z not in C, S + z missing C), the fail mask of
+        # the child entering y marks z exactly when the direct test rejects
+        # it there: 2z in C' or S' + z meeting C', for S' = S + {y, -y} and
+        # C' its sums.  The child's masks are those of S', C' and 2S', and S'/2.
+        spec = GroupSpec(factors)
+        positions, fold = padded_layout(spec).positions, padded_layout(spec).fold
+        tables = latile.search.scan_tables(spec, 3, False)
+        fail_mask, grow = tables.fail_mask, tables.grow
+        ranks = range(spec.order)
+        negated = dict(zip(ranks, latile.search.scaled_ranks(spec, ranks, -1)))
+        halved = dict(zip(ranks, latile.search.scaled_ranks(spec, ranks, (spec.order + 1) // 2)))
+
+        def plus(g, h):
+            return fold[positions[g] + positions[h]]
+
+        def sums(chosen):
+            return [plus(s, t) for s, t in combinations(chosen, 2) if plus(s, t)]
+
+        def bits(elements):
+            return sum(1 << positions[g] for g in set(elements))
+
+        def passes(chosen, covered, z):
+            return plus(z, z) not in covered and not any(plus(s, z) in covered for s in chosen)
+
+        rng = random.Random(35)
+        pairs = list(enumerate(tables.pair_ranks))
+        checked = rejected = 0
+        for size in [0, 1, 1, 2, 2, 3]:
+            chosen, covered = [0], set()
+            for j, (x, negx) in rng.sample(pairs, len(pairs)):
+                if len(chosen) > 2 * size or not passes(chosen, covered, x):
+                    continue
+                chosen += [x, negx]
+                covered = set(sums(chosen))
+            assert len(covered) == len(sums(chosen))
+            masks = bits(chosen), bits([*covered, *(plus(s, s) for s in chosen)]), bits(
+                halved[s] for s in chosen
+            )
+            live = [(j, x) for j, (x, _) in pairs if x not in chosen and passes(chosen, covered, x)]
+            for y, x in live:
+                child = [*chosen, x, negated[x]]
+                child_covered = set(sums(child))
+                fail = fail_mask(masks, y)
+                for z, w in live:
+                    if z != y:
+                        rejects = not passes(child, child_covered, w)
+                        assert bool(fail & tables.bits[z]) == rejects
+                        checked, rejected = checked + 1, rejected + rejects
+                assert grow(masks, y) == (
+                    bits(child),
+                    bits([*child_covered, *(plus(s, s) for s in child)]),
+                    bits(halved[s] for s in child),
+                )
+        assert 0 < rejected < checked
 
     def test_four_pair_scan_keeps_exactly_the_packings(self, monkeypatch):
         # Every four-pair set of Z_51, with leaf re-verification stubbed
