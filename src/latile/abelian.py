@@ -15,7 +15,7 @@ import operator
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, compress, cycle, zip_longest
+from itertools import accumulate, chain, compress, cycle, product, zip_longest
 from math import gcd, isqrt, lcm, prod
 from typing import Iterable, NamedTuple, Sequence
 
@@ -344,20 +344,22 @@ def _partitions(k: int, largest: int) -> list[tuple[int, ...]]:
 def enumerate_abelian_groups(order: int) -> list[GroupSpec]:
     """One GroupSpec per isomorphism class of abelian groups of the order.
 
-    Classes are generated by choosing a partition of each prime's exponent
-    and multiplying the primes' powers together part by part, largest parts
-    first, into an invariant-factor chain read from its largest factor.
+    Each class is one choice of a partition of each prime's exponent, made
+    in one loop over the choices: the primes' powers are multiplied
+    together part by part, largest parts first, into an invariant-factor
+    chain read from its largest factor.
     The result is sorted by factor tuple, so the output order is stable.
     A non-integer order raises a ValueError naming it.
     """
     (order,) = as_integers((order,), "orders")
     if order < 1:
         raise ValueError("order must be a positive integer")
-    descending: list[list[int]] = [[]]  # each class's invariant factors, largest first
-    for p, e in factorize(order).items():
-        descending = [
-            [d * q for d, q in zip_longest(factors, [p**part for part in parts], fillvalue=1)]
-            for factors in descending
-            for parts in _partitions(e, e)
-        ]
-    return [GroupSpec(factors) for factors in sorted(tuple(f[::-1]) for f in descending)]
+    # per prime, the powers of each partition of its exponent, largest first
+    powers_by_prime = [
+        [[p**part for part in parts] for parts in _partitions(e, e)]
+        for p, e in factorize(order).items()
+    ]
+    chains = []
+    for powers in product(*powers_by_prime):
+        chains.append(tuple(map(prod, zip_longest(*powers, fillvalue=1)))[::-1])
+    return [GroupSpec(factors) for factors in sorted(chains)]

@@ -37,6 +37,9 @@ fewer survivors than pairs it still has to choose heads no leaf: its
 subtree is counted at once and it is never called.  A live child is called
 to enter the survivors with enough after them, once the candidates below
 none of those are counted, so the count is still summed from the walk.
+The node runs this rule inline, on S, B and H as three ints, with no call
+per tested pair; ScanTables.fail_mask and grow state the same rule once,
+for the prefix walk and as the reference the tests check.
 
 A surviving leaf is read as a map phi: Z^n -> G sending e_i to the first
 element of the i-th chosen pair, and re-verified by two independent
@@ -81,19 +84,21 @@ permutations.
 
 The scan's unit of work is a prefix of pair indices.  Each index before
 the last must be a survivor and is entered, its child's survivors and masks
-made as in the node; an index that is no survivor drops the prefix's whole
-count.  The last index, a survivor too, is handed to the node rule with
-the survivors after it, so the first depth below a prefix, and a
-full-length prefix's leaf, are the node rule's own, and a planted prefix
-checks it.  The empty prefix is walked as its one-pair prefixes (c,) for
-every c that leaves n - 1 pairs after it.  A search is one list of (group,
-run) tasks, in group and prefix order.  A serial search has one run per
-group, the empty prefix, and maps the list in-process, so it reports each
-group before it scans the next.  A parallel search starts a run of
-two-pair prefixes at each one the orbit floors leave alive and maps the
-list on the pool, in about eight chunks per worker.  Both are merged by one
-loop that sums each group's counts and joins its solutions in prefix order,
-so the output is identical either way.
+made by fail_mask and grow; an index that is no survivor drops the
+prefix's whole count.  The last index, a survivor too, is handed to the
+node rule with the survivors after it, so the first depth below a prefix,
+and a full-length prefix's leaf, are the node rule's own, and a planted
+prefix checks it.  The empty prefix counts at once every candidate whose
+first pair c starts with no survivors (the floors leave c too few pairs,
+or c leaves fewer than n - 1 after it), and walks the other c as one-pair
+prefixes (c,).  A search is one list of (group, run) tasks, in group and
+prefix order.  A serial search has one run per group, the empty prefix,
+and maps the list in-process, so it reports each group before it scans
+the next.  A parallel search starts a run of two-pair prefixes at each
+one the orbit floors leave alive and maps the list on the pool, in about
+eight chunks per worker.  Both are merged by one loop that sums each
+group's counts and joins its solutions in prefix order, so the output is
+identical either way.
 """
 
 import time
@@ -271,7 +276,8 @@ def _folds(spec: GroupSpec) -> tuple[tuple[int, int], ...]:
 
 class ScanTables(NamedTuple):
     """The read-only tables a scan of one group at one n reads, and the node
-    rule's two steps on them.
+    rule's two steps on them, stated once: the prefix walk calls them, the
+    tests check them, and the node runs the same steps inline.
 
     Masks hold one bit per element, at its position in abelian.padded_layout
     (see _folds).  A node's survivors hold the bit of each surviving pair's
@@ -279,7 +285,9 @@ class ScanTables(NamedTuple):
     and pair_at turns a bit's length back into its pair.  The orbit floors
     reach the scan only through `allowed` and `starts`: allowed[c] lists the
     pairs that may follow a first pair c, and is empty when a multiplier
-    maps c itself lower.
+    maps c itself lower.  The empty prefix walks only the `live` first
+    pairs and adds the `dead` ones' candidates, sum C(P - 1 - c, n - 1)
+    over them, at once.
     """
 
     pair_ranks: tuple[tuple[int, int], ...]  # pair j = {x, -x}: the ranks of x and -x
@@ -290,6 +298,8 @@ class ScanTables(NamedTuple):
     folds: tuple[tuple[int, int], ...]  # bring translated masks back into the layout
     allowed: tuple[tuple[int, ...], ...]  # the j > c with floors[j] >= c, if floors[c] == c
     starts: tuple[int, ...]  # the bits of c and allowed[c], or 0 if they fill no candidate
+    live: tuple[int, ...]  # the first pairs c with starts[c] != 0
+    dead: int  # the candidates whose first pair c has starts[c] == 0
     subtree: tuple[tuple[int, ...], ...]  # subtree[r][i]: candidates below last pair i, r short
 
     def fail_mask(self, masks: tuple[int, int, int], y: int) -> int:
@@ -297,7 +307,7 @@ class ScanTables(NamedTuple):
         entering y rejects: the z with z + y or z - y in B, S + y or S - y,
         or with 2z in S + y or S - y.  As 0 is in S, that is B +- y, S +- 2y
         and H +- y/2, less S, which holds no survivor; y is among them, as 0
-        is in B."""
+        is in B.  The prefix walk calls it; the node runs it inline."""
         mask, blocked, halves = masks
         plus, minus, twice, twice_neg, half, half_neg = self.steps[y]
         fail = blocked << plus | blocked << minus | mask << twice | mask << twice_neg
@@ -308,7 +318,8 @@ class ScanTables(NamedTuple):
 
     def grow(self, masks: tuple[int, int, int], y: int) -> tuple[int, int, int]:
         """The masks of the child entering y: S + y and S - y join B, and
-        y, 2y and y/2 and their negatives join S, B and H."""
+        y, 2y and y/2 and their negatives join S, B and H.  The prefix walk
+        calls it; the node runs it inline."""
         mask, blocked, halves = masks
         plus, minus, twice, twice_neg, half, half_neg = self.steps[y]
         blocked |= mask << plus | mask << minus | 1 << twice | 1 << twice_neg
@@ -348,6 +359,10 @@ def scan_tables(spec: GroupSpec, n: int, reduce_orbits: bool, /) -> ScanTables:
         for c in range(num_pairs)
     )
     bits = tuple(1 << plus for plus, *_ in steps)
+    starts = tuple(
+        sum(bits[j] for j in (c, *after)) if len(after) >= n - 1 else 0
+        for c, after in enumerate(allowed)
+    )
     return ScanTables(
         pair_ranks=pair_ranks,
         perms=perms,
@@ -356,10 +371,9 @@ def scan_tables(spec: GroupSpec, n: int, reduce_orbits: bool, /) -> ScanTables:
         steps=steps,
         folds=_folds(spec),
         allowed=allowed,
-        starts=tuple(
-            sum(bits[j] for j in (c, *after)) if len(after) >= n - 1 else 0
-            for c, after in enumerate(allowed)
-        ),
+        starts=starts,
+        live=tuple(c for c, start in enumerate(starts) if start),
+        dead=sum(comb(num_pairs - 1 - c, n - 1) for c, start in enumerate(starts) if not start),
         subtree=tuple(tuple(comb(i, r) for i in reversed(range(num_pairs))) for r in range(n)),
     )
 
@@ -371,7 +385,8 @@ def scan_prefixes(
 
     A prefix is an increasing tuple of at most n pair indices, walked with
     the node rule and the allowed pairs of the nodes below it; the empty
-    prefix is the whole space, walked as its one-pair prefixes.  Returns
+    prefix is the whole space, walked as the one-pair prefixes of the first
+    pairs that start with survivors, the others counted at once.  Returns
     the candidates covered, C(P - 1 - last, n - k) for a prefix of k pairs
     ending at `last` among P pairs, summed over the prefixes, and the
     solutions in prefix order.  n must be at least 2, as the leaf's ball
@@ -388,21 +403,25 @@ def scan_prefixes(
         raise ValueError(f"n must be >= 2, got {n}")
     tables = scan_tables(spec, n, reduce_orbits)
     pair_ranks, bits, pair_at = tables.pair_ranks, tables.bits, tables.pair_at
-    subtree, fail_mask, grow = tables.subtree, tables.fail_mask, tables.grow
+    subtree, steps, folds = tables.subtree, tables.steps, tables.folds
     num_pairs = len(pair_ranks)
     chosen: list[int] = []
     tested = 0
     solutions: list[SearchSolution] = []
     ball = None  # made at the first leaf
 
-    def node(masks: tuple[int, ...], remaining: int, survivors: int, entered: list[int]):
-        # `survivors` passed this node, and the node enters `entered`, their
-        # lowest pairs, each leaving `remaining` pairs to choose; with none
-        # left each one entered completes a leaf.  Otherwise the child
-        # entering y keeps the survivors after y that its fail mask leaves:
-        # one left too few to fill a candidate is counted whole, and a live
-        # one is called to enter those with enough survivors after them,
-        # once the candidates below none of those are counted.
+    def node(
+        mask: int, blocked: int, halves: int, remaining: int, survivors: int, entered: list[int]
+    ):
+        # `survivors` passed this node, with masks S, B and H, and the node
+        # enters `entered`, their lowest pairs, each leaving `remaining`
+        # pairs to choose; with none left each one entered completes a leaf.
+        # Otherwise the child entering y keeps the survivors after y that
+        # its fail mask leaves: one left too few to fill a candidate is
+        # counted whole, and a live one is called to enter those with enough
+        # survivors after them, once the candidates below none of those are
+        # counted.  The fail mask and the child's masks are
+        # ScanTables.fail_mask and grow, written out.
         nonlocal tested, ball
         if not remaining:
             for y in entered:
@@ -425,36 +444,50 @@ def scan_prefixes(
         weights, below = subtree[remaining], subtree[remaining - 1]
         for y in entered:
             survivors ^= bits[y]
-            rest = survivors & ~fail_mask(masks, y)
+            plus, minus, twice, twice_neg, half, half_neg = steps[y]
+            fail = blocked << plus | blocked << minus | mask << twice | mask << twice_neg
+            fail |= halves << half | halves << half_neg
+            for low, shift in folds:
+                fail = (fail | fail >> shift) & low
+            rest = survivors & ~fail
             count = rest.bit_count()
             if count < remaining:
                 tested += weights[y]
                 continue
-            firsts, left = [], rest
+            firsts, left, covered = [], rest, weights[y]
             for _ in range(count - remaining + 1):
-                firsts.append(pair_at[(left & -left).bit_length()])
+                first = pair_at[(left & -left).bit_length()]
+                firsts.append(first)
+                covered -= below[first]
                 left &= left - 1
-            tested += weights[y] - sum(map(below.__getitem__, firsts))
+            tested += covered
+            blocked_y = blocked | mask << plus | mask << minus | 1 << twice | 1 << twice_neg
+            for low, shift in folds:
+                blocked_y = (blocked_y | blocked_y >> shift) & low
+            mask_y, halves_y = mask | 1 << plus | 1 << minus, halves | 1 << half | 1 << half_neg
             chosen.append(y)
-            node(grow(masks, y), remaining - 1, rest, firsts)
+            node(mask_y, blocked_y, halves_y, remaining - 1, rest, firsts)
             chosen.pop()
 
     for prefix in prefixes:
         prefix = as_integers(prefix, "prefix indices")
         if len(prefix) > n or not all(a < b for a, b in zip((-1, *prefix), (*prefix, num_pairs))):
             raise ValueError(f"prefix {prefix}: need <= {n} increasing indices below {num_pairs}")
-        for start in [prefix] if prefix else [(c,) for c in range(num_pairs - n + 1)]:
+        # the empty prefix counts the candidates of every first pair left
+        # no survivors at once, and walks the others as one-pair prefixes
+        tested += 0 if prefix else tables.dead
+        for start in [prefix] if prefix else [(c,) for c in tables.live]:
             # the identity alone, S = B = H = {0}, passes every pair
             masks, survivors, last = (1, 1, 1), tables.starts[start[0]], start[-1]
             chosen[:] = start[:-1]
             for y in chosen:
                 # an index the floors leave out, or an earlier index's child
                 # rejects, leaves no survivors
-                survivors = survivors & ~fail_mask(masks, y) if survivors & bits[y] else 0
-                masks = grow(masks, y)
+                survivors = survivors & ~tables.fail_mask(masks, y) if survivors & bits[y] else 0
+                masks = tables.grow(masks, y)
             if survivors & bits[last]:
                 # the node enters the last index, with the survivors after it
-                node(masks, n - len(start), survivors & -bits[last], [last])
+                node(*masks, n - len(start), survivors & -bits[last], [last])
             else:
                 tested += subtree[n - len(start)][last]
     # node's closure holds its own cell; unbinding it frees the call's

@@ -74,6 +74,11 @@ class TestEnumeration:
         chains = [g.invariant_factors for g in enumerate_abelian_groups(12)]
         assert chains == [(2, 6), (12,)]
 
+    def test_mixed_order_with_two_repeated_primes_has_every_class(self):
+        # 108 = 2^2 * 3^3: two partitions of 2 times three of 3
+        chains = [g.invariant_factors for g in enumerate_abelian_groups(108)]
+        assert chains == [(2, 54), (3, 3, 12), (3, 6, 6), (3, 36), (6, 18), (108,)]
+
     def test_trivial_group(self):
         groups = enumerate_abelian_groups(1)
         assert len(groups) == 1

@@ -23,6 +23,7 @@ from latile.abelian import (
     GroupSpec,
     add,
     element_at,
+    enumerate_abelian_groups,
     identity,
     negate,
     padded_layout,
@@ -501,7 +502,9 @@ class TestPrefixScan:
         # pairs {1, 18} and {2, 17}: 0 + 1 = 18 + 2 (mod 19), a repeated sum
         assert scan_prefixes(spec, 3, [(0, 1)]) == (comb(9 - 1 - 1, 1), [])
 
-    @pytest.mark.parametrize("factors, n", [((19,), 3), ((33,), 4), ((51,), 3)])
+    @pytest.mark.parametrize(
+        "factors, n", [((19,), 3), ((33,), 4), ((51,), 3), ((5, 5), 3), ((3, 3, 3), 3)]
+    )
     @pytest.mark.parametrize("reduce_orbits", [False, True])
     def test_every_short_prefix_counts_and_reports_exactly_its_leaves(
         self, monkeypatch, factors, n, reduce_orbits
@@ -511,14 +514,16 @@ class TestPrefixScan:
         # last index, before it or not at all, and reports the full scan's
         # leaves that start with it.  In Z_19, (0, 1) already repeats a sum,
         # so (0, 1, 5) counts its one candidate, not the C(7, 1) below a
-        # node ending at pair 1.  Z_19 and Z_33 hold no tiling, so there
-        # every report is empty; three pairs of Z_51 often pack.
+        # node ending at pair 1.  Z_19 and Z_33 hold no tiling and no three
+        # pairs of Z_5^2 pack, so there every report is empty, and a node
+        # folding two coordinates must reject every leaf; three pairs of
+        # Z_51 or Z_3^3 often pack, the latter folded on three coordinates.
         monkeypatch.setattr(latile.search, "dual_verify_candidate", lambda *args: True)
         spec = GroupSpec(factors)
         num_pairs = (spec.order - 1) // 2
         _, full = scan_prefixes(spec, n, [()], reduce_orbits=reduce_orbits)
         leaves = pair_indices_of(spec, full)
-        assert bool(leaves) == (spec.order == 51)
+        assert bool(leaves) == (factors in [(51,), (3, 3, 3)])
         for k in range(4):
             for prefix in combinations(range(num_pairs), k):
                 tested, solutions = scan_prefixes(spec, n, [prefix], reduce_orbits=reduce_orbits)
@@ -829,6 +834,25 @@ class TestPrefixScan:
             spec, 11, [prefix], reduce_orbits=False
         )
 
+    @pytest.mark.parametrize("reduce_orbits", [False, True])
+    def test_live_first_pairs_and_dead_count_make_up_the_space(self, reduce_orbits):
+        # The empty prefix walks only the first pairs whose start has
+        # survivors and counts every candidate below the others at once.
+        # For each group of order 2n^2+1 with n = 3..8, and the seven of
+        # order 243 at n = 11, those pairs are the c with starts[c] != 0,
+        # all that leave n - 1 pairs after them when nothing is reduced,
+        # and the two counts make up C(P, n).
+        for n in [3, 4, 5, 6, 7, 8, 11]:
+            for spec in enumerate_abelian_groups(2 * n * n + 1):
+                tables = latile.search.scan_tables(spec, n, reduce_orbits)
+                num_pairs = len(tables.pair_ranks)
+                live = tuple(c for c in range(num_pairs) if tables.starts[c])
+                assert tables.live == live
+                if not reduce_orbits:
+                    assert live == tuple(range(num_pairs - n + 1))
+                below_live = sum(comb(num_pairs - 1 - c, n - 1) for c in live)
+                assert tables.dead + below_live == comb(num_pairs, n)
+
     def test_leaf_tables_are_made_once_and_only_for_leaves(self, monkeypatch):
         # The scan tables are kept per process for each group, n and
         # reduction setting (the fixture starts this test with none), so a
@@ -977,18 +1001,20 @@ class TestPrefixScan:
                 )
         assert 0 < rejected < checked
 
-    def test_four_pair_scan_keeps_exactly_the_packings(self, monkeypatch):
-        # Every four-pair set of Z_51, with leaf re-verification stubbed
-        # out: the leaves sit at depth 4, below the first pair, where the
-        # scan inherits each node's survivors.  The unreduced scan's leaves
-        # are exactly the sets the two-translation rule accepts, and the
-        # reduced scan reports exactly their orbit minima.
+    @pytest.mark.parametrize("factors", [(51,), (3, 15), (7, 7)])
+    def test_four_pair_scan_keeps_exactly_the_packings(self, monkeypatch, factors):
+        # Every four-pair set of Z_51, Z_3 x Z_15 or Z_7^2, with leaf
+        # re-verification stubbed out: the leaves sit at depth 4, below the
+        # first pair, where the scan inherits each node's survivors and, in
+        # the last two, folds its masks on two coordinates.  The unreduced
+        # scan's leaves are exactly the sets the two-translation rule
+        # accepts, and the reduced scan reports exactly their orbit minima.
         monkeypatch.setattr(latile.search, "dual_verify_candidate", lambda *args: True)
-        spec = GroupSpec((51,))
+        spec = GroupSpec(factors)
         pairs = inverse_pairs(spec)
-        space = list(combinations(range(25), 4))
+        space = list(combinations(range(len(pairs)), 4))
         packings = [leaf for leaf in space if two_translation_accepts(pairs, leaf)]
-        assert 0 < len(packings) < len(space) == 12650
+        assert 0 < len(packings) < len(space) == comb((spec.order - 1) // 2, 4)
         tested, full = scan_prefixes(spec, 4, [()], reduce_orbits=False)
         assert tested == len(space)
         assert pair_indices_of(spec, full) == packings
